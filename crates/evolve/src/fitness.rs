@@ -10,12 +10,11 @@
 use gippr::{DgipprPolicy, GiplrPolicy, GipprPolicy, Ipv};
 use mem_model::cpi::LinearCpiModel;
 use mem_model::{
-    capture_llc_stream, replay_llc_mono, replay_llc_sharded, replay_llc_sliced, HierarchyConfig,
-    WindowPerfModel,
+    capture_llc_stream, plan, replay_llc_mono, replay_llc_sharded, Engine, HierarchyConfig,
+    Replayer, WindowPerfModel,
 };
 use sim_core::{
-    Access, CacheGeometry, ReplacementPolicy, SampledStream, ShardAffinity, ShardedStream,
-    StackDistanceProfile,
+    Access, CacheGeometry, ReplacementPolicy, SampledStream, ShardedStream, StackDistanceProfile,
 };
 use std::sync::Arc;
 use traces::spec2006::Spec2006;
@@ -101,8 +100,8 @@ pub struct WorkloadStream {
     /// The captured LLC access stream (shared, replayed by every candidate).
     pub stream: Arc<Vec<Access>>,
     /// The same stream pre-routed by set index, built once at context
-    /// construction; set-local candidates replay it shard by shard every
-    /// generation without re-deriving set/tag per access.
+    /// construction; candidates the planner shards (set-local, no usable
+    /// slice kernel) replay it shard by shard.
     pub sharded: Arc<ShardedStream>,
     /// Accesses used to warm the cache before measuring.
     pub warmup: usize,
@@ -282,39 +281,48 @@ impl FitnessContext {
         }
     }
 
-    /// The GA inner loop: replays every stream against a fresh policy from
-    /// `make`. Generic over the concrete policy type so the whole replay —
-    /// dispatch, tag scan, stats — monomorphizes per substrate instead of
-    /// paying double virtual dispatch through `Box<dyn>`.
-    fn speedup_with<P: ReplacementPolicy, F: Fn() -> P>(&self, make: F) -> f64 {
+    /// The GA inner loop: the workload-weighted mean speedup of a fresh
+    /// policy from `make` over every stream, on the full streams or (with
+    /// `sampled`) the set-sampled sub-streams against their own LRU
+    /// baselines. Generic over the concrete policy type so a mono replay
+    /// monomorphizes per substrate instead of paying double virtual
+    /// dispatch through `Box<dyn>`; the engine is [`plan`]'s.
+    ///
+    /// The full tier plans with the stream's routed shard count, so
+    /// set-local policies without a usable kernel replay the pre-routed
+    /// stream shard by shard. The sampled tier plans for one shard: for
+    /// set-local policies its per-set results are exact (set
+    /// independence, proven by the shard-affinity model check) — only the
+    /// *aggregation* over a subset of sets makes it an estimate of the
+    /// full-stream fitness — and it is bit-identical across shard counts.
+    fn weighted_speedup<P: ReplacementPolicy, F: Fn() -> P>(&self, make: F, sampled: bool) -> f64 {
         let perf = WindowPerfModel::default();
-        // One probe instance picks the replay path: set-local policies
-        // (GIPPR/GIPLR substrates) reuse the routing pre-pass captured at
-        // context construction when it actually fans out; otherwise the
-        // bit-sliced kernel engine runs the whole stream when the policy
-        // describes one (GIPPR/GIPLR always do), and the monomorphized
-        // sequential replay covers the rest (cache-global policies such
-        // as the DGIPPR duel's PSEL, or kernels declining the geometry).
-        // All paths produce bit-identical results.
         let probe = make();
-        let set_local = probe.shard_affinity() == ShardAffinity::SetLocal;
-        let kernel = probe.slice_kernel();
         let mut total_weight = 0.0;
         let mut total = 0.0;
         for ws in &self.streams {
-            let run = if set_local && ws.sharded.shards() > 1 {
-                replay_llc_sharded(&ws.sharded, &make, &perf)
-            } else if let Some(run) = kernel
-                .as_ref()
-                .and_then(|k| replay_llc_sliced(&ws.stream, self.geom, k, ws.warmup, &perf))
-            {
-                run
+            let sw = &ws.sampled;
+            let (stream, warmup, instructions, lru_misses, shards) = if sampled {
+                let s = sw.stream.stream();
+                (s, sw.stream.warmup(), sw.instructions, sw.lru_misses, 1)
             } else {
-                replay_llc_mono(&ws.stream, self.geom, make(), ws.warmup, &perf)
+                let s = &ws.stream[..];
+                (
+                    s,
+                    ws.warmup,
+                    ws.instructions,
+                    ws.lru_misses,
+                    ws.sharded.shards(),
+                )
+            };
+            let plan = plan(&probe, &self.geom, shards);
+            let run = match plan.engine {
+                Engine::Sharded => replay_llc_sharded(&ws.sharded, &make, &perf),
+                _ => Replayer::new(&plan, self.geom, &make, &perf).replay(stream, warmup),
             };
             let speedup = self
                 .model
-                .speedup(ws.instructions, ws.lru_misses, run.stats.misses);
+                .speedup(instructions, lru_misses, run.stats.misses);
             total += speedup * ws.weight;
             total_weight += ws.weight;
         }
@@ -337,60 +345,11 @@ impl FitnessContext {
         self
     }
 
-    /// The sampled-tier analogue of [`speedup_with`](Self::speedup_with):
-    /// replays only the sampled sub-streams against their own sampled LRU
-    /// baselines. For set-local policies the per-set results are exact
-    /// (set independence, proven by the shard-affinity model check) —
-    /// only the *aggregation* over a subset of sets makes this an
-    /// estimate of the full-stream fitness. Shard routing never touches
-    /// this path, so the value is bit-identical across shard counts.
-    fn sampled_speedup_with<P: ReplacementPolicy, F: Fn() -> P>(&self, make: F) -> f64 {
-        let perf = WindowPerfModel::default();
-        let probe = make();
-        let kernel = probe.slice_kernel();
-        let mut total_weight = 0.0;
-        let mut total = 0.0;
-        for ws in &self.streams {
-            let sw = &ws.sampled;
-            let run = if let Some(run) = kernel.as_ref().and_then(|k| {
-                replay_llc_sliced(sw.stream.stream(), self.geom, k, sw.stream.warmup(), &perf)
-            }) {
-                run
-            } else {
-                replay_llc_mono(
-                    sw.stream.stream(),
-                    self.geom,
-                    make(),
-                    sw.stream.warmup(),
-                    &perf,
-                )
-            };
-            let speedup = self
-                .model
-                .speedup(sw.instructions, sw.lru_misses, run.stats.misses);
-            total += speedup * ws.weight;
-            total_weight += ws.weight;
-        }
-        if total_weight == 0.0 {
-            1.0
-        } else {
-            total / total_weight
-        }
-    }
-
     /// Set-sampled mean speedup of a single vector (ladder fidelity 2):
     /// an exact per-set replay of one in
     /// [`SampledStream::every`](sim_core::SampledStream::every) sets.
     pub fn fitness_single_sampled(&self, ipv: &Ipv, substrate: Substrate) -> f64 {
-        let geom = self.geom;
-        match substrate {
-            Substrate::Plru => self.sampled_speedup_with(|| {
-                GipprPolicy::new(&geom, ipv.clone()).expect("assoc matches")
-            }),
-            Substrate::Lru => self.sampled_speedup_with(|| {
-                GiplrPolicy::new(&geom, ipv.clone()).expect("assoc matches")
-            }),
-        }
+        self.single_vector(ipv, substrate, true)
     }
 
     /// Set-sampled mean speedup of a dueling vector set (ladder
@@ -403,17 +362,7 @@ impl FitnessContext {
     ///
     /// Panics unless `vectors.len()` is 2 or 4.
     pub fn fitness_set_sampled(&self, vectors: &[Ipv]) -> f64 {
-        assert!(
-            vectors.len() == 2 || vectors.len() == 4,
-            "DGIPPR duels 2 or 4 vectors, got {}",
-            vectors.len()
-        );
-        let geom = self.geom;
-        let leaders = (geom.sets() / 64).clamp(4, 32);
-        self.sampled_speedup_with(|| {
-            DgipprPolicy::with_config(&geom, vectors.to_vec(), leaders, "DGIPPR")
-                .expect("valid duel config")
-        })
+        self.vector_set(vectors, true)
     }
 
     /// Zero-replay profile score of a single vector (ladder fidelity 1).
@@ -445,14 +394,20 @@ impl FitnessContext {
 
     /// Mean speedup over LRU of a single vector on `substrate`.
     pub fn fitness_single(&self, ipv: &Ipv, substrate: Substrate) -> f64 {
+        self.single_vector(ipv, substrate, false)
+    }
+
+    fn single_vector(&self, ipv: &Ipv, substrate: Substrate, sampled: bool) -> f64 {
         let geom = self.geom;
         match substrate {
-            Substrate::Plru => {
-                self.speedup_with(|| GipprPolicy::new(&geom, ipv.clone()).expect("assoc matches"))
-            }
-            Substrate::Lru => {
-                self.speedup_with(|| GiplrPolicy::new(&geom, ipv.clone()).expect("assoc matches"))
-            }
+            Substrate::Plru => self.weighted_speedup(
+                || GipprPolicy::new(&geom, ipv.clone()).expect("assoc matches"),
+                sampled,
+            ),
+            Substrate::Lru => self.weighted_speedup(
+                || GiplrPolicy::new(&geom, ipv.clone()).expect("assoc matches"),
+                sampled,
+            ),
         }
     }
 
@@ -462,6 +417,10 @@ impl FitnessContext {
     ///
     /// Panics unless `vectors.len()` is 2 or 4.
     pub fn fitness_set(&self, vectors: &[Ipv]) -> f64 {
+        self.vector_set(vectors, false)
+    }
+
+    fn vector_set(&self, vectors: &[Ipv], sampled: bool) -> f64 {
         assert!(
             vectors.len() == 2 || vectors.len() == 4,
             "DGIPPR duels 2 or 4 vectors, got {}",
@@ -471,10 +430,13 @@ impl FitnessContext {
         // Smaller scaled caches have fewer sets; shrink the leader count to
         // fit while keeping the paper's 32 for full-size runs.
         let leaders = (geom.sets() / 64).clamp(4, 32);
-        self.speedup_with(|| {
-            DgipprPolicy::with_config(&geom, vectors.to_vec(), leaders, "DGIPPR")
-                .expect("valid duel config")
-        })
+        self.weighted_speedup(
+            || {
+                DgipprPolicy::with_config(&geom, vectors.to_vec(), leaders, "DGIPPR")
+                    .expect("valid duel config")
+            },
+            sampled,
+        )
     }
 
     /// Per-workload speedups (not aggregated), for reporting.
@@ -586,11 +548,10 @@ mod tests {
 
     #[test]
     fn sharded_fitness_matches_sequential_replay() {
-        // fitness_single routes GIPPR/GIPLR through the pre-routed sharded
-        // path; recomputing the same mean with sequential whole-stream
-        // replays must agree to the bit. Pin a multi-shard routing so the
-        // sharded path is exercised even on single-core hosts (where the
-        // default routing degenerates to one shard and the mono path).
+        // fitness_single plans GIPPR/GIPLR against a pinned multi-shard
+        // routing; whichever engine the plan picks, recomputing the same
+        // mean with sequential whole-stream mono replays must agree to
+        // the bit.
         let ctx = tiny_ctx().with_shards(4);
         let ipv = Ipv::lru_insertion(16);
         for substrate in [Substrate::Plru, Substrate::Lru] {

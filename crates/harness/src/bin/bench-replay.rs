@@ -15,22 +15,21 @@
 //! * `dyn` — [`mem_model::replay_llc`], today's engine driving a
 //!   `Box<dyn ReplacementPolicy>` (the `PolicyFactory` compatibility path).
 //! * `mono` — [`mem_model::replay_llc_mono`] at the concrete policy type
-//!   (the GA fitness fast path; no virtual dispatch).
-//! * `sharded` — [`mem_model::replay_many_sharded`], the set-sharded
-//!   batch engine replaying (policy × shard) units on the worker pool.
-//!   Only set-local policies have a sharded engine: the batch dispatcher
-//!   routes global-state rosters (DRRIP, DGIPPR) straight to the
-//!   whole-stream path with no routing pre-pass, so their row reports
-//!   the mono rate (`sharded_speedup` exactly 1.0 by construction)
+//!   (the mono engine the GA replays on; no virtual dispatch).
+//! * `sharded` — [`mem_model::replay_many_sharded`], the pre-routed
+//!   batch entry, which runs the engine [`mem_model::plan`] picks at the
+//!   routing's shard count. Only a policy planned `Sharded` (set-local,
+//!   no usable kernel) times its own column; every other row reports
+//!   the rate of the whole-stream engine it is planned onto (`slice` or
+//!   `mono`, so DRRIP and DGIPPR read `sharded_speedup` exactly 1.0)
 //!   rather than timing a phantom engine.
 //! * `slice` — [`mem_model::replay_llc_sliced`], the bit-sliced kernel
 //!   engine (4 PLRU trees per `u64`, SWAR stacks/RRPV arrays). Only
-//!   policies that describe themselves as a [`sim_core::SliceKernel`]
-//!   have this column; global-state policies report `null`.
+//!   policies planned onto it have this column; the rest report `null`.
 //!
-//! The roster is also replayed as one [`mem_model::replay_many`] batch —
-//! routing pre-pass included in the timed region — reported as the
-//! aggregate `batched_accesses_per_sec`.
+//! The roster is also replayed as one [`mem_model::replay_many`] batch
+//! (planned whole-stream engines, no routing), reported as the aggregate
+//! `batched_accesses_per_sec`.
 //!
 //! Reported rates are accesses per second over the best of several timed
 //! repetitions. `--smoke` skips capture and timing sweeps: it replays a
@@ -39,15 +38,16 @@
 //! throughput floor — a CI-speed guard that the fast path stays both
 //! correct and fast-ish.
 
-use baselines::{DrripPolicy, TrueLru};
+use baselines::{AwrpPolicy, DrripPolicy, FifoPolicy, TrueLru};
 use gippr::{DgipprPolicy, GipprPolicy, PlruPolicy};
 use harness::seed_replay::replay_llc_seed;
 use harness::{policies, Scale};
 use mem_model::cpi::WindowPerfModel;
-use mem_model::{replay_llc, replay_llc_mono, replay_many, replay_many_sharded, LlcRunResult};
+use mem_model::{
+    plan, replay_llc, replay_llc_mono, replay_many, replay_many_sharded, Engine, LlcRunResult,
+};
 use sim_core::{
-    Access, CacheGeometry, PolicyFactory, ReplacementPolicy, ShardAffinity, ShardedStream,
-    SliceKernel,
+    Access, CacheGeometry, PolicyFactory, ReplacementPolicy, ShardedStream, SliceKernel,
 };
 use std::time::Instant;
 use traces::spec2006::Spec2006;
@@ -172,9 +172,12 @@ where
     // available. The mono policy is boxed-in-value only: its concrete
     // type (and thus inlining) is unaffected.
     let perf = WindowPerfModel::default();
-    let probe = factory(&geom);
-    let kernel = probe.slice_kernel();
-    let set_local = probe.shard_affinity() == ShardAffinity::SetLocal;
+    let plan = plan(&*factory(&geom), &geom, sharded.shards());
+    let kernel = match &plan.engine {
+        Engine::Sliced(k) => Some(k.clone()),
+        Engine::Sharded | Engine::Mono => None,
+    };
+    let shards_own_column = plan.engine == Engine::Sharded;
     let (mut seed_best, mut dyn_best, mut mono_best, mut sharded_best, mut slice_best) = (
         f64::INFINITY,
         f64::INFINITY,
@@ -213,14 +216,12 @@ where
             )
         });
         mono_best = mono_best.min(t);
-        // Per-policy sharded rate, set-local policies only: they reuse
-        // the roster's routing pre-pass (its one-off cost is charged to
-        // the aggregate batch measurement below, where it is actually
-        // paid once per roster). Global-affinity policies never reach a
-        // sharded engine — the dispatcher sends them down the very
-        // whole-stream path the mono column already times — so their
-        // sharded column reuses the mono timing after the loop.
-        if set_local {
+        // Per-policy sharded rate, `Sharded` plans only: they reuse the
+        // roster's routing pre-pass, whose one-off cost is not timed.
+        // Every other plan sends the pre-routed entry down the
+        // whole-stream engine the slice or mono column already times, so
+        // the sharded column reuses that timing after the loop.
+        if shards_own_column {
             let start = Instant::now();
             let out = replay_many_sharded(stream, sharded, &[std::hint::black_box(factory)], &perf);
             sharded_best = sharded_best.min(start.elapsed().as_secs_f64());
@@ -249,8 +250,12 @@ where
             );
         }
     }
-    if !set_local {
-        sharded_best = mono_best;
+    if !shards_own_column {
+        sharded_best = if kernel.is_some() {
+            slice_best
+        } else {
+            mono_best
+        };
     }
     let rate = |best: f64| stream.len() as f64 / best.max(1e-12);
     Row {
@@ -319,9 +324,8 @@ fn smoke() {
     let batched = replay_many(&stream, geom, &refs, warmup, &perf);
     let elapsed = start.elapsed().as_secs_f64();
 
-    // A pinned 8-shard routing exercises the shard-and-merge path even on
-    // hosts whose worker budget degenerates the default routing to one
-    // shard (where replay_many falls back to sequential replays).
+    // A pinned 8-shard routing exercises the shard-and-merge path for the
+    // policies the planner shards; replay_many never routes.
     let pinned = ShardedStream::build(&stream, &geom, warmup, 8);
     let batched_pinned = replay_many_sharded(&stream, &pinned, &refs, &perf);
     let mut sliced_checked = 0;
@@ -335,9 +339,9 @@ fn smoke() {
             *got_pinned, want,
             "{name}: 8-shard batch result diverged from sequential replay"
         );
-        // Pinned bit-identity for the sliced engine: every policy that
-        // advertises a kernel must reproduce the sequential result exactly.
-        if let Some(kernel) = factory(&geom).slice_kernel() {
+        // Pinned bit-identity for the sliced engine: every policy planned
+        // onto it must reproduce the sequential result exactly.
+        if let Engine::Sliced(kernel) = plan(&*factory(&geom), &geom, 1).engine {
             let sliced = mem_model::replay_llc_sliced(&stream, geom, &kernel, warmup, &perf)
                 .expect("smoke geometry is a supported associativity");
             assert_eq!(
@@ -401,10 +405,11 @@ fn smoke() {
 }
 
 /// On a multi-core host, the sharded batch engine must actually beat the
-/// sequential mono engine for at least one set-local policy — the whole
-/// point of sharding. Single-core hosts (and hosts whose worker budget
-/// degenerates the routing to one shard) skip the assertion: there is no
-/// parallelism to validate there, and CI provides the >1-core runner.
+/// sequential mono engine for at least one policy the planner shards
+/// (set-local, no slice kernel) — the whole point of sharding.
+/// Single-core hosts (and hosts whose worker budget degenerates the
+/// routing to one shard) skip the assertion: there is no parallelism to
+/// validate there, and CI provides the >1-core runner.
 fn smoke_sharded_speedup(geom: CacheGeometry, perf: &WindowPerfModel) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     // A longer stream than the correctness smoke: the speedup check needs
@@ -446,9 +451,9 @@ fn smoke_sharded_speedup(geom: CacheGeometry, perf: &WindowPerfModel) {
         M: Fn(&CacheGeometry) -> P,
     {
         assert_eq!(
-            factory(&geom).shard_affinity(),
-            ShardAffinity::SetLocal,
-            "{name}: the speedup check only makes sense for set-local policies"
+            plan(&*factory(&geom), &geom, sharded.shards()).engine,
+            Engine::Sharded,
+            "{name}: the speedup check only makes sense for policies planned Sharded"
         );
         let (mut mono_best, mut sharded_best) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..5 {
@@ -474,31 +479,28 @@ fn smoke_sharded_speedup(geom: CacheGeometry, perf: &WindowPerfModel) {
 
     let results = [
         (
-            "PseudoLRU",
+            "FIFO",
             speedup_of(
-                "PseudoLRU",
+                "FIFO",
                 &stream,
                 &sharded,
                 geom,
                 warmup,
-                &policies::plru(),
-                PlruPolicy::new,
+                &policies::fifo(),
+                FifoPolicy::new,
                 perf,
             ),
         ),
         (
-            "WI-GIPPR",
+            "AWRP",
             speedup_of(
-                "WI-GIPPR",
+                "AWRP",
                 &stream,
                 &sharded,
                 geom,
                 warmup,
-                &policies::gippr(gippr::vectors::wi_gippr(), "WI-GIPPR"),
-                |g| {
-                    GipprPolicy::with_name(g, gippr::vectors::wi_gippr(), "WI-GIPPR")
-                        .expect("assoc matches")
-                },
+                &policies::awrp(),
+                AwrpPolicy::new,
                 perf,
             ),
         ),
@@ -516,7 +518,7 @@ fn smoke_sharded_speedup(geom: CacheGeometry, perf: &WindowPerfModel) {
     assert!(
         best.1 > 1.0,
         "on a {cores}-core host the sharded engine must beat the mono engine \
-         for at least one set-local policy; best was {} at {:.2}x",
+         for at least one policy planned Sharded; best was {} at {:.2}x",
         best.0,
         best.1
     );
@@ -628,8 +630,7 @@ fn main() {
     ];
 
     // The aggregate batch: the whole roster through one `replay_many` per
-    // round, routing pre-pass inside the timed region — the shape the
-    // figure harness actually runs.
+    // round — the shape the figure harness actually runs.
     let named = roster();
     let refs: Vec<&PolicyFactory> = named.iter().map(|(_, f)| f).collect();
     let perf = WindowPerfModel::default();
@@ -683,10 +684,7 @@ fn main() {
     println!("  geomean speedup (mono over seed engine): {mono_geomean:.2}x");
     println!("  geomean speedup (sharded over mono engine): {sharded_geomean:.2}x");
     println!("  geomean speedup (sliced over mono engine, qualifying roster): {slice_geomean:.2}x");
-    println!(
-        "  aggregate batched roster rate (routing included): {:.0} acc/s",
-        batched_rate
-    );
+    println!("  aggregate batched roster rate: {:.0} acc/s", batched_rate);
 
     let mut json = String::new();
     json.push_str("{\n");

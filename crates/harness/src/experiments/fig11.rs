@@ -26,7 +26,7 @@ pub fn run(scale: Scale, mode: VectorMode) -> Table {
     let mut rows: Vec<(String, [f64; 4])> = workloads
         .iter()
         .map(|w| {
-            // The full per-workload roster shares one routing pre-pass.
+            // One batch per simpoint covers the whole roster.
             let roster = [
                 policies::drrip(),
                 policies::pdp(),

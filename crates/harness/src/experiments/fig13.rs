@@ -41,7 +41,7 @@ pub fn run(scale: Scale, mode: VectorMode) -> Fig13 {
     let mut rows: Vec<(Spec2006, [f64; 3])> = workloads
         .iter()
         .map(|w| {
-            // The full per-workload roster shares one routing pre-pass.
+            // One batch per simpoint covers the whole roster.
             let roster = [
                 policies::drrip(),
                 policies::pdp(),

@@ -104,13 +104,11 @@ pub fn measure_policy(
     }
 }
 
-/// Measures every policy in `factories` on `workload` with one sharded
-/// single-pass replay per simpoint ([`mem_model::replay_many`]): the
-/// stream is routed by set index once and the whole roster shares that
-/// pre-pass, instead of re-deriving set/tag per policy. When routing
-/// cannot fan out (single-core hosts) the engine skips it entirely and
-/// each policy replays whole — bit-sliced where it provides a
-/// `SliceKernel`, monomorphized otherwise. Results are in factory order
+/// Measures every policy in `factories` on `workload` with one
+/// [`mem_model::replay_many`] batch per simpoint: each policy replays the
+/// whole stream on its planned engine (bit-sliced where its
+/// `SliceKernel` supports the geometry, monomorphized otherwise), the
+/// roster fanned across the worker pool. Results are in factory order
 /// and bit-identical to calling [`measure_policy`] once per factory.
 pub fn measure_policies(
     workload: &WorkloadData,

@@ -1,19 +1,23 @@
-//! Single-pass multi-policy replay over a set-sharded stream.
+//! Multi-policy replay on the worker pool.
 //!
-//! [`replay_many`] is the batched counterpart of [`replay_llc`]: one
-//! routing pre-pass splits the stream by set index
-//! ([`sim_core::ShardedStream`]), then every (policy × shard) pair runs
-//! concurrently on the persistent worker pool, and per-shard results
-//! merge deterministically into one [`LlcRunResult`] per policy — bit
-//! identical to replaying each policy sequentially with [`replay_llc`].
+//! [`replay_many`] is the batched counterpart of
+//! [`replay_llc`](crate::replay_llc): every policy is planned for a
+//! whole-stream pass ([`plan`] with one shard) and its [`Replayer`] runs
+//! as one pool task, so the batch never pays for a routing pre-pass.
+//! Results come back in factory order, bit identical to replaying each
+//! policy sequentially.
 //!
-//! Two properties make the merge exact rather than approximate:
+//! [`replay_many_sharded`] is the pre-routed entry: the caller routes a
+//! stream once by set index ([`ShardedStream`]) and every policy the
+//! planner sends to [`Engine::Sharded`] — set-local, no usable kernel —
+//! fans out as (policy × shard) units; the rest replay whole. Two
+//! properties make the shard merge exact rather than approximate:
 //!
-//! * **Statistics.** For a [`ShardAffinity::SetLocal`] policy, sharded
-//!   replay produces exactly the per-set state transitions of a
-//!   sequential replay (stable bucketing preserves per-set order), so
-//!   the per-shard counters sum — in fixed ascending shard order — to
-//!   the sequential totals.
+//! * **Statistics.** For a [`ShardAffinity::SetLocal`](sim_core::ShardAffinity)
+//!   policy, sharded replay produces exactly the per-set state
+//!   transitions of a sequential replay (stable bucketing preserves
+//!   per-set order), so the per-shard counters sum — in fixed ascending
+//!   shard order — to the sequential totals.
 //! * **Cycles.** The window model clusters misses by *global* stream
 //!   order, which sharding destroys. Each shard therefore records a hit
 //!   bitmap over its measured entries, and the merge replays those bits
@@ -22,33 +26,26 @@
 //!   [`PerfAccumulator`], reproducing the sequential cycle estimate to
 //!   the last bit.
 //!
-//! Policies with cache-global mutable state ([`ShardAffinity::Global`]
-//! — PSEL duels, global RNG, reuse samplers) cannot shard exactly; they
-//! take a sequential whole-stream fallback as a single pool task, so the
-//! batch API is uniform and always exact. A degenerate single-shard
-//! routing (single-core hosts) takes the same fallback for every policy:
-//! one shard cannot fan out, so the batch engine never does worse than a
-//! sequential replay. See DESIGN.md §10 for the DGIPPR/PSEL semantics
-//! decision.
+//! See DESIGN.md §10 for the DGIPPR/PSEL semantics decision and §12.3
+//! for the engine order.
 
 use crate::cpi::{PerfAccumulator, WindowPerfModel};
-use crate::llc::{replay_llc, LlcRunResult};
-use crate::sliced::replay_llc_sliced;
+use crate::engine::{plan, Engine, Plan, Replayer};
+use crate::llc::LlcRunResult;
 use sim_core::pool;
 use sim_core::shard::ShardRun;
-use sim_core::{
-    Access, CacheGeometry, PolicyFactory, ReplacementPolicy, ShardAffinity, ShardedStream,
-    SliceKernel,
-};
+use sim_core::{Access, CacheGeometry, PolicyFactory, ReplacementPolicy, ShardedStream};
 
-/// Replays `stream` under every policy in `factories` with one shared
-/// routing pre-pass, returning results in factory order. Semantics
-/// (warm-up split, statistics, instructions, cycles) are exactly those of
-/// calling [`replay_llc`] once per factory.
+/// Replays `stream` under every policy in `factories`, one planned
+/// whole-stream [`Replayer`] per policy fanned across the worker pool,
+/// returning results in factory order. Semantics (warm-up split,
+/// statistics, instructions, cycles) are exactly those of calling
+/// [`replay_llc`] once per factory.
 ///
-/// The shard count is chosen from the worker pool's executor budget;
-/// pre-route with [`ShardedStream`] and call [`replay_many_sharded`] to
-/// reuse one routing across several batches over the same stream.
+/// To shard set-local policies without a kernel, route the stream with
+/// [`ShardedStream`] and call [`replay_many_sharded`].
+///
+/// [`replay_llc`]: crate::replay_llc
 pub fn replay_many(
     stream: &[Access],
     geom: CacheGeometry,
@@ -56,178 +53,56 @@ pub fn replay_many(
     warmup: usize,
     perf: &WindowPerfModel,
 ) -> Vec<LlcRunResult> {
-    replay_many_with_parallelism(stream, geom, factories, warmup, pool::global().cap(), perf)
+    pool::global().run(factories.len(), usize::MAX, |i| {
+        Replayer::whole(geom, factories[i](&geom), perf).replay(stream, warmup)
+    })
 }
 
-/// [`replay_many`] with an explicit parallelism target instead of the
-/// pool budget.
-///
-/// The routing pre-pass only pays for itself when some roster member can
-/// actually shard, so this entry probes every factory's
-/// [`ShardAffinity`] *before* routing and skips [`ShardedStream`]
-/// construction entirely when nothing would use it: a degenerate target
-/// (single-core hosts), a single-set geometry, or an all-
-/// [`Global`](ShardAffinity::Global) roster (whose members take an exact
-/// whole-stream pass regardless — routing for them is pure overhead).
-/// Each policy then replays whole (bit-sliced where it provides a
-/// supported [`SliceKernel`], monomorphized otherwise). Results are
-/// bit-identical to every other path.
-pub fn replay_many_with_parallelism(
-    stream: &[Access],
-    geom: CacheGeometry,
-    factories: &[&PolicyFactory],
-    warmup: usize,
-    target: usize,
-    perf: &WindowPerfModel,
-) -> Vec<LlcRunResult> {
-    let probes = probe(&geom, factories);
-    let can_shard = probes
-        .iter()
-        .any(|(aff, _)| matches!(aff, ShardAffinity::SetLocal));
-    if target.max(1) == 1 || geom.sets() == 1 || !can_shard {
-        return pool::global().run(factories.len(), usize::MAX, |i| {
-            replay_whole(
-                stream,
-                geom,
-                factories[i],
-                probes[i].1.as_ref(),
-                warmup,
-                perf,
-            )
-        });
-    }
-    let sharded = ShardedStream::for_parallelism(stream, &geom, warmup, target);
-    replay_many_probed(stream, &sharded, factories, &probes, perf)
-}
-
-/// One cheap probe instance per factory: its execution shape and, if the
-/// policy has one, its bit-sliced kernel.
-fn probe(
-    geom: &CacheGeometry,
-    factories: &[&PolicyFactory],
-) -> Vec<(ShardAffinity, Option<SliceKernel>)> {
-    factories
-        .iter()
-        .map(|f| {
-            let p = f(geom);
-            (p.shard_affinity(), p.slice_kernel())
-        })
-        .collect()
-}
-
-/// One whole-stream pass for a single policy: the bit-sliced engine when
-/// a supported kernel is in hand, the (always exact) dynamic replay
-/// otherwise.
-fn replay_whole(
-    stream: &[Access],
-    geom: CacheGeometry,
-    factory: &PolicyFactory,
-    kernel: Option<&SliceKernel>,
-    warmup: usize,
-    perf: &WindowPerfModel,
-) -> LlcRunResult {
-    if let Some(k) = kernel {
-        if let Some(result) = replay_llc_sliced(stream, geom, k, warmup, perf) {
-            return result;
-        }
-    }
-    replay_llc(stream, geom, factory(&geom), warmup, perf)
-}
-
-/// [`replay_many`] over a pre-routed stream. `stream` must be the exact
-/// stream `sharded` was built from (the sequential fallback for
-/// [`ShardAffinity::Global`] policies replays it whole).
+/// [`replay_many`] over a pre-routed stream: each policy takes the
+/// engine [`plan`] picks for `sharded.shards()` shards. `stream` must be
+/// the exact stream `sharded` was built from (policies not planned
+/// [`Engine::Sharded`] replay it whole).
 pub fn replay_many_sharded(
     stream: &[Access],
     sharded: &ShardedStream,
     factories: &[&PolicyFactory],
     perf: &WindowPerfModel,
 ) -> Vec<LlcRunResult> {
-    let probes = probe(sharded.geometry(), factories);
-    replay_many_probed(stream, sharded, factories, &probes, perf)
-}
-
-/// [`replay_many_sharded`] with the per-factory probes already in hand,
-/// so entries that probed to decide whether to route at all don't pay
-/// for a second round of throwaway policy instances.
-fn replay_many_probed(
-    stream: &[Access],
-    sharded: &ShardedStream,
-    factories: &[&PolicyFactory],
-    probes: &[(ShardAffinity, Option<SliceKernel>)],
-    perf: &WindowPerfModel,
-) -> Vec<LlcRunResult> {
     let geom = *sharded.geometry();
     let warmup = sharded.warmup();
     let shards = sharded.shards();
+    let plans: Vec<Plan> = factories
+        .iter()
+        .map(|f| plan(&*f(&geom), &geom, shards))
+        .collect();
 
-    // Flatten every unit of work — (policy × shard) for set-local
-    // policies, one whole-stream pass for global ones — into a single
-    // pool batch so the scheduler can interleave them freely.
-    enum Unit {
-        Shard { policy: usize, shard: usize },
-        Whole { policy: usize },
-    }
-    let mut units = Vec::new();
-    for (i, (aff, _)) in probes.iter().enumerate() {
-        match aff {
-            // A single-shard routing is the sequential replay with extra
-            // steps (hit bitmap + merge); degenerate to the whole-stream
-            // path so single-core hosts never pay for parallelism they
-            // cannot have. Results are identical either way.
-            ShardAffinity::SetLocal if shards > 1 => {
-                units.extend((0..shards).map(|s| Unit::Shard {
-                    policy: i,
-                    shard: s,
-                }));
-            }
-            ShardAffinity::SetLocal | ShardAffinity::Global => {
-                units.push(Unit::Whole { policy: i })
-            }
-        }
-    }
-
-    enum Out {
-        Shard(ShardRun),
-        Whole(LlcRunResult),
-    }
-    let outs = pool::global().run(units.len(), usize::MAX, |u| match units[u] {
-        Unit::Shard { policy, shard } => {
-            Out::Shard(sharded.replay_shard(shard, factories[policy](&geom)))
-        }
-        Unit::Whole { policy } => Out::Whole(replay_whole(
-            stream,
-            geom,
-            factories[policy],
-            probes[policy].1.as_ref(),
-            warmup,
-            perf,
-        )),
+    // Every (policy × shard) unit of the sharded plans runs as one pool
+    // batch; a second batch merges those per policy and replays the rest
+    // whole. `pool.run` returns results in unit order, so the runs land
+    // in ascending shard order.
+    let units: Vec<(usize, usize)> = (0..plans.len())
+        .filter(|&i| plans[i].engine == Engine::Sharded)
+        .flat_map(|i| (0..shards).map(move |s| (i, s)))
+        .collect();
+    let runs = pool::global().run(units.len(), usize::MAX, |u| {
+        let (i, s) = units[u];
+        sharded.replay_shard(s, factories[i](&geom))
     });
-
-    // Reassemble in factory order; `pool.run` returns results in unit
-    // order, and units were emitted in factory order, so this is a single
-    // forward scan. Per-policy merges are independent — run them as a
-    // second (deterministic) pool batch.
     let mut shard_runs: Vec<Vec<ShardRun>> = factories.iter().map(|_| Vec::new()).collect();
-    let mut whole: Vec<Option<LlcRunResult>> = factories.iter().map(|_| None).collect();
-    for (unit, out) in units.iter().zip(outs) {
-        match (unit, out) {
-            (Unit::Shard { policy, .. }, Out::Shard(run)) => shard_runs[*policy].push(run),
-            (Unit::Whole { policy }, Out::Whole(result)) => whole[*policy] = Some(result),
-            _ => unreachable!("unit and outcome kinds always correspond"),
-        }
+    for (&(i, _), run) in units.iter().zip(runs) {
+        shard_runs[i].push(run);
     }
-    pool::global().run(factories.len(), usize::MAX, |i| match &whole[i] {
-        Some(result) => result.clone(),
-        None => merge_shard_runs(sharded, &shard_runs[i], perf),
+    pool::global().run(factories.len(), usize::MAX, |i| match plans[i].engine {
+        Engine::Sharded => merge_shard_runs(sharded, &shard_runs[i], perf),
+        _ => Replayer::new(&plans[i], geom, || factories[i](&geom), perf).replay(stream, warmup),
     })
 }
 
 /// Sharded replay of a single monomorphized policy: replays every shard
 /// (sequentially — callers parallelize across policies or workloads) on a
 /// fresh instance from `make` and merges. Exactly equivalent to
-/// [`crate::replay_llc_mono`] for [`ShardAffinity::SetLocal`] policies.
+/// [`crate::replay_llc_mono`] for
+/// [`ShardAffinity::SetLocal`](sim_core::ShardAffinity) policies.
 pub fn replay_llc_sharded<P, F>(
     sharded: &ShardedStream,
     make: F,
@@ -237,24 +112,6 @@ where
     P: ReplacementPolicy,
     F: Fn() -> P,
 {
-    if sharded.shards() == 1 {
-        // Degenerate routing: the single bucket is the stream in global
-        // order, so hits feed the cycle model directly — no hit bitmap,
-        // no merge-cursor second pass. This removes the measured 0.87×
-        // single-core regression of the bitmap-and-merge path.
-        let mut acc = PerfAccumulator::new();
-        let icount = sharded.icount();
-        let mut k = 0usize;
-        let stats = sharded.replay_shard_with(0, make(), |hit| {
-            acc.note_llc(icount[k], hit, perf);
-            k += 1;
-        });
-        return LlcRunResult {
-            stats,
-            instructions: acc.instructions(),
-            cycles: acc.cycles(perf),
-        };
-    }
     let runs: Vec<ShardRun> = (0..sharded.shards())
         .map(|s| sharded.replay_shard(s, make()))
         .collect();
@@ -289,9 +146,9 @@ fn merge_shard_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::llc::replay_llc_mono;
-    use baselines::{DrripPolicy, TrueLru};
-    use gippr::GipprPolicy;
+    use crate::llc::{replay_llc, replay_llc_mono};
+    use baselines::{DrripPolicy, FifoPolicy, ShipPolicy, TrueLru};
+    use gippr::{DgipprPolicy, GipprPolicy};
     use sim_core::policy::factory;
 
     fn geom() -> CacheGeometry {
@@ -330,22 +187,33 @@ mod tests {
         let lru = factory(|g| Box::new(TrueLru::new(g)));
         let gippr = factory(|g| Box::new(GipprPolicy::new(g, gippr::vectors::wi_gippr()).unwrap()));
         let drrip = factory(|g| Box::new(DrripPolicy::new(g).unwrap()));
-        let roster = [&lru, &gippr, &drrip];
+        // FIFO is set-local with no kernel: the one member the planner
+        // shards on a multi-shard routing.
+        let fifo = factory(|g| Box::new(FifoPolicy::new(g)));
+        let ship = factory(|g| Box::new(ShipPolicy::new(g)));
+        let dgippr = factory(|g| {
+            let quad = gippr::vectors::wi_4dgippr().to_vec();
+            Box::new(DgipprPolicy::with_config(g, quad, 4, "WI-4-DGIPPR").unwrap())
+        });
+        let mixed = [&lru, &gippr, &drrip, &fifo];
+        let all_global = [&drrip, &ship, &dgippr];
 
-        // The convenience entry (host-budget shard count) …
-        let batched = replay_many(&stream, g, &roster, warmup, &perf);
-        for (f, b) in roster.iter().zip(&batched) {
-            let seq = replay_llc(&stream, g, f(&g), warmup, &perf);
-            assert_eq!(*b, seq, "batched result diverged for {}", f(&g).name());
-        }
-        // … and pinned multi-shard routings, so the shard-and-merge path
-        // is exercised even when the host budget degenerates to 1 shard.
-        for shards in [2usize, 8, 64] {
-            let sharded = ShardedStream::build(&stream, &g, warmup, shards);
-            let batched = replay_many_sharded(&stream, &sharded, &roster, &perf);
+        for roster in [&mixed[..], &all_global[..]] {
+            // The whole-stream entry …
+            let batched = replay_many(&stream, g, roster, warmup, &perf);
             for (f, b) in roster.iter().zip(&batched) {
                 let seq = replay_llc(&stream, g, f(&g), warmup, &perf);
-                assert_eq!(*b, seq, "shards={shards} diverged for {}", f(&g).name());
+                assert_eq!(*b, seq, "batched result diverged for {}", f(&g).name());
+            }
+            // … and pinned routings, so the shard-and-merge path runs on
+            // any host.
+            for shards in [1usize, 2, 8, 64] {
+                let sharded = ShardedStream::build(&stream, &g, warmup, shards);
+                let batched = replay_many_sharded(&stream, &sharded, roster, &perf);
+                for (f, b) in roster.iter().zip(&batched) {
+                    let seq = replay_llc(&stream, g, f(&g), warmup, &perf);
+                    assert_eq!(*b, seq, "shards={shards} diverged for {}", f(&g).name());
+                }
             }
         }
     }

@@ -16,13 +16,13 @@
 //!   LLC policy experiment then replays cheaply.
 //! * [`llc`] — the fast LLC-only replayer with warm-up/measure split
 //!   (paper: first third warms the cache, the rest is measured).
-//! * [`batch`] — the sharded single-pass multi-policy replayer: one
-//!   routing pre-pass per stream, every (policy × shard) pair on the
-//!   worker pool, results bit-identical to sequential [`replay_llc`].
-//! * [`sliced`] — the bit-sliced kernel engine for self-describing
-//!   set-local policies (packed PLRU trees, SWAR stacks/RRPVs), again
-//!   bit-identical to [`replay_llc`], with mono fallback when a kernel
-//!   declines the geometry.
+//! * [`engine`] — the engine planner ([`engine::plan`], in the order
+//!   sliced, sharded, mono) and the streaming [`engine::Replayer`] that
+//!   batch replay, GA fitness and serving sessions all drive; every
+//!   engine is bit-identical to [`replay_llc`].
+//! * [`batch`] — multi-policy replay on the worker pool: whole-stream
+//!   planned replayers, or (policy × shard) units over a pre-routed
+//!   stream.
 //! * [`cpi`] — the linear CPI model (fitness) and the MLP-aware window
 //!   model (reporting), substituting for CMP$im per DESIGN.md §2.
 //! * [`optimal`] — Belady's MIN on a captured LLC stream (the paper's
@@ -34,19 +34,17 @@
 pub mod analysis;
 pub mod batch;
 pub mod cpi;
+pub mod engine;
 pub mod hierarchy;
 pub mod llc;
 pub mod multicore;
 pub mod optimal;
 pub mod prefetch;
-pub mod sliced;
 
-pub use batch::{
-    replay_llc_sharded, replay_many, replay_many_sharded, replay_many_with_parallelism,
-};
+pub use batch::{replay_llc_sharded, replay_many, replay_many_sharded};
 pub use cpi::{LinearCpiModel, WindowPerfModel};
+pub use engine::{plan, replay_llc_sliced, Engine, Plan, Replayer};
 pub use hierarchy::{capture_llc_stream, Hierarchy, HierarchyConfig, Inclusion, ServiceLevel};
 pub use llc::{default_warmup, replay_llc, replay_llc_mono, LlcRunResult};
 pub use multicore::MulticoreHierarchy;
 pub use optimal::min_misses;
-pub use sliced::replay_llc_sliced;

@@ -6,8 +6,9 @@
 //! the hot path of both the genetic algorithm's fitness function and the
 //! MPKI experiments.
 
-use crate::cpi::{PerfAccumulator, WindowPerfModel};
-use sim_core::{Access, CacheGeometry, CacheStats, ReplacementPolicy, SetAssocCache};
+use crate::cpi::WindowPerfModel;
+use crate::engine::Replayer;
+use sim_core::{Access, CacheGeometry, CacheStats, ReplacementPolicy};
 
 /// The outcome of one LLC replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,10 +62,11 @@ pub fn replay_llc(
 
 /// Monomorphized replay: identical semantics to [`replay_llc`], but generic
 /// over the policy type so the per-access dispatch, tag scan, and stats
-/// update inline into one loop. This is the GA fitness fast path — with a
-/// concrete `P` (e.g. `GipprPolicy`, `TrueLru`) there is no virtual call
-/// per access; passing a `Box<dyn ReplacementPolicy>` recovers the dynamic
-/// behaviour exactly (it is how [`replay_llc`] is implemented).
+/// update inline into one loop: with a concrete `P` (e.g. `GipprPolicy`,
+/// `TrueLru`) there is no virtual call per access; passing a
+/// `Box<dyn ReplacementPolicy>` recovers the dynamic behaviour exactly (it
+/// is how [`replay_llc`] is implemented). A whole-stream pass of the mono
+/// [`Replayer`].
 pub fn replay_llc_mono<P: ReplacementPolicy>(
     stream: &[Access],
     geom: CacheGeometry,
@@ -72,21 +74,7 @@ pub fn replay_llc_mono<P: ReplacementPolicy>(
     warmup: usize,
     perf: &WindowPerfModel,
 ) -> LlcRunResult {
-    let mut cache = SetAssocCache::with_policy(geom, policy);
-    let mut acc = PerfAccumulator::new();
-    for a in stream.iter().take(warmup) {
-        cache.access_fast(a);
-    }
-    cache.reset_stats();
-    for a in stream.iter().skip(warmup) {
-        let hit = cache.access_fast(a);
-        acc.note_llc(a.icount_delta, hit, perf);
-    }
-    LlcRunResult {
-        stats: *cache.stats(),
-        instructions: acc.instructions(),
-        cycles: acc.cycles(perf),
-    }
+    Replayer::mono(geom, policy, perf).replay(stream, warmup)
 }
 
 /// The conventional warm-up split used across the harness: the paper warms

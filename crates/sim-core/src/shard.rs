@@ -29,22 +29,8 @@ use crate::cache::SetAssocCache;
 use crate::geometry::CacheGeometry;
 use crate::policy::ReplacementPolicy;
 use crate::stats::CacheStats;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use crate::policy::ShardAffinity;
-
-/// Process-wide count of routing pre-passes ([`ShardedStream::build`]
-/// invocations). The routing pass is pure overhead whenever `shards == 1`
-/// — the single bucket is the stream in order — so degenerate-path
-/// regression tests assert this counter does not advance where the
-/// engines promise to skip routing.
-static ROUTING_PREPASSES: AtomicU64 = AtomicU64::new(0);
-
-/// Total [`ShardedStream::build`] routing pre-passes so far in this
-/// process (monotonic; test/diagnostic aid).
-pub fn routing_prepasses() -> u64 {
-    ROUTING_PREPASSES.load(Ordering::Relaxed)
-}
 
 /// High bit of a packed bucket word marks a write; the low 63 bits are the
 /// block address. With 64-byte lines a full 64-bit byte address leaves six
@@ -104,7 +90,6 @@ impl ShardedStream {
             shards.is_power_of_two() && shards <= geom.sets() && shards <= 1 << 16,
             "shards must be a power of two in [1, min(sets, 65536)], got {shards}"
         );
-        ROUTING_PREPASSES.fetch_add(1, Ordering::Relaxed);
         let warmup = warmup.min(stream.len());
         let shard_shift = geom.sets().trailing_zeros() - shards.trailing_zeros();
 
@@ -225,29 +210,6 @@ impl ShardedStream {
     /// warm prefix runs first, statistics reset, then the measured
     /// entries replay while their hit bits are recorded.
     pub fn replay_shard<P: ReplacementPolicy>(&self, shard: usize, policy: P) -> ShardRun {
-        let measured = self.measured_in(shard);
-        let mut hits = vec![0u64; measured.div_ceil(64)];
-        let mut j = 0usize;
-        let stats = self.replay_shard_with(shard, policy, |hit| {
-            hits[j >> 6] |= u64::from(hit) << (j & 63);
-            j += 1;
-        });
-        ShardRun { stats, hits }
-    }
-
-    /// [`ShardedStream::replay_shard`] with the hit sequence streamed to
-    /// `note` (one call per measured entry, in bucket order) instead of
-    /// packed into a bitmap.
-    ///
-    /// At `shards == 1` the single bucket *is* the stream in global order,
-    /// so a caller can feed its cycle model directly from `note` and skip
-    /// both the bitmap allocation and the merge-cursor second pass — the
-    /// degenerate-path fix for the single-core regression.
-    pub fn replay_shard_with<P, F>(&self, shard: usize, policy: P, mut note: F) -> CacheStats
-    where
-        P: ReplacementPolicy,
-        F: FnMut(bool),
-    {
         let b = &self.buckets[shard];
         let mut cache = SetAssocCache::with_policy(self.geom, policy);
         let line_shift = self.geom.line_bytes().trailing_zeros();
@@ -258,12 +220,16 @@ impl ShardedStream {
         }
         cache.reset_stats();
 
-        for i in b.warm..b.blk.len() {
+        let mut hits = vec![0u64; self.measured_in(shard).div_ceil(64)];
+        for (j, i) in (b.warm..b.blk.len()).enumerate() {
             let (set, tag, ctx) = self.unpack(b, i, line_shift);
-            note(cache.access_tagged(set, tag, &ctx));
+            hits[j >> 6] |= u64::from(cache.access_tagged(set, tag, &ctx)) << (j & 63);
         }
 
-        *cache.stats()
+        ShardRun {
+            stats: *cache.stats(),
+            hits,
+        }
     }
 
     /// Sums per-shard statistics in fixed (ascending shard) order. The

@@ -12,8 +12,8 @@
 //! The kernel is *data-driven*: a policy that qualifies describes itself
 //! as a [`SliceKernel`] (via
 //! [`ReplacementPolicy::slice_kernel`](crate::ReplacementPolicy::slice_kernel)),
-//! and [`replay_sliced`] interprets that description over a captured
-//! stream with the exact per-access protocol of
+//! and [`SlicedCache`] interprets that description over a stream, fed in
+//! any chunking, with the exact per-access protocol of
 //! [`SetAssocCache::access_tagged`](crate::SetAssocCache) — same
 //! statistics fields, same fill-invalid-first rule, same dirty/writeback
 //! accounting — so final stats are bit-identical to a monomorphized
@@ -47,7 +47,7 @@ use crate::simd::scan_masks;
 use crate::stats::CacheStats;
 
 /// A plain-data description of a qualifying replacement policy, complete
-/// enough for [`replay_sliced`] to reproduce its transitions exactly.
+/// enough for [`SlicedCache`] to reproduce its transitions exactly.
 ///
 /// A policy must only return one of these (from
 /// [`ReplacementPolicy::slice_kernel`](crate::ReplacementPolicy::slice_kernel))
@@ -83,7 +83,7 @@ pub enum SliceKernel {
 }
 
 impl SliceKernel {
-    /// Whether [`replay_sliced`] can run this kernel on `geom`: the
+    /// Whether [`SlicedCache`] can run this kernel on `geom`: the
     /// associativity must be a power of two in `2..=16` and the vector
     /// entries must be in range.
     pub fn supports(&self, geom: &CacheGeometry) -> bool {
@@ -636,7 +636,7 @@ enum SweepDefect {
     Seeded,
 }
 
-/// Checks the packed kernel interpreter used by [`replay_sliced`] against
+/// Checks the packed kernel interpreter used by [`SlicedCache`] against
 /// an independent scalar model: every lane offset, every start state
 /// (every *reachable* state is a subset; a deterministic walk substitutes
 /// where the space is astronomically large), and every
@@ -1065,69 +1065,105 @@ fn step<P: ReplState>(
     false
 }
 
+/// The packed replacement state of one kernel.
+enum Packed {
+    Plru(PlruLanes),
+    Stack(StackList),
+    Rrip(RripNibbles),
+}
+
+/// The bit-sliced engine as streaming state: the packed tag array and
+/// replacement state persist across [`SlicedCache::feed`] calls, so
+/// feeding a stream in any chunking reproduces a whole-stream replay
+/// exactly.
+pub struct SlicedCache {
+    geom: CacheGeometry,
+    lines: Vec<u64>,
+    state: Packed,
+    stats: CacheStats,
+}
+
+impl SlicedCache {
+    /// A cold cache running `kernel` on `geom`, or `None` when the kernel
+    /// does not support the geometry (see [`SliceKernel::supports`]).
+    pub fn new(geom: &CacheGeometry, kernel: &SliceKernel) -> Option<Self> {
+        if !kernel.supports(geom) {
+            return None;
+        }
+        let (sets, ways) = (geom.sets(), geom.ways());
+        let state = match kernel {
+            SliceKernel::PlruIpv { ipv } => Packed::Plru(PlruLanes::new(sets, ways, ipv)),
+            SliceKernel::StackIpv { ipv } => Packed::Stack(StackList::new(sets, ways, ipv)),
+            SliceKernel::RripIpv { vector } => Packed::Rrip(RripNibbles::new(sets, ways, *vector)),
+        };
+        Some(SlicedCache {
+            geom: *geom,
+            lines: vec![0u64; sets * ways],
+            state,
+            stats: CacheStats::new(),
+        })
+    }
+
+    /// Runs `accesses` through the cache with the exact per-access
+    /// protocol of `SetAssocCache::access_tagged`; `sink` receives each
+    /// access's `(icount_delta, hit)` in stream order.
+    pub fn feed<S: FnMut(u32, bool)>(&mut self, accesses: &[Access], mut sink: S) {
+        let SlicedCache {
+            geom,
+            lines,
+            state,
+            stats,
+        } = self;
+        // Dispatch on the (validated) associativity with literal arguments
+        // so each arm monomorphizes `run` with a constant `ways`: the lane
+        // walks unroll and the `64/ways` lane math folds to shifts.
+        macro_rules! run_ways {
+            ($st:expr) => {
+                match geom.ways() {
+                    2 => run(2, geom, lines, $st, stats, accesses, &mut sink),
+                    4 => run(4, geom, lines, $st, stats, accesses, &mut sink),
+                    8 => run(8, geom, lines, $st, stats, accesses, &mut sink),
+                    16 => run(16, geom, lines, $st, stats, accesses, &mut sink),
+                    _ => unreachable!("supports() admitted ways {}", geom.ways()),
+                }
+            };
+        }
+        match state {
+            Packed::Plru(st) => run_ways!(st),
+            Packed::Stack(st) => run_ways!(st),
+            Packed::Rrip(st) => run_ways!(st),
+        }
+    }
+
+    /// Zeroes the statistics (the warm-up boundary); cache and
+    /// replacement state are kept.
+    pub fn reset_stats(&mut self) {
+        self.stats = CacheStats::new();
+    }
+
+    /// Statistics since construction or the last [`reset_stats`](Self::reset_stats).
+    pub fn stats(&self) -> &CacheStats {
+        &self.stats
+    }
+}
+
 #[inline(always)]
 fn run<P: ReplState, S: FnMut(u32, bool)>(
     ways: usize,
     geom: &CacheGeometry,
+    lines: &mut [u64],
     state: &mut P,
-    stream: &[Access],
-    warmup: usize,
+    stats: &mut CacheStats,
+    accesses: &[Access],
     sink: &mut S,
-) -> CacheStats {
-    let mut lines = vec![0u64; geom.sets() * ways];
-    let mut stats = CacheStats::new();
-    let warmup = warmup.min(stream.len());
-    for a in &stream[..warmup] {
-        step(ways, geom, &mut lines, state, &mut stats, a);
-    }
-    stats = CacheStats::new();
-    for a in &stream[warmup..] {
-        let hit = step(ways, geom, &mut lines, state, &mut stats, a);
+) {
+    // A local copy keeps the counters in registers across the loop.
+    let mut local = *stats;
+    for a in accesses {
+        let hit = step(ways, geom, lines, state, &mut local, a);
         sink(a.icount_delta, hit);
     }
-    stats
-}
-
-/// Replays `stream` through the bit-sliced engine: the first `warmup`
-/// accesses only warm the cache, then statistics cover the remainder
-/// while `sink` receives each measured access's `(icount_delta, hit)` in
-/// exact stream order (for cycle accounting).
-///
-/// Returns `None` — without touching `sink` — when the kernel does not
-/// support `geom` (see [`SliceKernel::supports`]); callers fall back to
-/// the monomorphized engine, which is always exact.
-pub fn replay_sliced<S: FnMut(u32, bool)>(
-    stream: &[Access],
-    geom: &CacheGeometry,
-    kernel: &SliceKernel,
-    warmup: usize,
-    mut sink: S,
-) -> Option<CacheStats> {
-    if !kernel.supports(geom) {
-        return None;
-    }
-    let sets = geom.sets();
-    // Dispatch on the (validated) associativity with literal arguments so
-    // each arm monomorphizes `run` with a constant `ways`: the lane walks
-    // unroll and the `64/ways` lane math folds to shifts.
-    macro_rules! run_ways {
-        ($st:expr) => {
-            match geom.ways() {
-                2 => run(2, geom, $st, stream, warmup, &mut sink),
-                4 => run(4, geom, $st, stream, warmup, &mut sink),
-                8 => run(8, geom, $st, stream, warmup, &mut sink),
-                16 => run(16, geom, $st, stream, warmup, &mut sink),
-                _ => unreachable!("supports() admitted ways {}", geom.ways()),
-            }
-        };
-    }
-    Some(match kernel {
-        SliceKernel::PlruIpv { ipv } => run_ways!(&mut PlruLanes::new(sets, geom.ways(), ipv)),
-        SliceKernel::StackIpv { ipv } => run_ways!(&mut StackList::new(sets, geom.ways(), ipv)),
-        SliceKernel::RripIpv { vector } => {
-            run_ways!(&mut RripNibbles::new(sets, geom.ways(), *vector))
-        }
-    })
+    *stats = local;
 }
 
 #[cfg(test)]
@@ -1423,10 +1459,17 @@ mod tests {
                     ref_hits.push(cache.access_fast(a));
                 }
 
+                let mut sliced =
+                    SlicedCache::new(&geom, &kernel).expect("kernel supports geometry");
+                sliced.feed(&stream[..warmup], |_, _| {});
+                sliced.reset_stats();
                 let mut hits = Vec::new();
-                let stats = replay_sliced(&stream, &geom, &kernel, warmup, |_, h| hits.push(h))
-                    .expect("kernel supports geometry");
-                assert_eq!(stats, *cache.stats(), "ways={ways} kernel={kernel:?}");
+                sliced.feed(&stream[warmup..], |_, h| hits.push(h));
+                assert_eq!(
+                    *sliced.stats(),
+                    *cache.stats(),
+                    "ways={ways} kernel={kernel:?}"
+                );
                 assert_eq!(hits, ref_hits, "ways={ways} kernel={kernel:?}");
             }
         }
@@ -1437,7 +1480,7 @@ mod tests {
         let geom = CacheGeometry::from_sets(4, 32, 64).unwrap(); // 32-way
         let kernel = SliceKernel::PlruIpv { ipv: vec![0; 33] };
         assert!(!kernel.supports(&geom));
-        assert!(replay_sliced(&[], &geom, &kernel, 0, |_, _| {}).is_none());
+        assert!(SlicedCache::new(&geom, &kernel).is_none());
     }
 
     #[test]
@@ -1521,14 +1564,5 @@ mod tests {
         let err = kernel_soundness_sweep_poisoned(&SliceKernel::StackIpv { ipv: vec![0; 17] }, 16)
             .unwrap_err();
         assert!(err.contains("on_hit"), "{err}");
-    }
-
-    #[test]
-    fn warmup_longer_than_stream_is_clamped() {
-        let geom = CacheGeometry::from_sets(4, 4, 64).unwrap();
-        let stream = mixed_stream(100, 64);
-        let kernel = SliceKernel::PlruIpv { ipv: vec![0; 5] };
-        let stats = replay_sliced(&stream, &geom, &kernel, 1_000, |_, _| {}).unwrap();
-        assert_eq!(stats.accesses, 0);
     }
 }

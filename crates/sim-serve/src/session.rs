@@ -1,16 +1,18 @@
 //! Per-tenant replay sessions: roster fan-out, incremental stats, and
 //! crash-safe snapshots.
 //!
-//! A session owns one cache engine per roster policy and streams every
-//! ingested access through all of them, fanned across the global worker
-//! pool (each policy is an independent deterministic machine, so parallel
-//! fan-out is bit-identical to a sequential loop). Cumulative stats are
-//! cut into [`Delta`]s every `delta_every` accesses.
+//! A session owns one streaming [`Replayer`] per roster policy, on the
+//! engine [`mem_model::plan`] picks for a whole-stream pass (the packed
+//! kernels for LRU, PseudoLRU and SRRIP), and feeds every ingested batch
+//! through all of them, fanned across the global worker pool (each policy
+//! is an independent deterministic machine, so parallel fan-out is
+//! bit-identical to a sequential loop). Cumulative stats are cut into
+//! [`Delta`]s every `delta_every` accesses.
 //!
 //! # Snapshot model: journal replay
 //!
-//! Policies are deliberately opaque (`Box<dyn ReplacementPolicy>` with no
-//! serialization surface), so a snapshot does not try to freeze engine
+//! Engines are deliberately opaque (policies and packed kernel state have
+//! no serialization surface), so a snapshot does not try to freeze engine
 //! state. Instead it records the session *inputs*: the config plus the
 //! full access journal, embedded as a standard `traces` container (CRC'd,
 //! length-checked) behind a CRC'd meta block. Restoring replays the
@@ -27,8 +29,9 @@
 use crate::kv;
 use crate::protocol::{put_str, put_u16, put_u32, put_u64};
 use crate::protocol::{Cursor, Delta, GeometrySpec, KvOp, PolicyRow, ProtoError};
+use mem_model::{Replayer, WindowPerfModel};
 use sim_core::persist::atomic_write;
-use sim_core::{pool, Access, CacheGeometry, PolicyFactory, SetAssocCache};
+use sim_core::{pool, Access, CacheGeometry, PolicyFactory, ReplacementPolicy, SetAssocCache};
 use std::error::Error;
 use std::fmt;
 use std::io;
@@ -172,7 +175,7 @@ pub struct SessionConfig {
 /// One tenant's live replay session.
 pub struct Session {
     config: SessionConfig,
-    engines: Vec<Mutex<SetAssocCache>>,
+    engines: Vec<Mutex<Replayer>>,
     /// Every access ever ingested, in order — the snapshot payload.
     journal: Vec<Access>,
     instructions: u64,
@@ -183,11 +186,12 @@ pub struct Session {
     ephemeral: bool,
 }
 
-fn build_engines(
+/// Builds each named roster policy for `geom`.
+fn build_policies(
     names: &[String],
     registry: &Roster,
     geom: &CacheGeometry,
-) -> Result<Vec<Mutex<SetAssocCache>>, SessionError> {
+) -> Result<Vec<Box<dyn ReplacementPolicy>>, SessionError> {
     names
         .iter()
         .map(|name| {
@@ -199,9 +203,8 @@ fn build_engines(
             // Factories assert geometry compatibility by panicking (they
             // are built for trusted batch configs); a serving daemon must
             // turn that into a typed per-session error instead.
-            let policy = catch_unwind(AssertUnwindSafe(|| factory(geom)))
-                .map_err(|_| SessionError::PolicyConstruction(name.clone()))?;
-            Ok(Mutex::new(SetAssocCache::new(*geom, policy)))
+            catch_unwind(AssertUnwindSafe(|| factory(geom)))
+                .map_err(|_| SessionError::PolicyConstruction(name.clone()))
         })
         .collect()
 }
@@ -232,7 +235,11 @@ impl Session {
         } else {
             requested.to_vec()
         };
-        let engines = build_engines(&roster, registry, &geom)?;
+        let perf = WindowPerfModel::default();
+        let engines = build_policies(&roster, registry, &geom)?
+            .into_iter()
+            .map(|policy| Mutex::new(Replayer::whole(geom, policy, &perf)))
+            .collect();
         Ok(Session {
             config: SessionConfig {
                 tenant: tenant.to_string(),
@@ -280,10 +287,10 @@ impl Session {
         self.journal.extend_from_slice(batch);
         let engines = &self.engines;
         pool::global().run_labeled(engines.len(), engines.len(), "serve", |i| {
-            let mut eng = engines[i].lock().unwrap_or_else(|e| e.into_inner());
-            for a in batch {
-                eng.access_fast(a);
-            }
+            engines[i]
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .feed(batch);
         });
     }
 
@@ -319,7 +326,7 @@ impl Session {
                 .zip(&self.engines)
                 .map(|(name, eng)| PolicyRow {
                     name: name.clone(),
-                    stats: *eng.lock().unwrap_or_else(|e| e.into_inner()).stats(),
+                    stats: eng.lock().unwrap_or_else(|e| e.into_inner()).stats(),
                 })
                 .collect(),
         }
@@ -509,7 +516,8 @@ pub fn canonical_stats(d: &Delta) -> String {
 
 /// Single-threaded, single-process reference replay: the ground truth the
 /// chaos drill compares daemon output against. Intentionally avoids the
-/// worker pool and the session plumbing.
+/// worker pool, the session plumbing and the planned engines: every
+/// policy steps a boxed-policy `SetAssocCache`.
 ///
 /// # Errors
 ///
@@ -526,10 +534,10 @@ pub fn reference_delta(
     } else {
         requested.to_vec()
     };
-    let engines = build_engines(&roster, registry, &geom)?;
-    let mut rows = Vec::with_capacity(engines.len());
-    for (name, eng) in roster.iter().zip(engines) {
-        let mut eng = eng.into_inner().unwrap_or_else(|e| e.into_inner());
+    let policies = build_policies(&roster, registry, &geom)?;
+    let mut rows = Vec::with_capacity(policies.len());
+    for (name, policy) in roster.iter().zip(policies) {
+        let mut eng = SetAssocCache::new(geom, policy);
         for a in accesses {
             eng.access_fast(a);
         }
@@ -651,6 +659,17 @@ mod tests {
             canonical_stats(&reference),
             "pooled fan-out must equal the sequential reference"
         );
+    }
+
+    #[test]
+    fn kernel_policies_run_sliced_engines() {
+        let reg = default_roster();
+        let s = Session::new("t", spec(), false, 100, &[], &reg).unwrap();
+        for (name, eng) in s.config().roster.iter().zip(&s.engines) {
+            let sliced = eng.lock().unwrap().is_sliced();
+            // FIFO is the one member without a slice kernel.
+            assert_eq!(sliced, name != "FIFO", "{name}");
+        }
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //! [`mem_model::replay_many`] must reproduce the sequential
 //! [`mem_model::replay_llc`] result — every stat and the cycle estimate,
 //! to the bit — for every policy in the verification roster, on every
-//! oracle workload. Set-local policies exercise the shard-and-merge
-//! path; global-state policies (duels, RNG, samplers) exercise the
-//! documented sequential fallback, so the whole roster goes through the
-//! batch API exactly as the figure harness uses it.
+//! oracle workload, through the batch API exactly as the figure harness
+//! uses it; every set-local policy also runs the shard-and-merge engine
+//! directly.
 
 use mem_model::cpi::WindowPerfModel;
-use mem_model::{replay_llc, replay_many, replay_many_sharded};
-use sim_core::{PolicyFactory, ShardedStream};
+use mem_model::{replay_llc, replay_llc_sharded, replay_many, replay_many_sharded};
+use sim_core::{PolicyFactory, ShardAffinity, ShardedStream};
 use sim_verify::diff::{oracle_geometry, roster};
 use sim_verify::workloads::workloads;
 
@@ -31,9 +30,8 @@ fn sharded_replay_matches_sequential_for_full_roster() {
             .map(|p| replay_llc(&stream, geom, (p.optimized)(&geom), warmup, &perf))
             .collect();
 
-        // The convenience entry picks its shard count from the host's
-        // worker budget (possibly 1); pinned routings below force the
-        // shard-and-merge path on any host.
+        // The whole-stream entry never routes; pinned routings below
+        // drive the shard-and-merge path on any host.
         let batched = replay_many(&stream, geom, &factories, warmup, &perf);
         assert_eq!(batched.len(), pairs.len());
         for ((pair, want), got) in pairs.iter().zip(&sequential).zip(&batched) {
@@ -52,6 +50,19 @@ fn sharded_replay_matches_sequential_for_full_roster() {
                     "{shards}-shard replay diverged for policy {} on workload {name}",
                     pair.name
                 );
+            }
+            // The planner sends kernel policies to the sliced engine, so
+            // the shard-and-merge engine is also driven directly for
+            // every set-local policy.
+            for (pair, want) in pairs.iter().zip(&sequential) {
+                if (pair.optimized)(&geom).shard_affinity() == ShardAffinity::SetLocal {
+                    let got = replay_llc_sharded(&sharded, || (pair.optimized)(&geom), &perf);
+                    assert_eq!(
+                        &got, want,
+                        "{shards}-shard engine diverged for policy {} on workload {name}",
+                        pair.name
+                    );
+                }
             }
         }
     }
