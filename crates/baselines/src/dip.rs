@@ -2,7 +2,8 @@
 
 use gippr::RecencyStack;
 use sim_core::dueling::{DuelController, DuelingError};
-use sim_core::{AccessContext, CacheGeometry, ReplacementPolicy};
+use sim_core::slice::Bimodal;
+use sim_core::{AccessContext, CacheGeometry, ReplacementPolicy, SliceKernel};
 
 /// Probability denominator for BIP's occasional MRU insertion (1/32).
 const BIP_EPSILON: u64 = 32;
@@ -98,6 +99,31 @@ impl ReplacementPolicy for DipPolicy {
 
     fn global_bits(&self) -> u64 {
         self.duel.counter_bits()
+    }
+
+    // A stack duel: both sides promote hits to MRU; side 0 inserts at
+    // MRU, side 1 (BIP) at LRU except every 32nd BIP fill, at MRU.
+    fn slice_kernel(&self) -> Option<SliceKernel> {
+        let k = self.ways;
+        let mut bip = vec![0u8; k + 1];
+        bip[k] = (k - 1) as u8;
+        let map = self.duel.leader_map();
+        Some(SliceKernel::Duel {
+            sides: vec![
+                SliceKernel::StackIpv {
+                    ipv: vec![0; k + 1],
+                },
+                SliceKernel::StackIpv { ipv: bip },
+            ],
+            leaders_per_side: map.leaders_per_policy(),
+            salt: map.salt(),
+            psel_bits: self.duel.psel_bits(),
+            bimodal: Some(Bimodal {
+                side: 1,
+                every: BIP_EPSILON,
+                rare: 0,
+            }),
+        })
     }
 
     fn audit_set_digest(&self, set: usize) -> Option<Vec<u8>> {

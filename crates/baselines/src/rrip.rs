@@ -10,6 +10,7 @@
 //! cache replacement schemes", and which GIPPR halves again.
 
 use sim_core::dueling::{DuelController, DuelingError};
+use sim_core::slice::{Bimodal, SliceKernel};
 use sim_core::{AccessContext, CacheGeometry, ReplacementPolicy, ShardAffinity};
 
 /// RRPV width used throughout (the RRIP paper's recommended 2 bits).
@@ -132,8 +133,8 @@ impl ReplacementPolicy for SrripPolicy {
     }
 
     // SRRIP as an RRIP vector: hits promote to 0, fills insert at max - 1.
-    fn slice_kernel(&self) -> Option<sim_core::slice::SliceKernel> {
-        Some(sim_core::slice::SliceKernel::RripIpv {
+    fn slice_kernel(&self) -> Option<SliceKernel> {
+        Some(SliceKernel::RripIpv {
             vector: [0, 0, 0, 0, self.table.max - 1],
         })
     }
@@ -295,6 +296,32 @@ impl ReplacementPolicy for DrripPolicy {
 
     fn global_bits(&self) -> u64 {
         self.duel.counter_bits()
+    }
+
+    // An RRIP duel: hits promote to 0 on both sides; side 0 (SRRIP)
+    // inserts at max - 1, side 1 (BRRIP) at max except every 32nd BRRIP
+    // fill, at max - 1.
+    fn slice_kernel(&self) -> Option<SliceKernel> {
+        let max = self.table.max;
+        let map = self.duel.leader_map();
+        Some(SliceKernel::Duel {
+            sides: vec![
+                SliceKernel::RripIpv {
+                    vector: [0, 0, 0, 0, max - 1],
+                },
+                SliceKernel::RripIpv {
+                    vector: [0, 0, 0, 0, max],
+                },
+            ],
+            leaders_per_side: map.leaders_per_policy(),
+            salt: map.salt(),
+            psel_bits: self.duel.psel_bits(),
+            bimodal: Some(Bimodal {
+                side: 1,
+                every: BRRIP_EPSILON,
+                rare: max - 1,
+            }),
+        })
     }
 
     fn audit_set_digest(&self, set: usize) -> Option<Vec<u8>> {

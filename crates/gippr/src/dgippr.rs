@@ -3,7 +3,7 @@
 use crate::ipv::Ipv;
 use crate::plru::PlruTree;
 use sim_core::dueling::{DuelController, DuelingError};
-use sim_core::{AccessContext, CacheGeometry, ReplacementPolicy};
+use sim_core::{AccessContext, CacheGeometry, ReplacementPolicy, SliceKernel};
 use std::error::Error;
 use std::fmt;
 
@@ -318,10 +318,33 @@ impl ReplacementPolicy for DgipprPolicy {
     // and *every* set — leader or follower — reads the duel winner on its
     // next fill. Replaying leader-set shards independently would let a
     // follower shard observe a stale winner relative to sequential PSEL
-    // timing, so DGIPPR takes the sharded engine's sequential
-    // whole-stream fallback, which preserves exact PSEL semantics.
+    // timing, so the planner never shards DGIPPR: it runs whole-stream,
+    // on the sliced duel kernel when one applies and mono otherwise.
     fn shard_affinity(&self) -> sim_core::ShardAffinity {
         sim_core::ShardAffinity::Global
+    }
+
+    // The vector duel on shared PLRU trees is a PLRU-IPV duel kernel. The
+    // bypass extension adds a second duel and a `should_bypass`, which no
+    // kernel expresses, so a +bypass policy replays mono.
+    fn slice_kernel(&self) -> Option<SliceKernel> {
+        if self.bypass_duel.is_some() {
+            return None;
+        }
+        let map = self.duel.leader_map();
+        Some(SliceKernel::Duel {
+            sides: self
+                .vectors
+                .iter()
+                .map(|v| SliceKernel::PlruIpv {
+                    ipv: v.entries().to_vec(),
+                })
+                .collect(),
+            leaders_per_side: map.leaders_per_policy(),
+            salt: map.salt(),
+            psel_bits: self.psel_bits,
+            bimodal: None,
+        })
     }
 }
 

@@ -21,11 +21,13 @@
 //!   routing's shard count. Only a policy planned `Sharded` (set-local,
 //!   no usable kernel) times its own column; every other row reports
 //!   the rate of the whole-stream engine it is planned onto (`slice` or
-//!   `mono`, so DRRIP and DGIPPR read `sharded_speedup` exactly 1.0)
-//!   rather than timing a phantom engine.
+//!   `mono`; DRRIP and WI-4-DGIPPR run duel kernels, so their sharded
+//!   rate equals their slice rate exactly) rather than timing a phantom
+//!   engine.
 //! * `slice` — [`mem_model::replay_llc_sliced`], the bit-sliced kernel
-//!   engine (4 PLRU trees per `u64`, SWAR stacks/RRPV arrays). Only
-//!   policies planned onto it have this column; the rest report `null`.
+//!   engine (4 PLRU trees per `u64`, SWAR stacks/RRPV arrays, duel state
+//!   beside them for set-dueling policies). Only policies planned onto it
+//!   have this column; the rest report `null`.
 //!
 //! The roster is also replayed as one [`mem_model::replay_many`] batch
 //! (planned whole-stream engines, no routing), reported as the aggregate
@@ -82,7 +84,8 @@ struct Row {
 /// Human-readable justification for a kernel's lane count. The PLRU
 /// family is the bit-slicing headline (`64 / ways` trees per word); the
 /// nibble-vector kernels fill the whole word with a single 16-entry
-/// structure, so one lane is correct, not a bug.
+/// structure, so one lane is correct, not a bug. A duel kernel's sides
+/// share one packed state, so it packs like its family.
 fn lanes_reason(kernel: &SliceKernel) -> &'static str {
     match kernel {
         SliceKernel::PlruIpv { .. } => "plru family packs 64/ways tree lanes per u64 word",
@@ -92,6 +95,12 @@ fn lanes_reason(kernel: &SliceKernel) -> &'static str {
         SliceKernel::RripIpv { .. } => {
             "nibble rrpv array fills the u64 word with one set; one lane is correct"
         }
+        SliceKernel::Duel { sides, .. } => match sides.first() {
+            Some(SliceKernel::PlruIpv { .. }) => {
+                "plru duel packs 64/ways tree lanes per u64 word, shared by every side"
+            }
+            _ => "nibble duel fills the u64 word with one set, shared by every side; one lane is correct",
+        },
     }
 }
 
@@ -351,10 +360,12 @@ fn smoke() {
             sliced_checked += 1;
         }
     }
-    // LRU, PseudoLRU, and WI-GIPPR carry kernels in this roster.
-    assert!(
-        sliced_checked >= 3,
-        "expected >=3 sliced-kernel policies in the smoke roster, got {sliced_checked}"
+    // Every roster member carries a kernel: LRU, PseudoLRU and WI-GIPPR
+    // single-table ones, WI-4-DGIPPR and DRRIP duel kernels.
+    assert_eq!(
+        sliced_checked,
+        named.len(),
+        "expected every smoke roster policy on the sliced engine"
     );
     // Lane accounting is part of the reported schema. Pin it here so a
     // future kernel change cannot silently alter the packing story: the
@@ -367,12 +378,16 @@ fn smoke() {
         };
         let lanes = kernel.lanes(geom.ways());
         let reason = lanes_reason(&kernel);
-        match kernel {
+        let family = match &kernel {
+            SliceKernel::Duel { sides, .. } => &sides[0],
+            single => single,
+        };
+        match family {
             SliceKernel::PlruIpv { .. } => {
                 assert_eq!(lanes, 64 / geom.ways(), "{name}: plru lane packing");
                 assert!(reason.contains("64/ways"), "{name}: {reason}");
             }
-            SliceKernel::StackIpv { .. } | SliceKernel::RripIpv { .. } => {
+            _ => {
                 assert_eq!(lanes, 1, "{name}: nibble-vector kernels are single-lane");
                 assert!(reason.contains("one lane is correct"), "{name}: {reason}");
             }

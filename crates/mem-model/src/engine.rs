@@ -6,6 +6,8 @@
 //!
 //! 1. **Sliced** — the policy describes itself as a [`SliceKernel`] and
 //!    the kernel supports the geometry: packed words, no policy calls.
+//!    Set-dueling policies (DGIPPR, DIP, DRRIP) land here too, through a
+//!    [`SliceKernel::Duel`], whatever their shard affinity.
 //! 2. **Sharded** — a [`ShardAffinity::SetLocal`] policy without a usable
 //!    kernel, when the caller holds a stream pre-routed into more than
 //!    one shard ([`crate::replay_llc_sharded`]).
@@ -76,6 +78,7 @@ pub fn plan<P: ReplacementPolicy + ?Sized>(
         (Some(SliceKernel::PlruIpv { .. }), _) => "plru-ipv kernel declined the geometry",
         (Some(SliceKernel::StackIpv { .. }), _) => "stack-ipv kernel declined the geometry",
         (Some(SliceKernel::RripIpv { .. }), _) => "rrip-ipv kernel declined the geometry",
+        (Some(SliceKernel::Duel { .. }), _) => "duel kernel declined the geometry",
         (None, false) => "global affinity",
         (None, true) if shards > 1 => "set-local without a kernel",
         (None, true) => "set-local without a kernel, one shard",
@@ -225,8 +228,8 @@ pub fn replay_llc_sliced(
 mod tests {
     use super::*;
     use crate::llc::replay_llc_mono;
-    use baselines::{RripIpvPolicy, SrripPolicy, TrueLru};
-    use gippr::{GiplrPolicy, GipprPolicy, PlruPolicy};
+    use baselines::{DipPolicy, DrripPolicy, RripIpvPolicy, SrripPolicy, TrueLru};
+    use gippr::{DgipprPolicy, GiplrPolicy, GipprPolicy, PlruPolicy};
 
     fn mixed_stream(n: usize) -> Vec<Access> {
         let mut state = 0x2545f4914f6cdd1du64;
@@ -264,6 +267,28 @@ mod tests {
             Box::new(GiplrPolicy::new(&g, gippr::Ipv::lru_insertion(16)).unwrap()),
             Box::new(SrripPolicy::new(&g)),
             Box::new(RripIpvPolicy::new(&g, [0, 1, 1, 2, 3]).unwrap()),
+            Box::new(DipPolicy::with_config(&g, 4, 6).unwrap()),
+            Box::new(DrripPolicy::with_config(&g, 4, 6).unwrap()),
+            Box::new(
+                DgipprPolicy::with_full_config(
+                    &g,
+                    gippr::vectors::wi_2dgippr().to_vec(),
+                    4,
+                    6,
+                    "2-DGIPPR",
+                )
+                .unwrap(),
+            ),
+            Box::new(
+                DgipprPolicy::with_full_config(
+                    &g,
+                    gippr::vectors::wi_4dgippr().to_vec(),
+                    4,
+                    6,
+                    "4-DGIPPR",
+                )
+                .unwrap(),
+            ),
         ];
         for policy in roster {
             let kernel = policy.slice_kernel().expect("roster policy has a kernel");

@@ -126,7 +126,10 @@ pub enum SetRole {
 pub struct LeaderMap {
     sets: usize,
     policies: usize,
-    region_size: usize,
+    /// `log2(region_size)`: regions are a power of two because `sets` is
+    /// and `leaders_per_policy` divides it, so [`LeaderMap::role`] needs
+    /// only shifts and masks.
+    region_shift: u32,
     stride: usize,
     salt: usize,
 }
@@ -178,10 +181,11 @@ impl LeaderMap {
             });
         }
         let region_size = sets / leaders_per_policy;
+        debug_assert!(region_size.is_power_of_two());
         Ok(LeaderMap {
             sets,
             policies,
-            region_size,
+            region_shift: region_size.trailing_zeros(),
             stride: region_size / policies,
             salt,
         })
@@ -197,6 +201,11 @@ impl LeaderMap {
         self.policies
     }
 
+    /// The leader-placement salt (see [`LeaderMap::new_salted`]).
+    pub fn salt(&self) -> usize {
+        self.salt
+    }
+
     /// The role of `set` in the duel.
     ///
     /// # Panics
@@ -209,13 +218,15 @@ impl LeaderMap {
             "set {set} out of range (sets = {})",
             self.sets
         );
-        let region = set / self.region_size;
-        let offset = set % self.region_size;
+        // `x % region_size` is `x & mask` for a power-of-two region.
+        let mask = (1usize << self.region_shift) - 1;
+        let region = set >> self.region_shift;
+        let offset = set & mask;
         // Spread each constituency's leaders to a different offset so a
         // pathological stride in the workload cannot hammer only leaders.
-        let base = region.wrapping_mul(0x9e37_79b9).wrapping_add(self.salt) % self.region_size;
+        let base = region.wrapping_mul(0x9e37_79b9).wrapping_add(self.salt) & mask;
         for p in 0..self.policies {
-            if offset == (base + p * self.stride) % self.region_size {
+            if offset == (base + p * self.stride) & mask {
                 return SetRole::Leader(p);
             }
         }
@@ -224,7 +235,7 @@ impl LeaderMap {
 
     /// Number of leader sets per policy.
     pub fn leaders_per_policy(&self) -> usize {
-        self.sets / self.region_size
+        self.sets >> self.region_shift
     }
 }
 
@@ -247,6 +258,25 @@ pub enum Selector {
 }
 
 impl Selector {
+    /// Zeroed counters of `bits` width for `policies` candidates: one PSEL
+    /// for two, the pair-plus-meta tournament for four.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `policies` is 2 or 4, or if `bits` is not a valid
+    /// [`Psel`] width.
+    pub fn new(policies: usize, bits: u32) -> Self {
+        match policies {
+            2 => Selector::Two(Psel::new(bits)),
+            4 => Selector::Four {
+                p01: Psel::new(bits),
+                p23: Psel::new(bits),
+                meta: Psel::new(bits),
+            },
+            n => panic!("set dueling runs 2 or 4 candidates, got {n}"),
+        }
+    }
+
     /// Routes a leader-set miss by candidate `policy` into the counters.
     #[inline]
     pub fn record_miss(&mut self, policy: usize) {
@@ -349,7 +379,7 @@ impl DuelController {
     ) -> Result<Self, DuelingError> {
         Ok(DuelController {
             map: LeaderMap::new_salted(sets, 2, leaders_per_policy, salt)?,
-            selector: Selector::Two(Psel::new(bits)),
+            selector: Selector::new(2, bits),
         })
     }
 
@@ -361,11 +391,7 @@ impl DuelController {
     pub fn four(sets: usize, leaders_per_policy: usize, bits: u32) -> Result<Self, DuelingError> {
         Ok(DuelController {
             map: LeaderMap::new(sets, 4, leaders_per_policy)?,
-            selector: Selector::Four {
-                p01: Psel::new(bits),
-                p23: Psel::new(bits),
-                meta: Psel::new(bits),
-            },
+            selector: Selector::new(4, bits),
         })
     }
 
@@ -402,6 +428,14 @@ impl DuelController {
     /// microprocessor" for 4-DGIPPR).
     pub fn counter_bits(&self) -> u64 {
         self.selector.counter_bits()
+    }
+
+    /// Width of each PSEL counter (0 for a static selector).
+    pub fn psel_bits(&self) -> u32 {
+        match &self.selector {
+            Selector::Static(_) => 0,
+            Selector::Two(p) | Selector::Four { p01: p, .. } => p.bits(),
+        }
     }
 
     /// Canonical bytes of the mutable counter state, for
@@ -475,6 +509,63 @@ mod tests {
             }
         }
         assert_eq!(counts, [32, 32, 32, 32]);
+    }
+
+    /// The original division formula for [`LeaderMap::role`], kept as
+    /// the oracle for the shift-and-mask implementation.
+    fn role_by_division(
+        sets: usize,
+        policies: usize,
+        leaders: usize,
+        salt: usize,
+        set: usize,
+    ) -> SetRole {
+        let region_size = sets / leaders;
+        let stride = region_size / policies;
+        let region = set / region_size;
+        let offset = set % region_size;
+        let base = region.wrapping_mul(0x9e37_79b9).wrapping_add(salt) % region_size;
+        for p in 0..policies {
+            if offset == (base + p * stride) % region_size {
+                return SetRole::Leader(p);
+            }
+        }
+        SetRole::Follower
+    }
+
+    #[test]
+    fn masked_role_matches_division_formula() {
+        let mut checked = 0;
+        for sets in [64usize, 512, 1024, 4096] {
+            for policies in [2usize, 4] {
+                for leaders in [1usize, 2, 4, 8, 16, 32, 64] {
+                    for salt in [0usize, 7] {
+                        let Ok(map) = LeaderMap::new_salted(sets, policies, leaders, salt) else {
+                            continue;
+                        };
+                        assert_eq!(map.leaders_per_policy(), leaders);
+                        for set in 0..sets {
+                            assert_eq!(
+                                map.role(set),
+                                role_by_division(sets, policies, leaders, salt, set),
+                                "sets={sets} policies={policies} leaders={leaders} \
+                                 salt={salt} set={set}"
+                            );
+                        }
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked >= 40, "too few layouts checked: {checked}");
+    }
+
+    #[test]
+    fn selector_new_matches_controller_layouts() {
+        assert_eq!(Selector::new(2, 11).counter_bits(), 11);
+        assert_eq!(Selector::new(4, 11).counter_bits(), 33);
+        assert_eq!(DuelController::two(4096, 32, 10).unwrap().psel_bits(), 10);
+        assert_eq!(DuelController::four(4096, 32, 11).unwrap().psel_bits(), 11);
     }
 
     #[test]

@@ -79,6 +79,7 @@ pub use policy::{PolicyFactory, ReplacementPolicy, ShardAffinity};
 pub use sample::SampledStream;
 pub use shard::{ShardRun, ShardedStream};
 pub use slice::{
-    kernel_soundness_sweep, KernelSweepReport, SliceKernel, SlicedCache, SlicedTree, SlicedTreeLane,
+    kernel_soundness_sweep, Bimodal, KernelSweepReport, SliceKernel, SlicedCache, SlicedTree,
+    SlicedTreeLane,
 };
 pub use stats::CacheStats;

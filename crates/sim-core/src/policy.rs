@@ -98,11 +98,12 @@ pub trait ReplacementPolicy: Send {
     /// default) if its transitions cannot be expressed as one.
     ///
     /// A policy may only return `Some` when the kernel reproduces its
-    /// `victim`/`on_hit`/`on_fill` *exactly* (same victim on every full
-    /// set, same state after every transition, starting from the same
-    /// initial state) and its `on_miss`/`on_evict`/`should_bypass` are the
+    /// `victim`/`on_hit`/`on_miss`/`on_fill` *exactly* (same victim on
+    /// every full set, same state after every transition, starting from
+    /// the same initial state) and its `on_evict`/`should_bypass` are the
     /// trait defaults — the sliced engine never calls back into the policy
-    /// object. Engines still validate the kernel against the concrete
+    /// object. Only a [`SliceKernel::Duel`](crate::slice::SliceKernel)
+    /// expresses a non-default `on_miss` (leader misses feeding PSEL). Engines still validate the kernel against the concrete
     /// geometry via [`SliceKernel::supports`](crate::slice::SliceKernel)
     /// and fall back to the monomorphized replay when it declines.
     fn slice_kernel(&self) -> Option<crate::slice::SliceKernel> {

@@ -19,6 +19,14 @@
 //! accounting — so final stats are bit-identical to a monomorphized
 //! sequential replay (proven roster-wide by `sim-verify`).
 //!
+//! Set-dueling policies (DGIPPR, DIP, DRRIP) describe themselves as a
+//! [`SliceKernel::Duel`]: 2 or 4 per-side tables of one family over the
+//! *same* packed words, plus three pieces of duel state the engine keeps
+//! beside them — a per-set role byte precomputed from
+//! [`LeaderMap::role`](crate::dueling::LeaderMap::role), the
+//! [`Selector`](crate::dueling::Selector) counters fed by leader-set
+//! misses, and an optional bimodal fill tick (BIP's and BRRIP's ε).
+//!
 //! Lane layout for the PLRU family (16-way shown; `k`-way uses
 //! `64 / k`-lane words, each lane `k` bits: `k - 1` tree bits plus one
 //! pad bit that is never written):
@@ -34,14 +42,16 @@
 //! poison pattern whose integrity is asserted on every state read — any
 //! cross-lane contamination is caught immediately. And
 //! [`kernel_soundness_sweep`] drives the *actual replay interpreters*
-//! (`PlruLanes`, `StackList`, `RripNibbles`) transition by transition
-//! against independent scalar models for every kernel shape at every lane
-//! offset, exhaustively wherever the state space permits.
+//! (`PlruLanes`, `StackList`, `RripNibbles`, alone or under a duel's side
+//! dispatch) transition by transition against independent scalar models
+//! for every kernel shape at every lane offset, exhaustively wherever the
+//! state space permits.
 
 #![forbid(unsafe_code)]
 
 use crate::access::Access;
 use crate::cache::{LINE_DIRTY, LINE_VALID};
+use crate::dueling::{LeaderMap, Selector, SetRole};
 use crate::geometry::CacheGeometry;
 use crate::simd::scan_masks;
 use crate::stats::CacheStats;
@@ -49,12 +59,14 @@ use crate::stats::CacheStats;
 /// A plain-data description of a qualifying replacement policy, complete
 /// enough for [`SlicedCache`] to reproduce its transitions exactly.
 ///
-/// A policy must only return one of these (from
+/// A policy may only return one of these (from
 /// [`ReplacementPolicy::slice_kernel`](crate::ReplacementPolicy::slice_kernel))
-/// if its `on_miss`, `on_evict`, and `should_bypass` are the trait
-/// defaults (no-ops / never bypass) and its `victim`/`on_hit`/`on_fill`
-/// are fully determined by the kernel data below — the sliced engine
-/// never calls back into the policy object.
+/// if its `on_evict` and `should_bypass` are the trait defaults (no-op /
+/// never bypass) and every other callback is fully determined by the
+/// kernel data below — the sliced engine never calls back into the
+/// policy object. The three single-table shapes also require the
+/// default (no-op) `on_miss`; a [`SliceKernel::Duel`] reproduces exactly
+/// one `on_miss`: feeding leader-set misses into the duel's counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SliceKernel {
     /// Tree PseudoLRU driven by an insertion/promotion vector
@@ -80,14 +92,63 @@ pub enum SliceKernel {
         /// Promotion targets for RRPVs 0–3 plus the insertion RRPV.
         vector: [u8; 5],
     },
+    /// Set dueling among 2 or 4 sides of one single-table family over
+    /// one shared packed state (one PLRU tree, stack or RRPV array per
+    /// set, whichever side last touched it). Leader sets always apply
+    /// their own side's table and feed their misses into the
+    /// [`Selector`] counters; follower sets apply the current winner's.
+    /// This is `DuelController` semantics exactly: the layout is
+    /// `LeaderMap::new_salted(sets, sides, leaders_per_side, salt)`.
+    Duel {
+        /// The per-side tables, 2 or 4 of the same single-table family.
+        sides: Vec<SliceKernel>,
+        /// Leader sets dedicated to each side.
+        leaders_per_side: usize,
+        /// Leader-placement salt (`LeaderMap::new_salted`).
+        salt: usize,
+        /// Width of each PSEL counter.
+        psel_bits: u32,
+        /// An optional bimodal insertion rule for one side.
+        bimodal: Option<Bimodal>,
+    },
+}
+
+/// A bimodal insertion rule (BIP's and BRRIP's ε = 1/`every`): side
+/// `side` inserts at its own position except on every `every`-th fill of
+/// that side, which inserts at `rare`. The tick counts that side's fills
+/// in every set, leader or follower.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bimodal {
+    /// The side that inserts bimodally.
+    pub side: usize,
+    /// Period of the rare insertion, at least 1.
+    pub every: u64,
+    /// The rare insertion position (an RRPV for the RRIP family).
+    pub rare: u8,
 }
 
 impl SliceKernel {
     /// Whether [`SlicedCache`] can run this kernel on `geom`: the
-    /// associativity must be a power of two in `2..=16` and the vector
-    /// entries must be in range.
+    /// associativity must be a power of two in `2..=16`, the vector
+    /// entries must be in range, and a duel's leader layout must fit the
+    /// set count.
     pub fn supports(&self, geom: &CacheGeometry) -> bool {
-        let ways = geom.ways();
+        self.supports_ways(geom.ways())
+            && match self {
+                SliceKernel::Duel {
+                    sides,
+                    leaders_per_side,
+                    salt,
+                    ..
+                } => LeaderMap::new_salted(geom.sets(), sides.len(), *leaders_per_side, *salt)
+                    .is_ok(),
+                _ => true,
+            }
+    }
+
+    /// [`supports`](Self::supports) without the set-count check: the
+    /// tables (and a duel's shape) are valid at `ways`.
+    fn supports_ways(&self, ways: usize) -> bool {
         if !matches!(ways, 2 | 4 | 8 | 16) {
             return false;
         }
@@ -96,17 +157,42 @@ impl SliceKernel {
                 ipv.len() == ways + 1 && ipv.iter().all(|&e| usize::from(e) < ways)
             }
             SliceKernel::RripIpv { vector } => vector.iter().all(|&e| e < 4),
+            SliceKernel::Duel {
+                sides,
+                psel_bits,
+                bimodal,
+                ..
+            } => {
+                if !matches!(sides.len(), 2 | 4) {
+                    return false;
+                }
+                let family = std::mem::discriminant(&sides[0]);
+                let rare_ok = |rare: u8| match &sides[0] {
+                    SliceKernel::RripIpv { .. } => rare < 4,
+                    _ => usize::from(rare) < ways,
+                };
+                (1..32).contains(psel_bits)
+                    && sides.iter().all(|s| {
+                        std::mem::discriminant(s) == family
+                            && !matches!(s, SliceKernel::Duel { .. })
+                            && s.supports_ways(ways)
+                    })
+                    && bimodal.map_or(true, |b| {
+                        b.side < sides.len() && b.every > 0 && rare_ok(b.rare)
+                    })
+            }
         }
     }
 
     /// Sets packed per `u64` state word at associativity `ways`: `64/k`
     /// for the PLRU family (the headline bit-slicing win), 1 for the
     /// nibble-vector kernels (a 16-way stack or RRPV array fills the
-    /// word by itself).
+    /// word by itself). A duel packs like its sides.
     pub fn lanes(&self, ways: usize) -> usize {
         match self {
             SliceKernel::PlruIpv { .. } => 64 / ways,
             SliceKernel::StackIpv { .. } | SliceKernel::RripIpv { .. } => 1,
+            SliceKernel::Duel { sides, .. } => sides.first().map_or(1, |s| s.lanes(ways)),
         }
     }
 }
@@ -392,33 +478,56 @@ fn stack_move(list: u64, way: u64, current: usize, target: usize) -> u64 {
 // Packed per-kernel replacement state.
 // ---------------------------------------------------------------------------
 
-/// The replacement-state interface the replay loop drives. `ways` is
-/// passed by the (const-dispatched) caller so every division and shift
-/// below folds to a constant.
-trait ReplState {
-    fn victim(&mut self, ways: usize, set: usize) -> usize;
-    fn on_hit(&mut self, ways: usize, set: usize, way: usize);
-    fn on_fill(&mut self, ways: usize, set: usize, way: usize);
-}
-
-/// `64/k` PLRU trees per word, IPV-driven.
-struct PlruLanes {
-    words: Vec<u64>,
+/// One side's rule, the same shape for every family: a hit moves a block
+/// from its current position `p` (its RRPV for RRIP) to `promo[p]`, a fill
+/// places it at `insert`.
+#[derive(Clone, Copy, Default)]
+struct Table {
     promo: [u8; 16],
     insert: u8,
 }
 
-impl PlruLanes {
-    fn new(sets: usize, ways: usize, ipv: &[u8]) -> Self {
+impl Table {
+    /// The table of a single-table kernel at associativity `ways`.
+    fn of(kernel: &SliceKernel, ways: usize) -> Table {
         let mut promo = [0u8; 16];
-        promo[..ways].copy_from_slice(&ipv[..ways]);
-        PlruLanes {
-            words: vec![0u64; sets.div_ceil(64 / ways)],
-            promo,
-            insert: ipv[ways],
-        }
+        let insert = match kernel {
+            SliceKernel::PlruIpv { ipv } | SliceKernel::StackIpv { ipv } => {
+                promo[..ways].copy_from_slice(&ipv[..ways]);
+                ipv[ways]
+            }
+            SliceKernel::RripIpv { vector } => {
+                promo[..4].copy_from_slice(&vector[..4]);
+                vector[4]
+            }
+            SliceKernel::Duel { .. } => unreachable!("a duel side is a single-table kernel"),
+        };
+        Table { promo, insert }
     }
+}
 
+/// The packed words of one kernel family: victim selection plus the two
+/// table-driven moves every rule above reduces to. `ways` is passed by
+/// the (const-dispatched) caller so every division and shift below folds
+/// to a constant.
+trait Words {
+    /// Cold state for `sets` sets.
+    fn new(sets: usize, ways: usize) -> Self;
+    /// The packed words (the soundness sweep writes start states here).
+    fn words(&mut self) -> &mut [u64];
+    fn victim(&mut self, ways: usize, set: usize) -> usize;
+    /// Moves `way` from its current position `p` to `promo[p]`.
+    fn promote(&mut self, ways: usize, set: usize, way: usize, promo: &[u8; 16]);
+    /// Places `way` at position `pos`.
+    fn place(&mut self, ways: usize, set: usize, way: usize, pos: u8);
+}
+
+/// `64/k` PLRU trees per word, all starting at zero bits.
+struct PlruLanes {
+    words: Vec<u64>,
+}
+
+impl PlruLanes {
     #[inline(always)]
     fn locate(ways: usize, set: usize) -> (usize, u32) {
         let lanes = 64 / ways; // power of two: folds to shift + mask
@@ -426,7 +535,17 @@ impl PlruLanes {
     }
 }
 
-impl ReplState for PlruLanes {
+impl Words for PlruLanes {
+    fn new(sets: usize, ways: usize) -> Self {
+        PlruLanes {
+            words: vec![0u64; sets.div_ceil(64 / ways)],
+        }
+    }
+
+    fn words(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     #[inline(always)]
     fn victim(&mut self, ways: usize, set: usize) -> usize {
         let (ix, off) = Self::locate(ways, set);
@@ -434,18 +553,17 @@ impl ReplState for PlruLanes {
     }
 
     #[inline(always)]
-    fn on_hit(&mut self, ways: usize, set: usize, way: usize) {
+    fn promote(&mut self, ways: usize, set: usize, way: usize, promo: &[u8; 16]) {
         let (ix, off) = Self::locate(ways, set);
         let w = self.words[ix];
         let pos = lane_position(w, off, ways, way);
-        self.words[ix] = lane_set_position(w, off, ways, way, usize::from(self.promo[pos & 15]));
+        self.words[ix] = lane_set_position(w, off, ways, way, usize::from(promo[pos & 15]));
     }
 
     #[inline(always)]
-    fn on_fill(&mut self, ways: usize, set: usize, way: usize) {
+    fn place(&mut self, ways: usize, set: usize, way: usize, pos: u8) {
         let (ix, off) = Self::locate(ways, set);
-        self.words[ix] =
-            lane_set_position(self.words[ix], off, ways, way, usize::from(self.insert));
+        self.words[ix] = lane_set_position(self.words[ix], off, ways, way, usize::from(pos));
     }
 }
 
@@ -453,70 +571,66 @@ impl ReplState for PlruLanes {
 /// position `p`, starting from the identity permutation (way `p` at
 /// position `p`, matching `RecencyStack::new`).
 struct StackList {
-    list: Vec<u64>,
-    promo: [u8; 16],
-    insert: u8,
+    words: Vec<u64>,
 }
 
-impl StackList {
-    fn new(sets: usize, ways: usize, ipv: &[u8]) -> Self {
-        let mut promo = [0u8; 16];
-        promo[..ways].copy_from_slice(&ipv[..ways]);
+impl Words for StackList {
+    fn new(sets: usize, ways: usize) -> Self {
         let mut identity = 0u64;
         for p in 0..ways {
             identity |= (p as u64) << (4 * p as u32);
         }
         StackList {
-            list: vec![identity; sets],
-            promo,
-            insert: ipv[ways],
+            words: vec![identity; sets],
         }
     }
-}
 
-impl ReplState for StackList {
+    fn words(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     #[inline(always)]
     fn victim(&mut self, ways: usize, set: usize) -> usize {
-        nib_read(self.list[set], ways - 1) as usize
+        nib_read(self.words[set], ways - 1) as usize
     }
 
     #[inline(always)]
-    fn on_hit(&mut self, ways: usize, set: usize, way: usize) {
-        let l = self.list[set];
+    fn promote(&mut self, ways: usize, set: usize, way: usize, promo: &[u8; 16]) {
+        let l = self.words[set];
         let pos = nib_find(l, way as u64, ways);
-        self.list[set] = stack_move(l, way as u64, pos, usize::from(self.promo[pos & 15]));
+        self.words[set] = stack_move(l, way as u64, pos, usize::from(promo[pos & 15]));
     }
 
     #[inline(always)]
-    fn on_fill(&mut self, ways: usize, set: usize, way: usize) {
-        let l = self.list[set];
-        let pos = nib_find(l, way as u64, ways);
-        self.list[set] = stack_move(l, way as u64, pos, usize::from(self.insert));
+    fn place(&mut self, ways: usize, set: usize, way: usize, pos: u8) {
+        let l = self.words[set];
+        let cur = nib_find(l, way as u64, ways);
+        self.words[set] = stack_move(l, way as u64, cur, usize::from(pos));
     }
 }
 
 /// One packed RRPV array per set: nibble `w` holds way `w`'s RRPV,
 /// starting at max (3), matching the reference RRIP tables.
 struct RripNibbles {
-    nib: Vec<u64>,
-    vector: [u8; 5],
+    words: Vec<u64>,
 }
 
-impl RripNibbles {
-    fn new(sets: usize, ways: usize, vector: [u8; 5]) -> Self {
+impl Words for RripNibbles {
+    fn new(sets: usize, ways: usize) -> Self {
         RripNibbles {
-            nib: vec![nib_rep(ways).wrapping_mul(3); sets],
-            vector,
+            words: vec![nib_rep(ways).wrapping_mul(3); sets],
         }
     }
-}
 
-impl ReplState for RripNibbles {
+    fn words(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     #[inline(always)]
     fn victim(&mut self, ways: usize, set: usize) -> usize {
         let rep = nib_rep(ways);
         let max = rep.wrapping_mul(3);
-        let word = &mut self.nib[set];
+        let word = &mut self.words[set];
         loop {
             let x = *word ^ max;
             let y = x.wrapping_sub(rep) & !x & (rep << 3);
@@ -532,14 +646,179 @@ impl ReplState for RripNibbles {
     }
 
     #[inline(always)]
-    fn on_hit(&mut self, _ways: usize, set: usize, way: usize) {
-        let r = nib_read(self.nib[set], way) as usize;
-        self.nib[set] = nib_write(self.nib[set], way, u64::from(self.vector[r & 3]));
+    fn promote(&mut self, _ways: usize, set: usize, way: usize, promo: &[u8; 16]) {
+        let r = nib_read(self.words[set], way) as usize;
+        self.words[set] = nib_write(self.words[set], way, u64::from(promo[r & 3]));
     }
 
     #[inline(always)]
-    fn on_fill(&mut self, _ways: usize, set: usize, way: usize) {
-        self.nib[set] = nib_write(self.nib[set], way, u64::from(self.vector[4]));
+    fn place(&mut self, _ways: usize, set: usize, way: usize, pos: u8) {
+        self.words[set] = nib_write(self.words[set], way, u64::from(pos));
+    }
+}
+
+/// The replacement-state interface the replay loop drives, called in
+/// `SetAssocCache::access_tagged`'s order.
+trait ReplState {
+    fn victim(&mut self, ways: usize, set: usize) -> usize;
+    fn on_hit(&mut self, ways: usize, set: usize, way: usize);
+    /// Every miss, after it is counted and before the victim and fill.
+    #[inline(always)]
+    fn on_miss(&mut self, _set: usize) {}
+    fn on_fill(&mut self, ways: usize, set: usize, way: usize);
+    /// The packed words (the soundness sweep writes start states here).
+    fn words(&mut self) -> &mut [u64];
+}
+
+/// A single-table kernel: one rule for every set.
+struct Single<W> {
+    words: W,
+    table: Table,
+}
+
+impl<W: Words> Single<W> {
+    fn new(sets: usize, ways: usize, kernel: &SliceKernel) -> Self {
+        Single {
+            words: W::new(sets, ways),
+            table: Table::of(kernel, ways),
+        }
+    }
+}
+
+impl<W: Words> ReplState for Single<W> {
+    #[inline(always)]
+    fn victim(&mut self, ways: usize, set: usize) -> usize {
+        self.words.victim(ways, set)
+    }
+
+    #[inline(always)]
+    fn on_hit(&mut self, ways: usize, set: usize, way: usize) {
+        self.words.promote(ways, set, way, &self.table.promo);
+    }
+
+    #[inline(always)]
+    fn on_fill(&mut self, ways: usize, set: usize, way: usize) {
+        self.words.place(ways, set, way, self.table.insert);
+    }
+
+    fn words(&mut self) -> &mut [u64] {
+        self.words.words()
+    }
+}
+
+/// Role byte of a follower set; leaders store their side index.
+const FOLLOWER: u8 = u8::MAX;
+
+/// A [`Bimodal`] rule as a countdown to the next rare fill, so the hot
+/// path needs no division.
+struct BimodalTick {
+    side: usize,
+    every: u64,
+    left: u64,
+    rare: u8,
+}
+
+/// Per-set role bytes for `map`: the side index of a leader,
+/// [`FOLLOWER`] otherwise.
+fn role_bytes(map: &LeaderMap) -> Vec<u8> {
+    (0..map.sets())
+        .map(|set| match map.role(set) {
+            SetRole::Leader(p) => p as u8,
+            SetRole::Follower => FOLLOWER,
+        })
+        .collect()
+}
+
+/// A duel kernel: per-side tables over shared words, with the leader
+/// roles, the PSEL counters and the bimodal tick beside them.
+struct Duel<W> {
+    words: W,
+    tables: [Table; 4],
+    roles: Vec<u8>,
+    selector: Selector,
+    /// `selector.winner()`, refreshed on each leader miss.
+    winner: u8,
+    bimodal: Option<BimodalTick>,
+}
+
+impl<W: Words> Duel<W> {
+    /// A cold duel over `sets` sets with the given per-set `roles` (a side
+    /// index for leaders, [`FOLLOWER`] otherwise).
+    fn new(
+        sets: usize,
+        ways: usize,
+        sides: &[SliceKernel],
+        roles: Vec<u8>,
+        psel_bits: u32,
+        bimodal: Option<Bimodal>,
+    ) -> Self {
+        let mut tables = [Table::default(); 4];
+        for (t, side) in tables.iter_mut().zip(sides) {
+            *t = Table::of(side, ways);
+        }
+        let selector = Selector::new(sides.len(), psel_bits);
+        Duel {
+            words: W::new(sets, ways),
+            tables,
+            roles,
+            winner: selector.winner() as u8,
+            selector,
+            bimodal: bimodal.map(|b| BimodalTick {
+                side: b.side,
+                every: b.every,
+                left: b.every,
+                rare: b.rare,
+            }),
+        }
+    }
+
+    /// The side `set` plays right now: its own as a leader, else the winner.
+    #[inline(always)]
+    fn side(&self, set: usize) -> usize {
+        let role = self.roles[set];
+        usize::from(if role == FOLLOWER { self.winner } else { role }) & 3
+    }
+}
+
+impl<W: Words> ReplState for Duel<W> {
+    #[inline(always)]
+    fn victim(&mut self, ways: usize, set: usize) -> usize {
+        self.words.victim(ways, set)
+    }
+
+    #[inline(always)]
+    fn on_hit(&mut self, ways: usize, set: usize, way: usize) {
+        let side = self.side(set);
+        self.words.promote(ways, set, way, &self.tables[side].promo);
+    }
+
+    #[inline(always)]
+    fn on_miss(&mut self, set: usize) {
+        let role = self.roles[set];
+        if role != FOLLOWER {
+            self.selector.record_miss(usize::from(role));
+            self.winner = self.selector.winner() as u8;
+        }
+    }
+
+    #[inline(always)]
+    fn on_fill(&mut self, ways: usize, set: usize, way: usize) {
+        let side = self.side(set);
+        let mut pos = self.tables[side].insert;
+        if let Some(b) = &mut self.bimodal {
+            if b.side == side {
+                b.left -= 1;
+                if b.left == 0 {
+                    b.left = b.every;
+                    pos = b.rare;
+                }
+            }
+        }
+        self.words.place(ways, set, way, pos);
+    }
+
+    fn words(&mut self) -> &mut [u64] {
+        self.words.words()
     }
 }
 
@@ -615,7 +894,8 @@ pub struct KernelSweepReport {
     /// Lane offsets exercised (`64 / ways` for the PLRU family, 1 for the
     /// nibble kernels, which fill the word by themselves).
     pub lanes: usize,
-    /// Distinct start states driven (per lane for the PLRU family).
+    /// Distinct start states driven (per lane for the PLRU family, per
+    /// side and role for a duel).
     pub states: u64,
     /// Packed transitions checked against the scalar model.
     pub transitions: u64,
@@ -626,13 +906,14 @@ pub struct KernelSweepReport {
     pub exhaustive: bool,
 }
 
-/// Which defect (if any) the sweep driver injects into each packed hit
-/// transition — the seeded-bug hook proving the sweep catches its class.
+/// Which defect (if any) the sweep driver injects — the seeded-bug hook
+/// proving the sweep catches its class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SweepDefect {
     None,
-    /// PLRU family: flip one bit in a sibling lane after the packed op;
-    /// nibble kernels: corrupt the rewritten nibble.
+    /// PLRU family: flip one bit in a sibling lane after the packed hit;
+    /// nibble kernels: corrupt the rewritten nibble; duels: swap the
+    /// tables of sides 0 and 1.
     Seeded,
 }
 
@@ -643,6 +924,13 @@ enum SweepDefect {
 /// `victim`/`on_hit`/`on_fill` transition out of each. PLRU-family checks
 /// additionally assert that sibling-lane poison and the pad bit survive
 /// every operation, so a cross-lane leak cannot hide.
+///
+/// A [`SliceKernel::Duel`] is swept once per side and role: every set a
+/// leader of that side, then every set a follower with that side winning.
+/// Each pass drives the duel interpreter's own side dispatch and bimodal
+/// tick through the family sweep, against a scalar model read straight
+/// from that side's kernel. The leader layout is the replayed geometry's
+/// business ([`SliceKernel::supports`]) and is not checked here.
 ///
 /// # Errors
 ///
@@ -655,11 +943,12 @@ pub fn kernel_soundness_sweep(
     sweep(kernel, ways, SweepDefect::None)
 }
 
-/// [`kernel_soundness_sweep`] with a deliberately corrupted packed hit
-/// transition (a cross-lane bit leak for the PLRU family, a wrong nibble
-/// rewrite for the stack/RRIP kernels). Exists so tests and the
-/// `cargo xtask model-check` gate can prove the sweep detects its defect
-/// class; always returns `Err`.
+/// [`kernel_soundness_sweep`] with a deliberately corrupted interpreter: a
+/// cross-lane bit leak in the PLRU hit, a wrong nibble rewrite in the
+/// stack/RRIP hit, or a duel whose sides 0 and 1 swapped tables. Exists
+/// so tests and the `cargo xtask model-check` gate can prove the sweep
+/// detects its defect class; returns `Err` unless a duel's sides 0 and 1
+/// carry identical tables.
 #[doc(hidden)]
 pub fn kernel_soundness_sweep_poisoned(
     kernel: &SliceKernel,
@@ -673,19 +962,141 @@ fn sweep(
     ways: usize,
     defect: SweepDefect,
 ) -> Result<KernelSweepReport, String> {
-    let geom = CacheGeometry::from_sets(64, ways, 64)
-        .map_err(|e| format!("no {ways}-way probe geometry: {e}"))?;
-    if !kernel.supports(&geom) {
+    if !kernel.supports_ways(ways) {
         return Err(format!("kernel {kernel:?} does not support {ways} ways"));
     }
-    match kernel {
-        SliceKernel::PlruIpv { ipv } => sweep_plru(ipv, ways, defect),
-        SliceKernel::StackIpv { ipv } => sweep_stack(ipv, ways, defect),
-        SliceKernel::RripIpv { vector } => sweep_rrip(*vector, ways, defect),
+    let family = match kernel {
+        SliceKernel::Duel { sides, .. } => &sides[0],
+        single => single,
+    };
+    match family {
+        SliceKernel::PlruIpv { .. } => sweep_with::<PlruLanes>(kernel, family, ways, defect),
+        SliceKernel::StackIpv { .. } => sweep_with::<StackList>(kernel, family, ways, defect),
+        SliceKernel::RripIpv { .. } => sweep_with::<RripNibbles>(kernel, family, ways, defect),
+        SliceKernel::Duel { .. } => unreachable!("supports_ways rejects nested duels"),
     }
 }
 
-fn sweep_plru(ipv: &[u8], ways: usize, defect: SweepDefect) -> Result<KernelSweepReport, String> {
+/// Builds the interpreter for `kernel` on the packed words `W` of its
+/// family and runs the family sweep, once per side and role for a duel.
+fn sweep_with<W: Words>(
+    kernel: &SliceKernel,
+    family: &SliceKernel,
+    ways: usize,
+    defect: SweepDefect,
+) -> Result<KernelSweepReport, String> {
+    // One word's worth of sets for the PLRU family, one set otherwise.
+    let sets = family.lanes(ways);
+    let name = match family {
+        SliceKernel::PlruIpv { .. } => "PlruIpv",
+        SliceKernel::StackIpv { .. } => "StackIpv",
+        _ => "RripIpv",
+    };
+    let SliceKernel::Duel {
+        sides,
+        psel_bits,
+        bimodal,
+        ..
+    } = kernel
+    else {
+        let mut st = Single::<W>::new(sets, ways, kernel);
+        let mut model = SideModel::of(kernel, ways, None);
+        return sweep_family(&mut st, &mut model, name, family, ways, defect);
+    };
+    let mut total = KernelSweepReport {
+        lanes: sets,
+        states: 0,
+        transitions: 0,
+        exhaustive: true,
+    };
+    for side in 0..sides.len() {
+        for leader in [true, false] {
+            let role = if leader { side as u8 } else { FOLLOWER };
+            let mut st = Duel::<W>::new(sets, ways, sides, vec![role; sets], *psel_bits, *bimodal);
+            st.winner = side as u8;
+            if defect == SweepDefect::Seeded {
+                st.tables.swap(0, 1);
+            }
+            let rule = bimodal.filter(|b| b.side == side);
+            let mut model = SideModel::of(&sides[side], ways, rule.as_ref());
+            let label = format!(
+                "Duel side {side} ({}) {name}",
+                if leader { "leader" } else { "follower" }
+            );
+            let r = sweep_family(&mut st, &mut model, &label, family, ways, SweepDefect::None)?;
+            total.states += r.states;
+            total.transitions += r.transitions;
+            total.exhaustive &= r.exhaustive;
+        }
+    }
+    Ok(total)
+}
+
+fn sweep_family<S: ReplState>(
+    st: &mut S,
+    model: &mut SideModel,
+    label: &str,
+    family: &SliceKernel,
+    ways: usize,
+    defect: SweepDefect,
+) -> Result<KernelSweepReport, String> {
+    match family {
+        SliceKernel::PlruIpv { .. } => sweep_plru(st, model, label, ways, defect),
+        SliceKernel::StackIpv { .. } => sweep_stack(st, model, label, ways, defect),
+        _ => sweep_rrip(st, model, label, ways, defect),
+    }
+}
+
+/// The scalar model's reading of one side, taken straight from the
+/// kernel description (independently of the interpreter's `Table`),
+/// with its own count of the side's fills for a bimodal rule.
+struct SideModel {
+    promo: Vec<u8>,
+    insert: u8,
+    rare: Option<(u64, u8)>,
+    fills: u64,
+}
+
+impl SideModel {
+    fn of(kernel: &SliceKernel, ways: usize, bimodal: Option<&Bimodal>) -> Self {
+        let (promo, insert) = match kernel {
+            SliceKernel::PlruIpv { ipv } | SliceKernel::StackIpv { ipv } => {
+                (ipv[..ways].to_vec(), ipv[ways])
+            }
+            SliceKernel::RripIpv { vector } => (vector[..4].to_vec(), vector[4]),
+            SliceKernel::Duel { .. } => unreachable!("a duel side is a single-table kernel"),
+        };
+        SideModel {
+            promo,
+            insert,
+            rare: bimodal.map(|b| (b.every, b.rare)),
+            fills: 0,
+        }
+    }
+
+    /// Where the next fill of this side lands.
+    fn next_insert(&mut self) -> u8 {
+        match self.rare {
+            Some((every, rare)) => {
+                self.fills += 1;
+                if self.fills % every == 0 {
+                    rare
+                } else {
+                    self.insert
+                }
+            }
+            None => self.insert,
+        }
+    }
+}
+
+fn sweep_plru<S: ReplState>(
+    st: &mut S,
+    model: &mut SideModel,
+    label: &str,
+    ways: usize,
+    defect: SweepDefect,
+) -> Result<KernelSweepReport, String> {
     let lanes = 64 / ways;
     let tree_states = 1u64 << (ways - 1);
     let lane_mask = (1u64 << ways) - 1;
@@ -699,25 +1110,24 @@ fn sweep_plru(ipv: &[u8], ways: usize, defect: SweepDefect) -> Result<KernelSwee
             }
         }
         // One word hosts all lanes (`sets == lanes`); ops target `lane`.
-        let mut st = PlruLanes::new(lanes, ways, ipv);
         let check = |word: u64, expect: u64, op: &str, way: usize, bits: u64| {
             let lane_field = (word >> off) & lane_mask;
             if lane_field >> (ways - 1) != 0 {
                 return Err(format!(
-                    "PlruIpv {ways}-way lane {lane}: {op}(way {way}) from state {bits:#x} \
+                    "{label} {ways}-way lane {lane}: {op}(way {way}) from state {bits:#x} \
                      wrote the pad bit"
                 ));
             }
             if word & !(lane_mask << off) != sibling {
                 return Err(format!(
-                    "PlruIpv {ways}-way lane {lane}: {op}(way {way}) from state {bits:#x} \
+                    "{label} {ways}-way lane {lane}: {op}(way {way}) from state {bits:#x} \
                      leaked across the lane boundary (sibling poison clobbered, word \
                      {word:#018x})"
                 ));
             }
             if lane_field != expect {
                 return Err(format!(
-                    "PlruIpv {ways}-way lane {lane}: {op}(way {way}) from state {bits:#x} \
+                    "{label} {ways}-way lane {lane}: {op}(way {way}) from state {bits:#x} \
                      produced tree bits {lane_field:#x}, scalar model says {expect:#x}"
                 ));
             }
@@ -727,41 +1137,41 @@ fn sweep_plru(ipv: &[u8], ways: usize, defect: SweepDefect) -> Result<KernelSwee
             let start = sibling | (bits << off);
             let naive = NaiveTree::new(ways, bits);
 
-            st.words[0] = start;
+            st.words()[0] = start;
             let got = st.victim(ways, lane);
             transitions += 1;
             if got != naive.victim() {
                 return Err(format!(
-                    "PlruIpv {ways}-way lane {lane}: victim from state {bits:#x} is way \
+                    "{label} {ways}-way lane {lane}: victim from state {bits:#x} is way \
                      {got}, scalar model says {}",
                     naive.victim()
                 ));
             }
-            if st.words[0] != start {
+            if st.words()[0] != start {
                 return Err(format!(
-                    "PlruIpv {ways}-way lane {lane}: victim from state {bits:#x} mutated \
+                    "{label} {ways}-way lane {lane}: victim from state {bits:#x} mutated \
                      the packed word"
                 ));
             }
 
             for way in 0..ways {
-                st.words[0] = start;
+                st.words()[0] = start;
                 st.on_hit(ways, lane, way);
                 if defect == SweepDefect::Seeded {
-                    st.words[0] ^= 1u64 << (((lane + 1) % lanes) * ways);
+                    st.words()[0] ^= 1u64 << (((lane + 1) % lanes) * ways);
                 }
                 let mut n = naive.clone();
                 let pos = n.position(way);
-                n.set_position(way, usize::from(ipv[pos]));
+                n.set_position(way, usize::from(model.promo[pos]));
                 transitions += 1;
-                check(st.words[0], n.bits(), "on_hit", way, bits)?;
+                check(st.words()[0], n.bits(), "on_hit", way, bits)?;
 
-                st.words[0] = start;
+                st.words()[0] = start;
                 st.on_fill(ways, lane, way);
                 let mut n = naive.clone();
-                n.set_position(way, usize::from(ipv[ways]));
+                n.set_position(way, usize::from(model.next_insert()));
                 transitions += 1;
-                check(st.words[0], n.bits(), "on_fill", way, bits)?;
+                check(st.words()[0], n.bits(), "on_fill", way, bits)?;
             }
         }
     }
@@ -800,11 +1210,15 @@ fn for_each_permutation(
     Ok(())
 }
 
-fn sweep_stack(ipv: &[u8], ways: usize, defect: SweepDefect) -> Result<KernelSweepReport, String> {
-    let insert = usize::from(ipv[ways]);
+fn sweep_stack<S: ReplState>(
+    st: &mut S,
+    model: &mut SideModel,
+    label: &str,
+    ways: usize,
+    defect: SweepDefect,
+) -> Result<KernelSweepReport, String> {
     let mut transitions = 0u64;
     let mut states = 0u64;
-    let mut st = StackList::new(1, ways, ipv);
     // Scalar state: `perm[p]` = way at stack position `p`, packed one
     // nibble per position — directly comparable to the SWAR word.
     let pack = |perm: &[u8]| {
@@ -812,51 +1226,56 @@ fn sweep_stack(ipv: &[u8], ways: usize, defect: SweepDefect) -> Result<KernelSwe
             .enumerate()
             .fold(0u64, |acc, (p, &w)| acc | (u64::from(w) << (4 * p)))
     };
+    // Reference shift-by-one move: remove at the current position,
+    // reinsert at the target.
+    let moved = |perm: &[u8], cur: usize, target: usize| {
+        let mut m = perm.to_vec();
+        let v = m.remove(cur);
+        m.insert(target, v);
+        m
+    };
+    let (promo, insert) = (model.promo.clone(), usize::from(model.insert));
 
     let mut drive = |perm: &[u8]| -> Result<(), String> {
         states += 1;
         let word = pack(perm);
-        st.list[0] = word;
+        st.words()[0] = word;
         let got = st.victim(ways, 0);
         transitions += 1;
         if got != usize::from(perm[ways - 1]) {
             return Err(format!(
-                "StackIpv {ways}-way: victim from order {perm:?} is way {got}, scalar \
+                "{label} {ways}-way: victim from order {perm:?} is way {got}, scalar \
                  model says {}",
                 perm[ways - 1]
             ));
         }
-        if st.list[0] != word {
+        if st.words()[0] != word {
             return Err(format!(
-                "StackIpv {ways}-way: victim from order {perm:?} mutated the packed word"
+                "{label} {ways}-way: victim from order {perm:?} mutated the packed word"
             ));
         }
         for way in 0..ways {
             let cur = perm.iter().position(|&w| usize::from(w) == way).unwrap();
-            for (op, target) in [("on_hit", usize::from(ipv[cur])), ("on_fill", insert)] {
-                // Reference shift-by-one move: remove at the current
-                // position, reinsert at the target.
-                let mut model = perm.to_vec();
-                let v = model.remove(cur);
-                model.insert(target, v);
-
-                st.list[0] = word;
-                if op == "on_hit" {
+            for op in ["on_hit", "on_fill"] {
+                st.words()[0] = word;
+                let target = if op == "on_hit" {
                     st.on_hit(ways, 0, way);
                     if defect == SweepDefect::Seeded {
-                        st.list[0] =
-                            nib_write(st.list[0], 0, (nib_read(st.list[0], 0) + 1) % ways as u64);
+                        let w = st.words()[0];
+                        st.words()[0] = nib_write(w, 0, (nib_read(w, 0) + 1) % ways as u64);
                     }
+                    usize::from(promo[cur])
                 } else {
                     st.on_fill(ways, 0, way);
-                }
+                    usize::from(model.next_insert())
+                };
+                let want = pack(&moved(perm, cur, target));
                 transitions += 1;
-                if st.list[0] != pack(&model) {
+                if st.words()[0] != want {
                     return Err(format!(
-                        "StackIpv {ways}-way: {op}(way {way}) from order {perm:?} produced \
-                         word {:#018x}, scalar model says {:#018x}",
-                        st.list[0],
-                        pack(&model)
+                        "{label} {ways}-way: {op}(way {way}) from order {perm:?} produced \
+                         word {:#018x}, scalar model says {want:#018x}",
+                        st.words()[0]
                     ));
                 }
             }
@@ -881,12 +1300,11 @@ fn sweep_stack(ipv: &[u8], ways: usize, defect: SweepDefect) -> Result<KernelSwe
             let way = ((seed >> 33) as usize) % ways;
             let cur = perm.iter().position(|&w| usize::from(w) == way).unwrap();
             let target = if seed & 1 == 0 {
-                usize::from(ipv[cur])
+                usize::from(promo[cur])
             } else {
                 insert
             };
-            let v = perm.remove(cur);
-            perm.insert(target, v);
+            perm = moved(&perm, cur, target);
         }
     }
     Ok(KernelSweepReport {
@@ -897,74 +1315,77 @@ fn sweep_stack(ipv: &[u8], ways: usize, defect: SweepDefect) -> Result<KernelSwe
     })
 }
 
-fn sweep_rrip(
-    vector: [u8; 5],
+fn sweep_rrip<S: ReplState>(
+    st: &mut S,
+    model: &mut SideModel,
+    label: &str,
     ways: usize,
     defect: SweepDefect,
 ) -> Result<KernelSweepReport, String> {
     let mut transitions = 0u64;
     let mut states = 0u64;
-    let mut st = RripNibbles::new(1, ways, vector);
     let pack = |rrpv: &[u8]| {
         rrpv.iter()
             .enumerate()
             .fold(0u64, |acc, (w, &r)| acc | (u64::from(r) << (4 * w)))
     };
     // Scalar victim with aging side effects, mirrored into `model`.
-    let scalar_victim = |model: &mut [u8]| loop {
-        if let Some(w) = (0..model.len()).find(|&w| model[w] == 3) {
+    let scalar_victim = |rrpv: &mut [u8]| loop {
+        if let Some(w) = (0..rrpv.len()).find(|&w| rrpv[w] == 3) {
             return w;
         }
-        for r in model.iter_mut() {
+        for r in rrpv.iter_mut() {
             *r += 1;
         }
     };
+    let (promo, insert) = (model.promo.clone(), model.insert);
 
     let mut drive = |rrpv: &[u8]| -> Result<(), String> {
         states += 1;
         let word = pack(rrpv);
-        let mut model = rrpv.to_vec();
-        st.nib[0] = word;
+        let mut want = rrpv.to_vec();
+        st.words()[0] = word;
         let got = st.victim(ways, 0);
-        let want = scalar_victim(&mut model);
+        let want_way = scalar_victim(&mut want);
         transitions += 1;
-        if got != want || st.nib[0] != pack(&model) {
+        if got != want_way || st.words()[0] != pack(&want) {
             return Err(format!(
-                "RripIpv {ways}-way: victim from rrpv {rrpv:?} gave (way {got}, word \
-                 {:#018x}), scalar model says (way {want}, word {:#018x})",
-                st.nib[0],
-                pack(&model)
+                "{label} {ways}-way: victim from rrpv {rrpv:?} gave (way {got}, word \
+                 {:#018x}), scalar model says (way {want_way}, word {:#018x})",
+                st.words()[0],
+                pack(&want)
             ));
         }
         for way in 0..ways {
-            let mut model = rrpv.to_vec();
-            model[way] = vector[usize::from(model[way])];
-            st.nib[0] = word;
+            let mut want = rrpv.to_vec();
+            want[way] = promo[usize::from(want[way])];
+            st.words()[0] = word;
             st.on_hit(ways, 0, way);
             if defect == SweepDefect::Seeded {
-                st.nib[0] = nib_write(st.nib[0], way, (nib_read(st.nib[0], way) + 1) & 3);
+                let w = st.words()[0];
+                st.words()[0] = nib_write(w, way, (nib_read(w, way) + 1) & 3);
             }
             transitions += 1;
-            if st.nib[0] != pack(&model) {
+            if st.words()[0] != pack(&want) {
                 return Err(format!(
-                    "RripIpv {ways}-way: on_hit(way {way}) from rrpv {rrpv:?} produced \
+                    "{label} {ways}-way: on_hit(way {way}) from rrpv {rrpv:?} produced \
                      word {:#018x}, scalar model says {:#018x}",
-                    st.nib[0],
-                    pack(&model)
+                    st.words()[0],
+                    pack(&want)
                 ));
             }
 
-            let mut model = rrpv.to_vec();
-            model[way] = vector[4];
-            st.nib[0] = word;
+            let mut want = rrpv.to_vec();
+            want[way] = model.next_insert();
+            st.words()[0] = word;
             st.on_fill(ways, 0, way);
             transitions += 1;
-            if st.nib[0] != pack(&model) {
+            if st.words()[0] != pack(&want) {
                 return Err(format!(
-                    "RripIpv {ways}-way: on_fill(way {way}) from rrpv {rrpv:?} produced \
+                    "{label} {ways}-way: on_fill(way {way}) from rrpv {rrpv:?} produced \
                      word {:#018x}, scalar model says {:#018x}",
-                    st.nib[0],
-                    pack(&model)
+                    st.words()[0],
+                    pack(&want)
                 ));
             }
         }
@@ -995,8 +1416,8 @@ fn sweep_rrip(
                 0 => {
                     scalar_victim(&mut rrpv);
                 }
-                1 => rrpv[way] = vector[usize::from(rrpv[way])],
-                _ => rrpv[way] = vector[4],
+                1 => rrpv[way] = promo[usize::from(rrpv[way])],
+                _ => rrpv[way] = insert,
             }
         }
     }
@@ -1013,9 +1434,10 @@ fn sweep_rrip(
 // ---------------------------------------------------------------------------
 
 /// One access against the packed tag array + replacement state, with the
-/// exact statistics protocol of `SetAssocCache::access_tagged`.
-/// Qualifying kernels use the default (no-op) `on_miss`, `should_bypass`,
-/// and `on_evict`, so those callbacks are elided rather than emulated.
+/// exact statistics protocol and callback order of
+/// `SetAssocCache::access_tagged`. Qualifying kernels use the default
+/// `should_bypass` and `on_evict` (never / no-op), so those callbacks are
+/// elided rather than emulated.
 #[inline(always)]
 fn step<P: ReplState>(
     ways: usize,
@@ -1050,6 +1472,7 @@ fn step<P: ReplState>(
     }
 
     stats.misses += 1;
+    state.on_miss(set);
     let first_invalid = (!valid_mask).trailing_zeros() as usize;
     let fill_way = if first_invalid < ways {
         first_invalid
@@ -1065,11 +1488,15 @@ fn step<P: ReplState>(
     false
 }
 
-/// The packed replacement state of one kernel.
+/// The packed replacement state of one kernel. Duel state is boxed to
+/// keep the enum small; `feed` derefs it once per call, not per access.
 enum Packed {
-    Plru(PlruLanes),
-    Stack(StackList),
-    Rrip(RripNibbles),
+    Plru(Single<PlruLanes>),
+    Stack(Single<StackList>),
+    Rrip(Single<RripNibbles>),
+    DuelPlru(Box<Duel<PlruLanes>>),
+    DuelStack(Box<Duel<StackList>>),
+    DuelRrip(Box<Duel<RripNibbles>>),
 }
 
 /// The bit-sliced engine as streaming state: the packed tag array and
@@ -1092,9 +1519,31 @@ impl SlicedCache {
         }
         let (sets, ways) = (geom.sets(), geom.ways());
         let state = match kernel {
-            SliceKernel::PlruIpv { ipv } => Packed::Plru(PlruLanes::new(sets, ways, ipv)),
-            SliceKernel::StackIpv { ipv } => Packed::Stack(StackList::new(sets, ways, ipv)),
-            SliceKernel::RripIpv { vector } => Packed::Rrip(RripNibbles::new(sets, ways, *vector)),
+            SliceKernel::PlruIpv { .. } => Packed::Plru(Single::new(sets, ways, kernel)),
+            SliceKernel::StackIpv { .. } => Packed::Stack(Single::new(sets, ways, kernel)),
+            SliceKernel::RripIpv { .. } => Packed::Rrip(Single::new(sets, ways, kernel)),
+            SliceKernel::Duel {
+                sides,
+                leaders_per_side,
+                salt,
+                psel_bits,
+                bimodal,
+            } => {
+                let map = LeaderMap::new_salted(sets, sides.len(), *leaders_per_side, *salt)
+                    .expect("supports() checked the leader layout");
+                let (roles, bits, bimodal) = (role_bytes(&map), *psel_bits, *bimodal);
+                match &sides[0] {
+                    SliceKernel::PlruIpv { .. } => Packed::DuelPlru(Box::new(Duel::new(
+                        sets, ways, sides, roles, bits, bimodal,
+                    ))),
+                    SliceKernel::StackIpv { .. } => Packed::DuelStack(Box::new(Duel::new(
+                        sets, ways, sides, roles, bits, bimodal,
+                    ))),
+                    _ => Packed::DuelRrip(Box::new(Duel::new(
+                        sets, ways, sides, roles, bits, bimodal,
+                    ))),
+                }
+            }
         };
         Some(SlicedCache {
             geom: *geom,
@@ -1132,6 +1581,9 @@ impl SlicedCache {
             Packed::Plru(st) => run_ways!(st),
             Packed::Stack(st) => run_ways!(st),
             Packed::Rrip(st) => run_ways!(st),
+            Packed::DuelPlru(st) => run_ways!(&mut **st),
+            Packed::DuelStack(st) => run_ways!(&mut **st),
+            Packed::DuelRrip(st) => run_ways!(&mut **st),
         }
     }
 
@@ -1299,24 +1751,58 @@ mod tests {
     /// Interprets a [`SliceKernel`] naively as a boxed policy, so the
     /// sliced engine can be differentially tested against the production
     /// cache without depending on the policy crates (which sit above
-    /// `sim-core` in the workspace graph).
+    /// `sim-core` in the workspace graph). A duel runs the textbook
+    /// `DuelController` protocol: leader misses feed the counters from
+    /// `on_miss`, and each callback asks the leader map which side the
+    /// set plays.
     struct NaiveKernelPolicy {
         kernel: SliceKernel,
         trees: Vec<NaiveTree>,
         stacks: Vec<Vec<usize>>, // pos[way] per set
         rrpv: Vec<Vec<u8>>,
         ways: usize,
+        duel: Option<(LeaderMap, Selector)>,
+        bimodal_fills: u64,
     }
 
     impl NaiveKernelPolicy {
         fn new(geom: &CacheGeometry, kernel: SliceKernel) -> Self {
             let (sets, ways) = (geom.sets(), geom.ways());
+            let duel = match &kernel {
+                SliceKernel::Duel {
+                    sides,
+                    leaders_per_side,
+                    salt,
+                    psel_bits,
+                    ..
+                } => Some((
+                    LeaderMap::new_salted(sets, sides.len(), *leaders_per_side, *salt).unwrap(),
+                    Selector::new(sides.len(), *psel_bits),
+                )),
+                _ => None,
+            };
             NaiveKernelPolicy {
                 kernel,
                 trees: vec![NaiveTree::new(ways, 0); sets],
                 stacks: vec![(0..ways).collect(); sets],
                 rrpv: vec![vec![3u8; ways]; sets],
                 ways,
+                duel,
+                bimodal_fills: 0,
+            }
+        }
+
+        /// The single-table kernel `set` applies right now, and its side.
+        fn rule(&self, set: usize) -> (SliceKernel, usize) {
+            match (&self.kernel, &self.duel) {
+                (SliceKernel::Duel { sides, .. }, Some((map, selector))) => {
+                    let side = match map.role(set) {
+                        SetRole::Leader(p) => p,
+                        SetRole::Follower => selector.winner(),
+                    };
+                    (sides[side].clone(), side)
+                }
+                (k, _) => (k.clone(), 0),
             }
         }
 
@@ -1345,12 +1831,12 @@ mod tests {
         }
 
         fn victim(&mut self, set: usize, _ctx: &AccessContext) -> usize {
-            match &self.kernel {
+            match self.rule(set).0 {
                 SliceKernel::PlruIpv { .. } => self.trees[set].victim(),
                 SliceKernel::StackIpv { .. } => (0..self.ways)
                     .find(|&w| self.stacks[set][w] == self.ways - 1)
                     .unwrap(),
-                SliceKernel::RripIpv { .. } => loop {
+                _ => loop {
                     if let Some(w) = (0..self.ways).find(|&w| self.rrpv[set][w] == 3) {
                         break w;
                     }
@@ -1362,7 +1848,7 @@ mod tests {
         }
 
         fn on_hit(&mut self, set: usize, way: usize, _ctx: &AccessContext) {
-            match &self.kernel.clone() {
+            match self.rule(set).0 {
                 SliceKernel::PlruIpv { ipv } => {
                     let p = self.trees[set].position(way);
                     self.trees[set].set_position(way, usize::from(ipv[p]));
@@ -1375,18 +1861,44 @@ mod tests {
                     let r = usize::from(self.rrpv[set][way]);
                     self.rrpv[set][way] = vector[r];
                 }
+                SliceKernel::Duel { .. } => unreachable!(),
+            }
+        }
+
+        fn on_miss(&mut self, set: usize, _ctx: &AccessContext) {
+            if let Some((map, selector)) = &mut self.duel {
+                if let SetRole::Leader(p) = map.role(set) {
+                    selector.record_miss(p);
+                }
             }
         }
 
         fn on_fill(&mut self, set: usize, way: usize, _ctx: &AccessContext) {
-            match &self.kernel.clone() {
-                SliceKernel::PlruIpv { ipv } => {
-                    self.trees[set].set_position(way, usize::from(ipv[self.ways]));
+            let (rule, side) = self.rule(set);
+            let mut insert = match &rule {
+                SliceKernel::PlruIpv { ipv } | SliceKernel::StackIpv { ipv } => ipv[self.ways],
+                SliceKernel::RripIpv { vector } => vector[4],
+                SliceKernel::Duel { .. } => unreachable!(),
+            };
+            if let SliceKernel::Duel {
+                bimodal: Some(b), ..
+            } = &self.kernel
+            {
+                if b.side == side {
+                    self.bimodal_fills += 1;
+                    if self.bimodal_fills % b.every == 0 {
+                        insert = b.rare;
+                    }
                 }
-                SliceKernel::StackIpv { ipv } => {
-                    self.stack_move_to(set, way, usize::from(ipv[self.ways]));
+            }
+            match rule {
+                SliceKernel::PlruIpv { .. } => {
+                    self.trees[set].set_position(way, usize::from(insert));
                 }
-                SliceKernel::RripIpv { vector } => self.rrpv[set][way] = vector[4],
+                SliceKernel::StackIpv { .. } => {
+                    self.stack_move_to(set, way, usize::from(insert));
+                }
+                _ => self.rrpv[set][way] = insert,
             }
         }
 
@@ -1418,24 +1930,60 @@ mod tests {
             .collect()
     }
 
+    /// A duel over `sides` with 4 leaders per side, narrow PSELs so the
+    /// winner flips within a test stream, and an optional bimodal rule.
+    fn duel(sides: Vec<SliceKernel>, salt: usize, bimodal: Option<Bimodal>) -> SliceKernel {
+        SliceKernel::Duel {
+            sides,
+            leaders_per_side: 4,
+            salt,
+            psel_bits: 4,
+            bimodal,
+        }
+    }
+
     fn kernels(ways: usize) -> Vec<SliceKernel> {
-        let mut zero = vec![0u8; ways + 1];
+        let zero = vec![0u8; ways + 1];
         let mut churn = vec![0u8; ways + 1];
         for (i, e) in churn.iter_mut().enumerate() {
             *e = ((i * 3 + 1) % ways) as u8;
         }
-        zero[ways] = 0;
+        let mut lip = zero.clone();
+        lip[ways] = (ways - 1) as u8;
+        let mut mid = churn.clone();
+        mid[ways] = (ways / 2) as u8;
+        let plru = |ipv: &Vec<u8>| SliceKernel::PlruIpv { ipv: ipv.clone() };
+        let stack = |ipv: &Vec<u8>| SliceKernel::StackIpv { ipv: ipv.clone() };
+        let rrip = |vector: [u8; 5]| SliceKernel::RripIpv { vector };
+        let bip = Some(Bimodal {
+            side: 1,
+            every: 5,
+            rare: 0,
+        });
         vec![
-            SliceKernel::PlruIpv { ipv: zero.clone() },
-            SliceKernel::PlruIpv { ipv: churn.clone() },
-            SliceKernel::StackIpv { ipv: zero },
-            SliceKernel::StackIpv { ipv: churn },
-            SliceKernel::RripIpv {
-                vector: [0, 0, 0, 0, 2],
-            },
-            SliceKernel::RripIpv {
-                vector: [0, 1, 1, 2, 3],
-            },
+            plru(&zero),
+            plru(&churn),
+            stack(&zero),
+            stack(&churn),
+            rrip([0, 0, 0, 0, 2]),
+            rrip([0, 1, 1, 2, 3]),
+            duel(vec![plru(&zero), plru(&lip)], 0, None),
+            duel(
+                vec![plru(&zero), plru(&churn), plru(&lip), plru(&mid)],
+                0,
+                None,
+            ),
+            duel(vec![plru(&churn), plru(&lip)], 7, bip),
+            duel(vec![stack(&zero), stack(&lip)], 0, bip),
+            duel(
+                vec![rrip([0, 0, 0, 0, 2]), rrip([0, 0, 0, 0, 3])],
+                0,
+                Some(Bimodal {
+                    side: 1,
+                    every: 5,
+                    rare: 2,
+                }),
+            ),
         ]
     }
 
@@ -1505,6 +2053,37 @@ mod tests {
         assert_eq!(plru.lanes(8), 8);
         assert_eq!(SliceKernel::StackIpv { ipv: vec![0; 17] }.lanes(16), 1);
         assert_eq!(SliceKernel::RripIpv { vector: [0; 5] }.lanes(16), 1);
+        assert_eq!(duel(vec![plru.clone(), plru], 0, None).lanes(16), 4);
+    }
+
+    #[test]
+    fn malformed_duels_are_rejected() {
+        let geom = CacheGeometry::from_sets(64, 16, 64).unwrap();
+        let plru = SliceKernel::PlruIpv { ipv: vec![0; 17] };
+        let stack = SliceKernel::StackIpv { ipv: vec![0; 17] };
+        let ok = duel(vec![plru.clone(), plru.clone()], 0, None);
+        assert!(ok.supports(&geom));
+        // Three sides, mixed families, a nested duel, a bad PSEL width,
+        // a bimodal rule naming no side or an out-of-range position.
+        assert!(!duel(vec![plru.clone(); 3], 0, None).supports(&geom));
+        assert!(!duel(vec![plru.clone(), stack], 0, None).supports(&geom));
+        assert!(!duel(vec![ok.clone(), ok.clone()], 0, None).supports(&geom));
+        let mut wide = ok.clone();
+        if let SliceKernel::Duel { psel_bits, .. } = &mut wide {
+            *psel_bits = 32;
+        }
+        assert!(!wide.supports(&geom));
+        let rule = |side, every, rare| Some(Bimodal { side, every, rare });
+        assert!(!duel(vec![plru.clone(); 2], 0, rule(2, 32, 0)).supports(&geom));
+        assert!(!duel(vec![plru.clone(); 2], 0, rule(1, 0, 0)).supports(&geom));
+        assert!(!duel(vec![plru.clone(); 2], 0, rule(1, 32, 16)).supports(&geom));
+        // The leader layout must fit the sets: 4 sides x 4 leaders need
+        // 16 regions of at least 4 sets.
+        let four = duel(vec![plru; 4], 0, None);
+        assert!(four.supports(&geom));
+        let small = CacheGeometry::from_sets(8, 16, 64).unwrap();
+        assert!(!four.supports(&small));
+        assert!(SlicedCache::new(&small, &four).is_none());
     }
 
     // -- Kernel soundness sweep --------------------------------------------
@@ -1545,6 +2124,19 @@ mod tests {
         let err = kernel_soundness_sweep_poisoned(&SliceKernel::PlruIpv { ipv: vec![0; 5] }, 4)
             .unwrap_err();
         assert!(err.contains("lane boundary"), "{err}");
+    }
+
+    #[test]
+    fn kernel_sweep_catches_swapped_duel_sides() {
+        for ways in [4usize, 8] {
+            for kernel in kernels(ways) {
+                if matches!(kernel, SliceKernel::Duel { .. }) {
+                    let err = kernel_soundness_sweep_poisoned(&kernel, ways)
+                        .expect_err("swapped side tables must be caught");
+                    assert!(err.contains("Duel side"), "{err}");
+                }
+            }
+        }
     }
 
     #[test]

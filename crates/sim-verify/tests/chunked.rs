@@ -75,6 +75,26 @@ fn chunked(
     r.finish()
 }
 
+#[test]
+fn duel_policies_feed_the_sliced_engine() {
+    // `replay_llc` is always mono, so for these the chunked-feed property
+    // below is a sliced-versus-mono differential as well.
+    let geom = oracle_geometry();
+    let duels = ["dip", "drrip", "dgippr2", "dgippr4", "WI-4-DGIPPR"];
+    let roster = full_roster();
+    for name in duels {
+        let (_, f) = roster
+            .iter()
+            .find(|(n, _)| n == name)
+            .unwrap_or_else(|| panic!("{name} is in the roster"));
+        let r = Replayer::whole(geom, f(&geom), &WindowPerfModel::default());
+        assert!(
+            r.is_sliced(),
+            "{name}: the planned Replayer runs the duel kernel"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

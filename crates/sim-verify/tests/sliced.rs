@@ -6,11 +6,13 @@
 //! (hot_cold / scan_thrash / pointer_chase).
 //!
 //! The sliced engine interprets packed state (4 PLRU trees per `u64`,
-//! SWAR nibble stacks and RRPV arrays), so this is the roster-wide proof
-//! that the packing is exact, not approximate.
+//! SWAR nibble stacks and RRPV arrays, and set-dueling state beside them
+//! for DIP, DRRIP and DGIPPR), so this is the roster-wide proof that the
+//! packing is exact, not approximate.
 
 use mem_model::cpi::WindowPerfModel;
 use mem_model::{replay_llc, replay_llc_sliced};
+use sim_core::SliceKernel;
 use sim_verify::diff::{oracle_geometry, roster};
 use sim_verify::workloads::workloads;
 
@@ -31,11 +33,18 @@ fn sliced_replay_matches_mono_for_qualifying_roster() {
         .into_iter()
         .filter(|p| (p.optimized)(&geom).slice_kernel().is_some())
         .collect();
-    // LRU, PseudoLRU, SRRIP, RRIP-IPV, GIPPR/GIPLR family entries.
+    // LRU, PseudoLRU, SRRIP, GIPPR, GIPLR, RRIP-IPV, plus the duel
+    // kernels of DIP, DRRIP, 2-DGIPPR and 4-DGIPPR.
+    let names: Vec<&str> = qualifying.iter().map(|p| p.name).collect();
+    for duel in ["dip", "drrip", "dgippr2", "dgippr4"] {
+        assert!(
+            names.contains(&duel),
+            "{duel} must run on a duel kernel: {names:?}"
+        );
+    }
     assert!(
-        qualifying.len() >= 5,
-        "expected the set-local kernel roster, got {} pairs",
-        qualifying.len()
+        qualifying.len() >= 10,
+        "expected the set-local and duel kernel roster, got {names:?}"
     );
 
     for (wname, stream) in workloads(0x51ced, ACCESSES) {
@@ -57,19 +66,39 @@ fn sliced_replay_matches_mono_for_qualifying_roster() {
 }
 
 #[test]
-fn non_qualifying_policies_have_no_kernel() {
-    // Policies with global mutable state must not claim a kernel: the
-    // sliced engine never calls back into the policy object, so a duel or
-    // RNG policy advertising one would silently change semantics.
+fn kernels_are_advertised_only_where_they_are_exact() {
+    // The sliced engine never calls back into the policy object. A
+    // global-state policy may therefore only advertise a duel kernel,
+    // whose leader roles, PSEL counters and bimodal tick the engine
+    // carries itself; anything else global (RNG, samplers, predictors,
+    // ARC's target, a bypass duel) must advertise none.
     let geom = oracle_geometry();
     for pair in roster("all") {
         let p = (pair.optimized)(&geom);
         if p.shard_affinity() == sim_core::ShardAffinity::Global {
             assert!(
-                p.slice_kernel().is_none(),
-                "global-state policy {} must not advertise a slice kernel",
+                matches!(p.slice_kernel(), None | Some(SliceKernel::Duel { .. })),
+                "global-state policy {} may advertise only a duel kernel",
                 pair.name
             );
         }
+    }
+    for name in [
+        "random",
+        "pdp",
+        "ship",
+        "sdbp",
+        "ehc",
+        "arc",
+        "brrip",
+        "dgippr4-bypass",
+    ] {
+        let pair = roster(name)
+            .pop()
+            .unwrap_or_else(|| panic!("{name} is in the roster"));
+        assert!(
+            (pair.optimized)(&geom).slice_kernel().is_none(),
+            "{name} must not advertise a slice kernel"
+        );
     }
 }

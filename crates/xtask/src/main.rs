@@ -549,7 +549,7 @@ fn model_check(args: &[String]) -> usize {
 
     let roster = sim_verify::mck_roster(0x51CE);
     if let Some(f) = &policy_filter {
-        let paper = ["GIPPR", "GIPLR", "RRIP-IPV"];
+        let paper = ["GIPPR", "GIPLR", "RRIP-IPV", "DGIPPR"];
         if !roster.iter().any(|e| filter_matches(f, e.name))
             && !paper.iter().any(|p| filter_matches(f, p))
         {
@@ -856,7 +856,21 @@ fn kernel_sweep_pass(
             }
         }
         if ways == 16 {
-            let paper: [(&str, Box<dyn sim_core::ReplacementPolicy>); 3] = [
+            // The paper's duels on one leader per side (the sweep checks
+            // tables and side dispatch, not the layout).
+            let dgippr = |vectors: Vec<gippr::Ipv>| {
+                gippr::DgipprPolicy::with_config(&geom, vectors, 1, "DGIPPR")
+                    .expect("16-way paper vectors")
+            };
+            let paper: [(&str, Box<dyn sim_core::ReplacementPolicy>); 5] = [
+                (
+                    "DGIPPR[wi2]",
+                    Box::new(dgippr(gippr::vectors::wi_2dgippr().to_vec())),
+                ),
+                (
+                    "DGIPPR[wi4]",
+                    Box::new(dgippr(gippr::vectors::wi_4dgippr().to_vec())),
+                ),
                 (
                     "GIPPR[wi]",
                     Box::new(
@@ -989,6 +1003,38 @@ fn checker_selftests() -> usize {
         r.as_ref().is_err_and(|e| e.contains("on_hit")),
         format!("{r:?}"),
     );
+    // Swapped duel sides: the sweep must notice a side applying another
+    // side's table, for a PLRU duel and for a bimodal duel.
+    let geom = sim_core::CacheGeometry::from_sets(64, 4, 64).expect("valid probe geometry");
+    let duels: [(&str, Box<dyn sim_core::ReplacementPolicy>); 2] = [
+        (
+            "kernel sweep: swapped PLRU duel sides",
+            Box::new(
+                gippr::DgipprPolicy::with_config(
+                    &geom,
+                    vec![gippr::Ipv::lru(4), gippr::Ipv::lru_insertion(4)],
+                    1,
+                    "DGIPPR",
+                )
+                .expect("4-way duel"),
+            ),
+        ),
+        (
+            "kernel sweep: swapped bimodal duel sides",
+            Box::new(baselines::DrripPolicy::with_config(&geom, 1, 4).expect("4-way duel")),
+        ),
+    ];
+    for (label, policy) in duels {
+        let kernel = policy
+            .slice_kernel()
+            .expect("duel policies advertise a kernel");
+        let r = sim_core::slice::kernel_soundness_sweep_poisoned(&kernel, 4);
+        expect(
+            label,
+            r.as_ref().is_err_and(|e| e.contains("Duel side")),
+            format!("{r:?}"),
+        );
+    }
 
     // Poisoned ARC `p` update: the bounded checker must reach the
     // unclamped growth past ways * P_SCALE and report a minimal trail.

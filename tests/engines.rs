@@ -3,13 +3,14 @@
 //! Every harness roster policy must give the same result through the
 //! batch entry, a chunk-fed planned `Replayer` and sequential
 //! `replay_llc`; and the planner must send each roster member to its
-//! expected engine on the paper's and medium scale's LLCs, so a silent
-//! fallback to mono fails here.
+//! expected engine on the paper's and medium scale's LLCs — set-dueling
+//! members to the sliced duel kernel — so a silent fallback to mono
+//! fails here.
 
-use pseudolru_ipv::gippr::{GipprPolicy, Ipv};
+use pseudolru_ipv::gippr::{DgipprPolicy, GipprPolicy, Ipv};
 use pseudolru_ipv::harness::{policies, Scale};
 use pseudolru_ipv::model::{plan, replay_llc, replay_many, Engine, Replayer, WindowPerfModel};
-use pseudolru_ipv::sim::{Access, CacheGeometry, PolicyFactory};
+use pseudolru_ipv::sim::{Access, CacheGeometry, PolicyFactory, SliceKernel};
 
 /// The figure harness roster: the twelve baselines plus WI-GIPPR and
 /// WI-4-DGIPPR.
@@ -90,16 +91,34 @@ fn planner_sends_each_roster_member_to_its_engine() {
                         matches!(p.engine, Engine::Sliced(_)),
                         "slice kernel supports the geometry",
                     ),
+                    // Set dueling runs on the sliced engine's duel kernel.
+                    "DIP" | "DRRIP" | "WI-4-DGIPPR" => (
+                        matches!(p.engine, Engine::Sliced(SliceKernel::Duel { .. })),
+                        "slice kernel supports the geometry",
+                    ),
                     "FIFO" | "AWRP" if shards == 1 => (
                         p.engine == Engine::Mono,
                         "set-local without a kernel, one shard",
                     ),
                     "FIFO" | "AWRP" => (p.engine == Engine::Sharded, "set-local without a kernel"),
-                    _ => (p.engine == Engine::Mono, "global affinity"),
+                    "Random" | "PDP" | "SHiP" | "EHC" | "ARC" => {
+                        (p.engine == Engine::Mono, "global affinity")
+                    }
+                    other => panic!("no planner fact for roster member {other}"),
                 };
                 assert!(engine_ok, "{name} at {shards} shard(s): {p:?}");
                 assert_eq!(p.reason, reason, "{name} at {shards} shard(s)");
             }
+
+            // A bypass-enabled DGIPPR has a second duel and a
+            // `should_bypass`, which no kernel expresses.
+            let quad = pseudolru_ipv::gippr::vectors::wi_4dgippr().to_vec();
+            let bypass = DgipprPolicy::with_config(&geom, quad, 32, "WI-4-DGIPPR")
+                .and_then(|p| p.with_bypass(32))
+                .unwrap();
+            let p = plan(&bypass, &geom, shards);
+            assert_eq!(p.engine, Engine::Mono, "bypass DGIPPR at {shards} shard(s)");
+            assert_eq!(p.reason, "global affinity");
         }
     }
 
@@ -111,5 +130,14 @@ fn planner_sends_each_roster_member_to_its_engine() {
         let p = plan(&gippr32, &wide, shards);
         assert_eq!(p.engine, want);
         assert!(p.reason.contains("plru-ipv kernel declined"), "{p:?}");
+    }
+    // A 32-way DGIPPR's duel kernel is declined the same way; the duel is
+    // cache-global, so it falls to mono at any shard count.
+    let pair = vec![Ipv::lru(32), Ipv::lru_insertion(32)];
+    let dgippr32 = DgipprPolicy::with_config(&wide, pair, 32, "2-DGIPPR").unwrap();
+    for shards in [1, 2] {
+        let p = plan(&dgippr32, &wide, shards);
+        assert_eq!(p.engine, Engine::Mono);
+        assert_eq!(p.reason, "duel kernel declined the geometry", "{p:?}");
     }
 }
