@@ -2,10 +2,10 @@
 //!
 //! The `sim-lint` checker is generic over its tree substrate, so these
 //! tests prove the invariants — victim totality, the position↔tree
-//! bijection, valid-mask prefix closure, promotion convergence — for the
-//! bit-packed tree the simulator actually ships, not a model of it.
-//! Debug-profile tests stop at 8 ways to stay fast; `cargo xtask
-//! model-check` runs the same sweeps at 16 ways in release.
+//! bijection and its write round-trip, promotion convergence from every
+//! tree state — for the bit-packed tree the simulator actually ships, not
+//! a model of it. Debug-profile rule sweeps stop at 8 ways to stay fast;
+//! `cargo xtask model-check` runs them at 16 ways in release.
 
 use gippr::{vectors, PlruTree};
 use sim_lint::{cross_check, MirrorTree, ModelChecker, PromotionRule};

@@ -764,9 +764,12 @@ mod tests {
         if !sim_fault::COMPILED_IN {
             return;
         }
-        let dir = std::env::temp_dir().join(format!("wlc-enospc-{}", std::process::id()));
+        // The plan targets this test's own directory: sibling tests write
+        // `.wlc` spills concurrently and must not see the fault.
+        let tag = format!("wlc-enospc-{}", std::process::id());
+        let dir = std::env::temp_dir().join(&tag);
         let _ = fs::remove_dir_all(&dir);
-        sim_fault::with_plan("enospc@.wlc:sticky", || {
+        sim_fault::with_plan(&format!("enospc@{tag}:sticky"), || {
             let cache = WorkloadCache::new();
             cache.set_disk_dir(Some(dir.clone()));
             let data = cache.workload(Scale::Micro, bench());
@@ -789,9 +792,10 @@ mod tests {
         if !sim_fault::COMPILED_IN {
             return;
         }
-        let dir = std::env::temp_dir().join(format!("wlc-torn-{}", std::process::id()));
+        let tag = format!("wlc-torn-{}", std::process::id());
+        let dir = std::env::temp_dir().join(&tag);
         let _ = fs::remove_dir_all(&dir);
-        sim_fault::with_plan("torn@.wlc:n=1", || {
+        sim_fault::with_plan(&format!("torn@{tag}:n=1"), || {
             let writer = WorkloadCache::new();
             writer.set_disk_dir(Some(dir.clone()));
             let _ = writer.workload(Scale::Micro, bench());
@@ -820,13 +824,14 @@ mod tests {
         if !sim_fault::COMPILED_IN {
             return;
         }
-        let dir = std::env::temp_dir().join(format!("wlc-corrupt-{}", std::process::id()));
+        let tag = format!("wlc-corrupt-{}", std::process::id());
+        let dir = std::env::temp_dir().join(&tag);
         let _ = fs::remove_dir_all(&dir);
         // The corrupt fault flips one payload byte but lets the commit
         // succeed: a damaged spill lands on disk. Either the embedded
         // trace CRC, the metadata CRC, or the header check must reject it
         // deterministically, falling back to a fresh capture.
-        sim_fault::with_plan("corrupt@.wlc:n=1", || {
+        sim_fault::with_plan(&format!("corrupt@{tag}:n=1"), || {
             let writer = WorkloadCache::new();
             writer.set_disk_dir(Some(dir.clone()));
             let _ = writer.workload(Scale::Micro, bench());

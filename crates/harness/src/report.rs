@@ -323,7 +323,8 @@ mod tests {
 
         let mut new = Table::new("t", &["a"]);
         new.row(vec!["new".into()]);
-        sim_fault::with_plan("torn", || {
+        // Targeted, so a sibling test's write cannot take the fault.
+        sim_fault::with_plan("torn@plru-test-csv-torn", || {
             let err = new.write_csv(&path).unwrap_err();
             assert!(err.to_string().contains("torn"), "unexpected error: {err}");
         });

@@ -78,8 +78,5 @@ pub use persist::{atomic_write, atomic_write_with};
 pub use policy::{PolicyFactory, ReplacementPolicy, ShardAffinity};
 pub use sample::SampledStream;
 pub use shard::{ShardRun, ShardedStream};
-pub use slice::{
-    kernel_soundness_sweep, Bimodal, KernelSweepReport, SliceKernel, SlicedCache, SlicedTree,
-    SlicedTreeLane,
-};
+pub use slice::{kernel_soundness_sweep, Bimodal, KernelSweepReport, SliceKernel, SlicedCache};
 pub use stats::CacheStats;

@@ -36,16 +36,16 @@
 //!   lane bits:  b14 .. b1 b0 | pad                      node i at bit i-1
 //! ```
 //!
-//! The packed state is model-checked twice over. [`SlicedTree`] implements
-//! `sim_lint::PlruState`, so `cargo xtask model-check` sweeps its full
-//! state space at every lane offset, with sibling lanes filled with a
-//! poison pattern whose integrity is asserted on every state read — any
-//! cross-lane contamination is caught immediately. And
-//! [`kernel_soundness_sweep`] drives the *actual replay interpreters*
-//! (`PlruLanes`, `StackList`, `RripNibbles`, alone or under a duel's side
-//! dispatch) transition by transition against independent scalar models
-//! for every kernel shape at every lane offset, exhaustively wherever the
-//! state space permits.
+//! [`kernel_soundness_sweep`] checks the packed state that actually runs:
+//! it drives the replay interpreters (`PlruLanes`, `StackList`,
+//! `RripNibbles`, alone or under a duel's side dispatch) transition by
+//! transition against independent scalar models for every kernel shape at
+//! every lane offset, exhaustively wherever the state space permits. For
+//! the PLRU family the model is `sim_lint::MirrorTree`, every
+//! `(way, position)` lane write is checked as well as every hit and fill,
+//! and sibling lanes hold a poison pattern whose integrity (with the pad
+//! bit) is asserted after every operation, so any cross-lane
+//! contamination is caught immediately.
 
 #![forbid(unsafe_code)]
 
@@ -55,6 +55,7 @@ use crate::dueling::{LeaderMap, Selector, SetRole};
 use crate::geometry::CacheGeometry;
 use crate::simd::scan_masks;
 use crate::stats::CacheStats;
+use sim_lint::{MirrorTree, PlruState};
 
 /// A plain-data description of a qualifying replacement policy, complete
 /// enough for [`SlicedCache`] to reproduce its transitions exactly.
@@ -200,7 +201,7 @@ impl SliceKernel {
 // ---------------------------------------------------------------------------
 // PLRU lane math. One runtime-`ways` implementation serves both the hot
 // kernel (where `ways` is a const-propagated literal, so the walks unroll)
-// and the model-checked `SlicedTree`.
+// and the kernel soundness sweep, which checks it lane by lane.
 // ---------------------------------------------------------------------------
 
 /// Victim walk over the tree in the lane at bit offset `off`: follow node
@@ -258,155 +259,10 @@ fn tree_mask(ways: usize) -> u64 {
     (1u64 << (ways - 1)) - 1
 }
 
-/// Deterministic non-zero filler for inactive lanes of a [`SlicedTree`].
+/// Deterministic non-zero filler for the lanes the soundness sweep is not
+/// driving.
 fn lane_poison(ways: usize, lane: usize) -> u64 {
     0x9e37_79b9_7f4a_7c15u64.rotate_left(lane as u32 * 7) & tree_mask(ways)
-}
-
-/// One PLRU tree living in a chosen lane of a packed `u64` word, with
-/// every *other* lane filled with a poison pattern that is re-asserted on
-/// each state read — the model-checkable face of the bit-sliced tree.
-///
-/// Semantics (victim walk, position algebra) are exactly those of
-/// `gippr::PlruTree`; the `sim_lint::PlruState` impl lets the exhaustive
-/// model checker sweep the full `2^(k-1)` state space per lane offset,
-/// proving both the tree invariants and lane isolation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlicedTree {
-    word: u64,
-    ways: usize,
-    lane: usize,
-}
-
-impl SlicedTree {
-    /// Builds a tree with bit pattern `bits` in lane `lane`, poison
-    /// elsewhere.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `ways` is a power of two in `2..=16`, `lane` is
-    /// below `64 / ways`, and `bits` fits in `ways - 1` bits.
-    pub fn at_lane(ways: usize, bits: u64, lane: usize) -> Self {
-        assert!(
-            ways.is_power_of_two() && (2..=16).contains(&ways),
-            "sliced tree supports power-of-two ways in 2..=16, got {ways}"
-        );
-        let lanes = 64 / ways;
-        assert!(lane < lanes, "lane {lane} out of range for {ways}-way");
-        assert!(
-            bits >> (ways - 1) == 0,
-            "bits {bits:#x} exceed the {} tree bits",
-            ways - 1
-        );
-        let mut word = bits << (lane * ways);
-        for l in 0..lanes {
-            if l != lane {
-                word |= lane_poison(ways, l) << (l * ways);
-            }
-        }
-        SlicedTree { word, ways, lane }
-    }
-
-    /// The lane this tree occupies.
-    pub fn lane(&self) -> usize {
-        self.lane
-    }
-
-    /// Associativity.
-    pub fn ways(&self) -> usize {
-        self.ways
-    }
-
-    #[inline]
-    fn off(&self) -> u32 {
-        (self.lane * self.ways) as u32
-    }
-
-    /// This lane's tree bits in the canonical encoding (node `i` at bit
-    /// `i - 1`), verifying on the way out that every sibling lane's
-    /// poison — and this lane's pad bit — survived intact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any bit outside this lane's tree bits changed: that
-    /// would mean a lane operation leaked across a lane boundary.
-    pub fn tree_bits(&self) -> u64 {
-        let lanes = 64 / self.ways;
-        for l in 0..lanes {
-            let lane_bits = (self.word >> (l * self.ways)) & ((1u64 << self.ways) - 1);
-            if l != self.lane {
-                assert_eq!(
-                    lane_bits,
-                    lane_poison(self.ways, l),
-                    "lane {l} poison clobbered by an operation on lane {}",
-                    self.lane
-                );
-            } else {
-                assert_eq!(lane_bits >> (self.ways - 1), 0, "pad bit written");
-            }
-        }
-        (self.word >> self.off()) & tree_mask(self.ways)
-    }
-
-    /// The PseudoLRU victim way of this lane.
-    pub fn victim(&self) -> usize {
-        lane_victim(self.word, self.off(), self.ways)
-    }
-
-    /// `way`'s pseudo recency position (0 = MRU, `ways - 1` = victim).
-    pub fn position(&self, way: usize) -> usize {
-        assert!(way < self.ways, "way {way} out of range");
-        lane_position(self.word, self.off(), self.ways, way)
-    }
-
-    /// Rewrites `way`'s root-to-leaf path so it occupies `position`.
-    pub fn set_position(&mut self, way: usize, position: usize) {
-        assert!(way < self.ways, "way {way} out of range");
-        assert!(position < self.ways, "position {position} out of range");
-        self.word = lane_set_position(self.word, self.off(), self.ways, way, position);
-    }
-}
-
-/// [`SlicedTree`] pinned to a compile-time lane, so the `sim_lint` model
-/// checker (whose [`PlruState`](sim_lint::PlruState) constructor carries
-/// only `(ways, bits)`) can be instantiated per lane offset. For small
-/// associativities with more than `LANE + 1` lanes the requested lane is
-/// taken modulo the lane count, keeping every `(ways, LANE)` combination
-/// valid.
-#[derive(Debug, Clone)]
-pub struct SlicedTreeLane<const LANE: usize>(SlicedTree);
-
-impl<const LANE: usize> SlicedTreeLane<LANE> {
-    /// The underlying packed tree.
-    pub fn inner(&self) -> &SlicedTree {
-        &self.0
-    }
-}
-
-impl<const LANE: usize> sim_lint::PlruState for SlicedTreeLane<LANE> {
-    fn from_bits(ways: usize, bits: u64) -> Self {
-        SlicedTreeLane(SlicedTree::at_lane(ways, bits, LANE % (64 / ways)))
-    }
-
-    fn bits(&self) -> u64 {
-        self.0.tree_bits()
-    }
-
-    fn ways(&self) -> usize {
-        self.0.ways()
-    }
-
-    fn victim(&self) -> usize {
-        self.0.victim()
-    }
-
-    fn position(&self, way: usize) -> usize {
-        self.0.position(way)
-    }
-
-    fn set_position(&mut self, way: usize, position: usize) {
-        self.0.set_position(way, position)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -827,66 +683,6 @@ impl<W: Words> ReplState for Duel<W> {
 // by transition against independent scalar models.
 // ---------------------------------------------------------------------------
 
-/// A deliberately naive PLRU tree (`Vec<bool>` nodes, heap-indexed from 1)
-/// coded without bit packing: the independent scalar reference the kernel
-/// soundness sweep and the in-crate tests compare the packed lanes against.
-#[derive(Clone)]
-struct NaiveTree {
-    node: Vec<bool>, // node[i] for i in 1..ways
-    ways: usize,
-}
-
-impl NaiveTree {
-    fn new(ways: usize, bits: u64) -> Self {
-        NaiveTree {
-            node: (0..=ways)
-                .map(|i| i >= 1 && (bits >> (i - 1)) & 1 == 1)
-                .collect(),
-            ways,
-        }
-    }
-
-    fn victim(&self) -> usize {
-        let mut n = 1;
-        while n < self.ways {
-            n = 2 * n + usize::from(self.node[n]);
-        }
-        n - self.ways
-    }
-
-    fn position(&self, way: usize) -> usize {
-        let mut n = self.ways + way;
-        let mut pos = 0;
-        let mut i = 0;
-        while n > 1 {
-            let toward = if n % 2 == 1 {
-                self.node[n / 2]
-            } else {
-                !self.node[n / 2]
-            };
-            pos |= usize::from(toward) << i;
-            n /= 2;
-            i += 1;
-        }
-        pos
-    }
-
-    fn set_position(&mut self, way: usize, position: usize) {
-        let mut n = self.ways + way;
-        let mut i = 0;
-        while n > 1 {
-            let bit = (position >> i) & 1 == 1;
-            self.node[n / 2] = if n % 2 == 1 { bit } else { !bit };
-            n /= 2;
-            i += 1;
-        }
-    }
-
-    fn bits(&self) -> u64 {
-        (1..self.ways).fold(0, |acc, i| acc | (u64::from(self.node[i]) << (i - 1)))
-    }
-}
-
 /// Outcome of one [`kernel_soundness_sweep`] run over a single kernel at a
 /// single associativity.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -897,7 +693,8 @@ pub struct KernelSweepReport {
     /// Distinct start states driven (per lane for the PLRU family, per
     /// side and role for a duel).
     pub states: u64,
-    /// Packed transitions checked against the scalar model.
+    /// Packed transitions checked against the scalar model (for the PLRU
+    /// family, every `(way, position)` lane write too).
     pub transitions: u64,
     /// Whether the start states covered the entire state space. True for
     /// every PLRU sweep and for nibble kernels up to 8 ways; the 16-way
@@ -922,8 +719,10 @@ enum SweepDefect {
 /// (every *reachable* state is a subset; a deterministic walk substitutes
 /// where the space is astronomically large), and every
 /// `victim`/`on_hit`/`on_fill` transition out of each. PLRU-family checks
-/// additionally assert that sibling-lane poison and the pad bit survive
-/// every operation, so a cross-lane leak cannot hide.
+/// additionally check every position read and every `(way, position)`
+/// lane write against `sim_lint::MirrorTree`, and assert that sibling-lane
+/// poison and the pad bit survive every operation, so a cross-lane leak
+/// cannot hide.
 ///
 /// A [`SliceKernel::Duel`] is swept once per side and role: every set a
 /// leader of that side, then every set a follower with that side winning.
@@ -970,7 +769,14 @@ fn sweep(
         single => single,
     };
     match family {
-        SliceKernel::PlruIpv { .. } => sweep_with::<PlruLanes>(kernel, family, ways, defect),
+        SliceKernel::PlruIpv { .. } => {
+            // The lane writes are table-independent: check them once per
+            // kernel rather than once per duel side and role.
+            let writes = sweep_plru_writes(ways)?;
+            let mut report = sweep_with::<PlruLanes>(kernel, family, ways, defect)?;
+            report.transitions += writes;
+            Ok(report)
+        }
         SliceKernel::StackIpv { .. } => sweep_with::<StackList>(kernel, family, ways, defect),
         SliceKernel::RripIpv { .. } => sweep_with::<RripNibbles>(kernel, family, ways, defect),
         SliceKernel::Duel { .. } => unreachable!("supports_ways rejects nested duels"),
@@ -1090,6 +896,100 @@ impl SideModel {
     }
 }
 
+/// Sibling poison for a word whose live lane is `lane`: every other lane
+/// holds its [`lane_poison`] pattern.
+fn sibling_poison(ways: usize, lane: usize) -> u64 {
+    (0..64 / ways)
+        .filter(|&l| l != lane)
+        .fold(0, |word, l| word | lane_poison(ways, l) << (l * ways))
+}
+
+/// What is wrong with `word` after an operation on `lane`, if anything:
+/// the pad bit written, a sibling lane's poison clobbered, or tree bits
+/// other than `expect`.
+#[inline(always)]
+fn lane_fault(word: u64, sibling: u64, ways: usize, lane: usize, expect: u64) -> Option<String> {
+    let off = lane * ways;
+    if word == sibling | (expect << off) {
+        return None;
+    }
+    let lane_mask = (1u64 << ways) - 1;
+    let lane_field = (word >> off) & lane_mask;
+    if lane_field >> (ways - 1) != 0 {
+        return Some("wrote the pad bit".to_string());
+    }
+    if word & !(lane_mask << off) != sibling {
+        return Some(format!(
+            "leaked across the lane boundary (sibling poison clobbered, word {word:#018x})"
+        ));
+    }
+    if lane_field != expect {
+        return Some(format!(
+            "produced tree bits {lane_field:#x}, scalar model says {expect:#x}"
+        ));
+    }
+    None
+}
+
+/// Checks the position algebra of [`PlruLanes`] against
+/// [`MirrorTree`](sim_lint::MirrorTree): from every tree state, every
+/// way's position read and every `(way, position)` write, at every lane
+/// offset. Returns the number of writes checked.
+fn sweep_plru_writes(ways: usize) -> Result<u64, String> {
+    // Literal arguments, as in `SlicedCache::feed`: the lane math folds to
+    // shifts, which keeps the 16-way sweep's 34M writes cheap.
+    match ways {
+        2 => plru_writes_at(2),
+        4 => plru_writes_at(4),
+        8 => plru_writes_at(8),
+        _ => plru_writes_at(16),
+    }
+}
+
+#[inline(always)]
+fn plru_writes_at(ways: usize) -> Result<u64, String> {
+    let lanes = 64 / ways;
+    let mut packed = PlruLanes::new(lanes, ways);
+    let siblings: Vec<u64> = (0..lanes).map(|lane| sibling_poison(ways, lane)).collect();
+    let mut writes = 0u64;
+    for bits in 0..1u64 << (ways - 1) {
+        let mirror = MirrorTree::from_bits(ways, bits);
+        for way in 0..ways {
+            let want = mirror.position(way);
+            for (lane, &sibling) in siblings.iter().enumerate() {
+                let (_, off) = PlruLanes::locate(ways, lane);
+                let got = lane_position(sibling | (bits << off), off, ways, way);
+                if got != want {
+                    return Err(format!(
+                        "PlruLanes {ways}-way lane {lane}: position(way {way}) from state \
+                         {bits:#x} is {got}, scalar model says {want}"
+                    ));
+                }
+            }
+            // A write rewrites the way's whole path, so successive writes
+            // into one copy each start from `bits` off the path.
+            let mut m = mirror.clone();
+            for pos in 0..ways {
+                m.set_position(way, pos);
+                let expect = m.bits();
+                for (lane, &sibling) in siblings.iter().enumerate() {
+                    let (_, off) = PlruLanes::locate(ways, lane);
+                    packed.words[0] = sibling | (bits << off);
+                    packed.place(ways, lane, way, pos as u8);
+                    writes += 1;
+                    if let Some(fault) = lane_fault(packed.words[0], sibling, ways, lane, expect) {
+                        return Err(format!(
+                            "PlruLanes {ways}-way lane {lane}: set_position(way {way}, pos \
+                             {pos}) from state {bits:#x} {fault}"
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    Ok(writes)
+}
+
 fn sweep_plru<S: ReplState>(
     st: &mut S,
     model: &mut SideModel,
@@ -1099,52 +999,30 @@ fn sweep_plru<S: ReplState>(
 ) -> Result<KernelSweepReport, String> {
     let lanes = 64 / ways;
     let tree_states = 1u64 << (ways - 1);
-    let lane_mask = (1u64 << ways) - 1;
     let mut transitions = 0u64;
     for lane in 0..lanes {
         let off = (lane * ways) as u32;
-        let mut sibling = 0u64;
-        for l in 0..lanes {
-            if l != lane {
-                sibling |= lane_poison(ways, l) << (l * ways);
-            }
-        }
+        let sibling = sibling_poison(ways, lane);
         // One word hosts all lanes (`sets == lanes`); ops target `lane`.
         let check = |word: u64, expect: u64, op: &str, way: usize, bits: u64| {
-            let lane_field = (word >> off) & lane_mask;
-            if lane_field >> (ways - 1) != 0 {
-                return Err(format!(
-                    "{label} {ways}-way lane {lane}: {op}(way {way}) from state {bits:#x} \
-                     wrote the pad bit"
-                ));
-            }
-            if word & !(lane_mask << off) != sibling {
-                return Err(format!(
-                    "{label} {ways}-way lane {lane}: {op}(way {way}) from state {bits:#x} \
-                     leaked across the lane boundary (sibling poison clobbered, word \
-                     {word:#018x})"
-                ));
-            }
-            if lane_field != expect {
-                return Err(format!(
-                    "{label} {ways}-way lane {lane}: {op}(way {way}) from state {bits:#x} \
-                     produced tree bits {lane_field:#x}, scalar model says {expect:#x}"
-                ));
-            }
-            Ok(())
+            lane_fault(word, sibling, ways, lane, expect).map_or(Ok(()), |fault| {
+                Err(format!(
+                    "{label} {ways}-way lane {lane}: {op}(way {way}) from state {bits:#x} {fault}"
+                ))
+            })
         };
         for bits in 0..tree_states {
             let start = sibling | (bits << off);
-            let naive = NaiveTree::new(ways, bits);
+            let mirror = MirrorTree::from_bits(ways, bits);
 
             st.words()[0] = start;
             let got = st.victim(ways, lane);
             transitions += 1;
-            if got != naive.victim() {
+            if got != mirror.victim() {
                 return Err(format!(
                     "{label} {ways}-way lane {lane}: victim from state {bits:#x} is way \
                      {got}, scalar model says {}",
-                    naive.victim()
+                    mirror.victim()
                 ));
             }
             if st.words()[0] != start {
@@ -1160,7 +1038,7 @@ fn sweep_plru<S: ReplState>(
                 if defect == SweepDefect::Seeded {
                     st.words()[0] ^= 1u64 << (((lane + 1) % lanes) * ways);
                 }
-                let mut n = naive.clone();
+                let mut n = mirror.clone();
                 let pos = n.position(way);
                 n.set_position(way, usize::from(model.promo[pos]));
                 transitions += 1;
@@ -1168,7 +1046,7 @@ fn sweep_plru<S: ReplState>(
 
                 st.words()[0] = start;
                 st.on_fill(ways, lane, way);
-                let mut n = naive.clone();
+                let mut n = mirror.clone();
                 n.set_position(way, usize::from(model.next_insert()));
                 transitions += 1;
                 check(st.words()[0], n.bits(), "on_fill", way, bits)?;
@@ -1624,7 +1502,6 @@ mod tests {
     use crate::access::{Access, AccessContext};
     use crate::cache::SetAssocCache;
     use crate::policy::{ReplacementPolicy, ShardAffinity};
-    use sim_lint::PlruState;
 
     // -- SWAR helpers against naive models ---------------------------------
 
@@ -1686,66 +1563,6 @@ mod tests {
         }
     }
 
-    // -- Sliced tree vs the independent naive tree --------------------------
-
-    #[test]
-    fn sliced_tree_matches_naive_tree_at_every_lane() {
-        for ways in [2usize, 4, 8, 16] {
-            let states = 1u64 << (ways - 1);
-            // Exhaustive for ways <= 8; strided sample at 16.
-            let stride = if ways == 16 { 641 } else { 1 };
-            for lane in 0..64 / ways {
-                let mut bits = 0u64;
-                while bits < states {
-                    let t = SlicedTree::at_lane(ways, bits, lane);
-                    let n = NaiveTree::new(ways, bits);
-                    assert_eq!(t.victim(), n.victim(), "ways={ways} lane={lane}");
-                    for w in 0..ways {
-                        assert_eq!(t.position(w), n.position(w));
-                        for p in 0..ways {
-                            let mut t2 = t.clone();
-                            let mut n2 = n.clone();
-                            t2.set_position(w, p);
-                            n2.set_position(w, p);
-                            assert_eq!(
-                                t2.tree_bits(),
-                                n2.bits(),
-                                "ways={ways} lane={lane} bits={bits:#x} w={w} p={p}"
-                            );
-                        }
-                    }
-                    bits += stride;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sliced_tree_lane_plru_state_round_trips() {
-        for ways in [2usize, 4, 8, 16] {
-            let bits = 0x5a5a & ((1u64 << (ways - 1)) - 1);
-            let t = <SlicedTreeLane<3> as PlruState>::from_bits(ways, bits);
-            assert_eq!(t.bits(), bits);
-            assert_eq!(PlruState::ways(&t), ways);
-            let mut t2 = t.clone();
-            for w in 0..ways {
-                for p in 0..ways {
-                    t2.set_position(w, p);
-                    assert_eq!(t2.position(w), p);
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "poison")]
-    fn cross_lane_write_is_detected() {
-        let mut t = SlicedTree::at_lane(16, 0, 1);
-        // Simulate a stray write into lane 0's bits.
-        t.word ^= 1;
-        let _ = t.tree_bits();
-    }
-
     // -- Whole-kernel differential: sliced replay vs SetAssocCache ---------
 
     /// Interprets a [`SliceKernel`] naively as a boxed policy, so the
@@ -1757,7 +1574,7 @@ mod tests {
     /// set plays.
     struct NaiveKernelPolicy {
         kernel: SliceKernel,
-        trees: Vec<NaiveTree>,
+        trees: Vec<MirrorTree>,
         stacks: Vec<Vec<usize>>, // pos[way] per set
         rrpv: Vec<Vec<u8>>,
         ways: usize,
@@ -1783,7 +1600,7 @@ mod tests {
             };
             NaiveKernelPolicy {
                 kernel,
-                trees: vec![NaiveTree::new(ways, 0); sets],
+                trees: vec![MirrorTree::new(ways); sets],
                 stacks: vec![(0..ways).collect(); sets],
                 rrpv: vec![vec![3u8; ways]; sets],
                 ways,
@@ -2100,7 +1917,7 @@ mod tests {
         }
         // 16-way nibble kernels fall back to the deterministic walk; the
         // exhaustive 16-way PLRU sweep runs from xtask model-check in
-        // release, where its 4M transitions are cheap.
+        // release, where its 4M transitions and 34M lane writes are cheap.
         let r = kernel_soundness_sweep(&SliceKernel::StackIpv { ipv: vec![0; 17] }, 16).unwrap();
         assert!(!r.exhaustive);
         let r = kernel_soundness_sweep(
@@ -2111,6 +1928,20 @@ mod tests {
         )
         .unwrap();
         assert!(!r.exhaustive);
+    }
+
+    #[test]
+    fn plru_sweep_checks_every_lane_write() {
+        for ways in [2u64, 4, 8] {
+            let kernel = SliceKernel::PlruIpv {
+                ipv: vec![0; ways as usize + 1],
+            };
+            let r = kernel_soundness_sweep(&kernel, ways as usize).unwrap();
+            // Per lane and tree state: the victim, a hit and a fill per
+            // way, and a write per (way, position).
+            let per_state = 1 + 2 * ways + ways * ways;
+            assert_eq!(r.transitions, (64 / ways) * (1 << (ways - 1)) * per_state);
+        }
     }
 
     #[test]

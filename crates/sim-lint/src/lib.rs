@@ -19,16 +19,16 @@
 //!   vector at construction and by `evolve` to prune degenerate genomes
 //!   before spending a fitness evaluation on them.
 //! * [`mck`] — the exhaustive model checker: sweeps the complete PLRU
-//!   tree-state space and BFS-explores the reachable (tree × valid-mask)
-//!   product under real policy dynamics, proving victim-selection
-//!   totality, the position↔tree bijection round-trip, valid-mask prefix
-//!   closure, and promotion convergence — emitting a minimal
-//!   counterexample event sequence on failure. Generic over
-//!   [`PlruState`], so the *production* `gippr::PlruTree` is what gets
-//!   checked, not a model of it.
+//!   tree-state space, proving victim-selection totality, the
+//!   position↔tree bijection and its write round-trip, and promotion
+//!   convergence under a promotion rule, and names the offending tree
+//!   state on failure. Generic over [`PlruState`], so the *production*
+//!   `gippr::PlruTree` is what gets checked, not a model of it.
 //! * [`mirror`] — [`MirrorTree`](mirror::MirrorTree), an independently
-//!   coded naive tree substrate used to self-test the checker and to
-//!   cross-check bit-packed implementations.
+//!   coded naive tree substrate used to self-test the checker, to
+//!   cross-check `gippr::PlruTree` over the complete state space, and as
+//!   the scalar reference `sim-core`'s kernel soundness sweep checks the
+//!   packed PLRU lanes against.
 //! * [`bounded`] — the roster-wide *bounded* model checker: breadth-first
 //!   search with state hashing over any [`PolicyState`](bounded::PolicyState)
 //!   — an opaque, resettable state machine with a finite input alphabet and
@@ -47,7 +47,5 @@ pub mod mirror;
 
 pub use bounded::{BoundedChecker, BoundedReport, BoundedTrail, PolicyState, StopReason};
 pub use ipv::{analyze, IpvAnalysis, IpvClass, IpvLint, IpvLintError};
-pub use mck::{
-    cross_check, CheckReport, Counterexample, Event, ModelChecker, PlruState, PromotionRule,
-};
+pub use mck::{cross_check, CheckReport, Counterexample, ModelChecker, PlruState, PromotionRule};
 pub use mirror::MirrorTree;

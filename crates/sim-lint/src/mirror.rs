@@ -3,11 +3,14 @@
 //! [`MirrorTree`] reimplements the paper's four tree algorithms (victim
 //! walk, promote, position read, position write) over a `Vec<bool>` of
 //! node bits — no packing, no bit tricks — as an independent second
-//! implementation. The model checker's self-tests run against it, and
-//! [`mck::cross_check`](crate::mck::cross_check) sweeps it against the
-//! production bit-packed tree over the *complete* state space, turning
-//! the differential-testing idea of `sim-verify` into a proof for the
-//! tree algebra.
+//! implementation. The model checker's self-tests run against it, and it
+//! is the one naive reference the packed trees are checked against over
+//! the *complete* state space: [`mck::cross_check`](crate::mck::cross_check)
+//! sweeps it against the production `gippr::PlruTree`, and `sim-core`'s
+//! kernel soundness sweep checks every lane write and hit/fill transition
+//! of the bit-sliced replay state against it. Together they turn the
+//! differential-testing idea of `sim-verify` into a proof for the tree
+//! algebra.
 
 use crate::mck::PlruState;
 

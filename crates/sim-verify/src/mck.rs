@@ -33,9 +33,9 @@
 //! * [`mattson_qualification_audit`] — the single-pass Mattson profiler
 //!   trusts [`sim_core::mattson::policy_qualifies`] to admit only
 //!   LRU-equivalent policies to its fast path; the audit replays every
-//!   qualifying roster policy against an independent list-based LRU
-//!   reference over exhaustive short streams and returns the qualifying
-//!   set so callers can pin it.
+//!   qualifying roster policy against the independent list-based
+//!   [`RefLru`] reference over exhaustive short streams and returns the
+//!   qualifying set so callers can pin it.
 //!
 //! Each checker is validated against a seeded defect: [`SneakyGlobal`]
 //! (a fixture that claims `SetLocal` while routing a global counter into
@@ -54,6 +54,8 @@ use baselines::{
 use gippr::PlruPolicy;
 use sim_core::{Access, CacheGeometry, ReplacementPolicy, ShardAffinity};
 use sim_lint::PolicyState;
+
+use crate::refmodels::RefLru;
 
 /// A cloneable policy constructor. Unlike `sim_core::policy::PolicyFactory`
 /// (a `Box`), the `Arc` lets one roster entry build the many independent
@@ -202,11 +204,6 @@ impl PolicyModel {
     /// The policy name this model wraps.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The block address input `input` accesses.
-    pub fn input_block(&self, input: usize) -> u64 {
-        self.blocks[input]
     }
 
     /// The set the given input's block maps to.
@@ -481,59 +478,13 @@ impl ReplacementPolicy for SneakyGlobal {
     }
 }
 
-/// Independent list-based LRU reference for the Mattson qualification
-/// audit: per-set way order from LRU to MRU, fills preferring the lowest
-/// invalid way (matching [`PolicyModel`]'s fill protocol).
-struct RefLru {
-    geom: CacheGeometry,
-    slots: Vec<Option<u64>>,
-    order: Vec<Vec<usize>>,
-}
-
-impl RefLru {
-    fn new(geom: CacheGeometry) -> Self {
-        RefLru {
-            geom,
-            slots: vec![None; geom.sets() * geom.ways()],
-            order: vec![Vec::new(); geom.sets()],
-        }
-    }
-
-    fn step(&mut self, block: u64) -> StepOutcome {
-        let set = self.geom.set_of_block(block);
-        let tag = self.geom.tag_of_block(block);
-        let ways = self.geom.ways();
-        let base = set * ways;
-        if let Some(way) = (0..ways).find(|&w| self.slots[base + w] == Some(tag)) {
-            self.order[set].retain(|&w| w != way);
-            self.order[set].push(way);
-            return StepOutcome {
-                hit: true,
-                evicted: None,
-            };
-        }
-        let (fill, evicted) = match (0..ways).find(|&w| self.slots[base + w].is_none()) {
-            Some(w) => (w, None),
-            None => {
-                let w = self.order[set].remove(0);
-                (w, Some(w))
-            }
-        };
-        self.slots[base + fill] = Some(tag);
-        self.order[set].retain(|&w| w != fill);
-        self.order[set].push(fill);
-        StepOutcome {
-            hit: false,
-            evicted,
-        }
-    }
-}
-
 /// Audits the Mattson fast-path gate: replays every roster policy that
-/// [`sim_core::mattson::policy_qualifies`] admits against an independent
-/// list-based LRU reference over *all* input streams of length `depth`
-/// drawn from a `sets * blocks_per_set` block alphabet, and returns the
-/// qualifying names so callers can pin the set.
+/// [`sim_core::mattson::policy_qualifies`] admits against the independent
+/// list-based [`RefLru`] reference, both behind [`PolicyModel`]'s cache
+/// protocol, over *all* input streams of length `depth` drawn from a
+/// `sets * blocks_per_set` block alphabet, and returns the qualifying
+/// names so callers can pin the set. The model asks for a victim only once
+/// a set is full, where the reference's order is plain LRU.
 ///
 /// # Errors
 ///
@@ -546,6 +497,8 @@ pub fn mattson_qualification_audit(
     depth: usize,
 ) -> Result<Vec<&'static str>, String> {
     let mut qualifying = Vec::new();
+    let build_ref: SharedFactory = Arc::new(|g| Box::new(RefLru::new(g)));
+    let mut reference = PolicyModel::new("ref-LRU", geom, blocks_per_set, build_ref);
     for entry in mck_roster(0xA11D) {
         let probe = (entry.build)(&geom);
         if !sim_core::mattson::policy_qualifies(&*probe) {
@@ -557,10 +510,10 @@ pub fn mattson_qualification_audit(
         let mut stream = vec![0usize; depth];
         'streams: loop {
             model.reset();
-            let mut reference = RefLru::new(geom);
+            reference.reset();
             for (pos, &input) in stream.iter().enumerate() {
                 let got = model.step(input)?;
-                let want = reference.step(model.input_block(input));
+                let want = reference.step(input)?;
                 if got != want {
                     return Err(format!(
                         "{} qualifies for the Mattson fast path but diverges from LRU at \

@@ -10,12 +10,11 @@
 //!   and (unless `--skip-clippy`) shells out to
 //!   `cargo clippy --workspace --all-targets -- -D warnings`.
 //! * `model-check` — the roster-wide verification gate, five passes:
-//!   1. the exhaustive PLRU battery: the production `gippr::PlruTree` and
-//!      the bit-sliced `sim_core::SlicedTreeLane` (checked at a non-zero
-//!      lane offset with live poison in sibling lanes) under plain PLRU,
-//!      classic vectors, and every published paper vector, at
-//!      associativities 2–16, cross-checked against the naive mirror
-//!      over the complete state space;
+//!   1. the PLRU tree sweep: every tree state of the production
+//!      `gippr::PlruTree` under plain PLRU, classic vectors, and every
+//!      published paper vector, at associativities 2–16 (victim, position
+//!      bijection and round-trip, promotion convergence), cross-checked
+//!      against the naive mirror over the complete state space;
 //!   2. the bounded roster sweep: every baseline-roster policy adapted
 //!      onto `sim_lint::BoundedChecker` via `sim_verify::PolicyModel`,
 //!      proving victim totality, never-evict-invalid, policy-declared
@@ -25,12 +24,15 @@
 //!      interleaved multi-set streams against isolated per-set twins;
 //!   4. the slice-kernel equivalence sweep: every kernel the roster
 //!      advertises (plus the published paper vectors) checked lane-by-lane
-//!      against the scalar interpreters;
+//!      against the scalar interpreters, the packed PLRU lanes against the
+//!      naive mirror at every lane write;
 //!   5. the Mattson qualification audit plus seeded-defect self-tests
-//!      (poisoned ARC `p` update, fake-`SetLocal` fixture, poisoned lane
-//!      transitions) proving each checker catches its defect class.
+//!      (drifting PLRU hit orbit, poisoned ARC `p` update, fake-`SetLocal`
+//!      fixture, poisoned lane transitions) proving each checker catches
+//!      its defect class.
 //!
-//!   `--policy NAME` restricts the roster passes to one policy;
+//!   `--policy NAME` restricts every pass to one policy family (a tree
+//!   sweep rule runs under the family its vector belongs to);
 //!   `--budget-secs N` caps the bounded sweeps' wall clock (CI uses this
 //!   to stay under a minute). Nonzero exit on any counterexample.
 
@@ -571,10 +573,7 @@ fn model_check(args: &[String]) -> usize {
     let bounded_runs = roster.iter().filter(|e| matches(e.name)).count() * 4;
     let per_run = budget.map(|b| b.mul_f64(0.8) / bounded_runs.max(1) as u32);
 
-    let mut failures = 0;
-    if matches("PseudoLRU") {
-        failures += plru_tree_battery(max_ways);
-    }
+    let mut failures = plru_tree_sweep(&matches, max_ways);
     failures += roster_bounded_pass(&roster, &matches, per_run);
     failures += affinity_pass(&roster, &matches, per_run);
     failures += kernel_sweep_pass(&roster, &matches, max_ways);
@@ -595,79 +594,47 @@ fn model_check(args: &[String]) -> usize {
     failures
 }
 
-/// Pass 1: the exhaustive PLRU-tree battery (scalar and bit-sliced
-/// interpreters, full state space, every rule, cross-checks).
-fn plru_tree_battery(max_ways: usize) -> usize {
+/// Pass 1: the exhaustive PLRU tree sweep of the production tree, one row
+/// per rule the filter selects, then the mirror cross-check at each
+/// associativity that ran a rule.
+fn plru_tree_sweep(matches: &dyn Fn(&str) -> bool, max_ways: usize) -> usize {
     let mut failures = 0;
-    println!(
-        "{:>4}  {:<28} {:>12} {:>12} {:>12}  verdict",
-        "ways", "rule", "tree states", "bfs states", "transitions"
-    );
-
+    let mut header = false;
     for ways in [2usize, 4, 8, 16] {
         if ways > max_ways {
             continue;
         }
-        for (name, rule) in rules_for(ways) {
-            match sim_lint::ModelChecker::new(ways, rule.clone()).run::<gippr::PlruTree>() {
-                Ok(report) => println!(
-                    "{:>4}  {:<28} {:>12} {:>12} {:>12}  ok",
-                    ways, name, report.tree_states, report.reachable_states, report.transitions
-                ),
+        let rules: Vec<_> = rules_for(ways)
+            .into_iter()
+            .filter(|(family, _, _)| matches(family))
+            .collect();
+        if rules.is_empty() {
+            continue;
+        }
+        if !header {
+            header = true;
+            println!(
+                "{:>4}  {:<28} {:>12}  verdict",
+                "ways", "rule", "tree states"
+            );
+        }
+        for (_, name, rule) in rules {
+            match sim_lint::ModelChecker::new(ways, rule).run::<gippr::PlruTree>() {
+                Ok(report) => println!("{ways:>4}  {name:<28} {:>12}  ok", report.tree_states),
                 Err(ce) => {
-                    println!("{ways:>4}  {name:<28} {:>38}  COUNTEREXAMPLE", "");
-                    eprintln!("{ce}");
-                    failures += 1;
-                }
-            }
-            // Same rule, this time interpreted by the bit-sliced tree at a
-            // non-zero lane offset: the packed arithmetic must honor every
-            // rule while the sibling lanes hold live poison (SlicedTreeLane
-            // panics if a write leaks across a lane boundary).
-            let sliced_name = format!("{name} [sliced]");
-            match sim_lint::ModelChecker::new(ways, rule).run::<sim_core::SlicedTreeLane<3>>() {
-                Ok(report) => println!(
-                    "{:>4}  {:<28} {:>12} {:>12} {:>12}  ok",
-                    ways,
-                    sliced_name,
-                    report.tree_states,
-                    report.reachable_states,
-                    report.transitions
-                ),
-                Err(ce) => {
-                    println!("{ways:>4}  {sliced_name:<28} {:>38}  COUNTEREXAMPLE", "");
+                    println!("{ways:>4}  {name:<28} {:>12}  COUNTEREXAMPLE", "");
                     eprintln!("{ce}");
                     failures += 1;
                 }
             }
         }
-        type Sliced0 = sim_core::SlicedTreeLane<0>;
-        type Sliced3 = sim_core::SlicedTreeLane<3>;
-        let cross: [(&str, Result<u64, _>); 3] = [
-            (
-                "cross-check vs mirror",
-                sim_lint::cross_check::<gippr::PlruTree, sim_lint::MirrorTree>(ways),
-            ),
-            (
-                "cross-check vs sliced[0]",
-                sim_lint::cross_check::<gippr::PlruTree, Sliced0>(ways),
-            ),
-            (
-                "cross-check vs sliced[3]",
-                sim_lint::cross_check::<gippr::PlruTree, Sliced3>(ways),
-            ),
-        ];
-        for (label, result) in cross {
-            match result {
-                Ok(states) => println!(
-                    "{:>4}  {:<28} {:>12} {:>12} {:>12}  ok",
-                    ways, label, states, "-", "-"
-                ),
-                Err(ce) => {
-                    println!("{:>4}  {:<28} {:>38}  COUNTEREXAMPLE", ways, label, "");
-                    eprintln!("{ce}");
-                    failures += 1;
-                }
+        let label = "cross-check vs mirror";
+        match sim_lint::cross_check::<gippr::PlruTree, sim_lint::MirrorTree>(ways) {
+            Ok(states) => println!("{ways:>4}  {label:<28} {states:>12}  ok"),
+            Err(ce) => {
+                println!("{ways:>4}  {label:<28} {:>12}  COUNTEREXAMPLE", "");
+                eprintln!("{ce}");
+                failures += 1;
             }
         }
     }
@@ -977,6 +944,18 @@ fn checker_selftests() -> usize {
         }
     };
 
+    // Drifting hit orbit: the tree sweep's convergence check must see a
+    // position write that also counts up off the written way's path (an
+    // IPV rule, so the plain-PLRU fixpoint check cannot fire first).
+    let r = sim_lint::ModelChecker::new(16, sim_lint::PromotionRule::Ipv(vec![0; 17]))
+        .run::<DriftingTree>();
+    expect(
+        "tree sweep: drifting PLRU hit orbit",
+        r.as_ref()
+            .is_err_and(|ce| ce.invariant.contains("promotion convergence")),
+        format!("{r:?}"),
+    );
+
     // Poisoned lane transitions: the kernel sweep must flag a cross-lane
     // XOR in the PLRU interpreter and nibble corruption in the stack and
     // RRIP interpreters.
@@ -1085,45 +1064,92 @@ fn checker_selftests() -> usize {
     failures
 }
 
-/// The rule battery for one associativity: plain PLRU, the classic
-/// LRU/LIP vectors, and the published paper vectors (natively at 16 ways,
+/// The production tree with a seeded defect: every position write also
+/// counts up in the tree bits off the written way's path. Writes still
+/// land, and victim and bijection hold in every state, but a way's hit
+/// orbit never revisits a state (at 16 ways the 11 off-path bits cycle
+/// only after 2048 hits).
+#[derive(Clone)]
+struct DriftingTree(gippr::PlruTree);
+
+impl sim_lint::PlruState for DriftingTree {
+    fn from_bits(ways: usize, bits: u64) -> Self {
+        DriftingTree(gippr::PlruTree::from_raw_bits(ways, bits))
+    }
+    fn bits(&self) -> u64 {
+        self.0.raw_bits()
+    }
+    fn ways(&self) -> usize {
+        self.0.ways()
+    }
+    fn victim(&self) -> usize {
+        self.0.victim()
+    }
+    fn position(&self, way: usize) -> usize {
+        self.0.position(way)
+    }
+    fn set_position(&mut self, way: usize, position: usize) {
+        self.0.set_position(way, position);
+        let ways = self.0.ways();
+        let mut path = 0u64;
+        let mut node = (ways + way) / 2;
+        while node >= 1 {
+            path |= 1 << (node - 1);
+            node /= 2;
+        }
+        // Setting the path bits first makes the carry skip them.
+        let bits = self.0.raw_bits();
+        let off_path = ((1u64 << (ways - 1)) - 1) & !path;
+        let next = ((bits | path) + 1) & off_path | (bits & path);
+        self.0 = gippr::PlruTree::from_raw_bits(ways, next);
+    }
+}
+
+/// The tree-sweep rules for one associativity, each with the `--policy`
+/// family it runs under: plain PLRU and the classic LRU/LIP vectors
+/// (PseudoLRU), then the published paper vectors (natively at 16 ways,
 /// rescaled below).
-fn rules_for(ways: usize) -> Vec<(String, sim_lint::PromotionRule)> {
+fn rules_for(ways: usize) -> Vec<(&'static str, String, sim_lint::PromotionRule)> {
     use sim_lint::PromotionRule;
 
+    let mut lip = vec![0u8; ways + 1];
+    lip[ways] = (ways - 1) as u8;
     let mut rules = vec![
-        ("plru".to_string(), PromotionRule::Plru),
+        ("PseudoLRU", "plru".to_string(), PromotionRule::Plru),
         (
+            "PseudoLRU",
             "lru vector".to_string(),
             PromotionRule::Ipv(vec![0; ways + 1]),
         ),
-        ("lip vector".to_string(), {
-            let mut v = vec![0u8; ways + 1];
-            v[ways] = (ways - 1) as u8;
-            PromotionRule::Ipv(v)
-        }),
+        (
+            "PseudoLRU",
+            "lip vector".to_string(),
+            PromotionRule::Ipv(lip),
+        ),
     ];
-    let paper: Vec<(&str, gippr::Ipv)> = vec![
-        ("giplr-best", gippr::vectors::giplr_best()),
-        ("wi-gippr", gippr::vectors::wi_gippr()),
-        ("perlbench-wn1", gippr::vectors::perlbench_wn1()),
+    let paper: Vec<(&str, &str, gippr::Ipv)> = vec![
+        ("GIPLR", "giplr-best", gippr::vectors::giplr_best()),
+        ("GIPPR", "wi-gippr", gippr::vectors::wi_gippr()),
+        ("GIPPR", "perlbench-wn1", gippr::vectors::perlbench_wn1()),
     ];
-    for (name, ipv) in paper {
+    for (family, name, ipv) in paper {
         let scaled = if ways == 16 {
             ipv
         } else {
             ipv.rescaled(ways).expect("16 -> smaller rescale is valid")
         };
         rules.push((
+            family,
             format!("{name}{}", if ways == 16 { "" } else { " (rescaled)" }),
-            sim_lint::PromotionRule::Ipv(scaled.entries().to_vec()),
+            PromotionRule::Ipv(scaled.entries().to_vec()),
         ));
     }
-    for (i, ipv) in gippr::vectors::wi_4dgippr().into_iter().enumerate() {
-        if ways == 16 {
+    if ways == 16 {
+        for (i, ipv) in gippr::vectors::wi_4dgippr().into_iter().enumerate() {
             rules.push((
+                "DGIPPR",
                 format!("wi-4-dgippr[{i}]"),
-                sim_lint::PromotionRule::Ipv(ipv.entries().to_vec()),
+                PromotionRule::Ipv(ipv.entries().to_vec()),
             ));
         }
     }
