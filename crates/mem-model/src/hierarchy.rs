@@ -382,17 +382,16 @@ where
         rec.pending_icount += u64::from(access.icount_delta);
         let ctx = access.context();
         let l1_out = l1.access(&access);
-        // L1 dirty evictions go to L2.
-        let mut l2_accesses: Vec<(u64, AccessKind)> = Vec::new();
-        if let Some(ev) = l1_out.evicted {
-            if ev.dirty {
-                l2_accesses.push((ev.block_addr, AccessKind::Writeback));
-            }
-        }
-        if !l1_out.hit {
-            l2_accesses.push((l1.geometry().block_of(access.addr), access.kind));
-        }
-        for (block, kind) in l2_accesses {
+        // L2 traffic, in order: the L1 dirty eviction's writeback, then
+        // the demand miss itself.
+        let l2_accesses = [
+            l1_out
+                .evicted
+                .filter(|ev| ev.dirty)
+                .map(|ev| (ev.block_addr, AccessKind::Writeback)),
+            (!l1_out.hit).then(|| (l1.geometry().block_of(access.addr), access.kind)),
+        ];
+        for (block, kind) in l2_accesses.into_iter().flatten() {
             let wb_ctx = AccessContext {
                 pc: ctx.pc,
                 addr: block * 64,

@@ -8,9 +8,12 @@
 //!
 //! Replays every requested policy pair over the three synthetic workloads
 //! and exits nonzero if any access diverges between the optimized simulator
-//! and the naive reference models.
+//! and the naive reference models. `--mattson` checks the stack-distance
+//! profile against per-associativity replay instead, and `--min` the
+//! optimized Belady MIN against its naive reference.
 
 use sim_verify::diff::{diff_replay, oracle_geometry, roster};
+use sim_verify::refmodels::ref_min_misses;
 use sim_verify::workloads::workloads;
 use std::process::ExitCode;
 
@@ -83,11 +86,58 @@ fn mattson_check(seed: u64, accesses: usize) -> ExitCode {
     }
 }
 
+/// The `--min` mode: the set-bucketed, pool-parallel
+/// [`mem_model::min_misses`] must reproduce the naive two-pass
+/// [`ref_min_misses`] on every `CacheStats` field, per workload, at the
+/// oracle geometry and at 1-, 4- and 16-way shapes of a 256-set cache
+/// (small enough that every workload evicts constantly).
+fn min_check(seed: u64, accesses: usize) -> ExitCode {
+    let mut geoms = vec![oracle_geometry()];
+    for ways in [1usize, 4, 16] {
+        geoms.push(
+            sim_core::CacheGeometry::from_sets(256, ways, 64).expect("static geometry is valid"),
+        );
+    }
+    let streams = workloads(seed, accesses);
+    println!(
+        "sim-verify --min: {} workload(s) x {} accesses, {} geometries (seed {})",
+        streams.len(),
+        accesses,
+        geoms.len(),
+        seed
+    );
+    let mut failures = 0u32;
+    for (wname, stream) in &streams {
+        let warmup = mem_model::default_warmup(stream.len());
+        for geom in &geoms {
+            let fast = mem_model::min_misses(stream, *geom, warmup);
+            let naive = ref_min_misses(stream, *geom, warmup);
+            if fast == naive {
+                println!(
+                    "  ok   {wname:<14} {geom}: {} misses / {} evictions",
+                    fast.misses, fast.evictions
+                );
+            } else {
+                failures += 1;
+                println!("  FAIL {wname:<14} {geom}: optimized {fast:?} vs reference {naive:?}");
+            }
+        }
+    }
+    if failures > 0 {
+        eprintln!("sim-verify --min: {failures} disagreement(s)");
+        ExitCode::FAILURE
+    } else {
+        println!("sim-verify --min: optimized and reference MIN agree everywhere");
+        ExitCode::SUCCESS
+    }
+}
+
 struct Args {
     policy: String,
     accesses: usize,
     seed: u64,
     mattson: bool,
+    min: bool,
 }
 
 fn parse_count(s: &str) -> Result<usize, String> {
@@ -108,6 +158,7 @@ fn parse_args() -> Result<Args, String> {
         accesses: 1_000_000,
         seed: 1,
         mattson: false,
+        min: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -119,8 +170,9 @@ fn parse_args() -> Result<Args, String> {
                 args.seed = value()?.parse().map_err(|e| format!("bad seed: {e}"))?;
             }
             "--mattson" => args.mattson = true,
+            "--min" => args.min = true,
             "--help" | "-h" => return Err(
-                "usage: sim-verify [--policy NAME|all] [--accesses N[k|M]] [--seed N] [--mattson]"
+                "usage: sim-verify [--policy NAME|all] [--accesses N[k|M]] [--seed N] [--mattson] [--min]"
                     .to_string(),
             ),
             other => return Err(format!("unknown flag {other:?}")),
@@ -139,6 +191,9 @@ fn main() -> ExitCode {
     };
     if args.mattson {
         return mattson_check(args.seed, args.accesses);
+    }
+    if args.min {
+        return min_check(args.seed, args.accesses);
     }
     let pairs = roster(&args.policy);
     if pairs.is_empty() {

@@ -16,9 +16,13 @@
 //!   the published policy descriptions.
 //! * [`RefPlruPolicy`], [`RefGippr`], and [`RefGiplr`] drive the naive
 //!   structures through the [`ReplacementPolicy`] interface.
+//! * [`ref_min_misses`] is Belady MIN as a whole-stream hash map of
+//!   next uses and a `Vec` per set, the oracle for the set-bucketed
+//!   [`mem_model::min_misses`].
 
 use gippr::Ipv;
-use sim_core::{AccessContext, CacheGeometry, ReplacementPolicy};
+use sim_core::{Access, AccessContext, CacheGeometry, CacheStats, ReplacementPolicy};
+use std::collections::HashMap;
 
 /// A tree PseudoLRU state holding one `bool` per internal node.
 ///
@@ -661,6 +665,68 @@ impl ReplacementPolicy for RefPdp {
     fn bits_per_set(&self) -> u64 {
         self.ways as u64 * (u64::from(self.cfg.rpd_bits) + 1) + 8
     }
+}
+
+/// Reference Belady MIN: the original two-pass simulation, kept as the
+/// oracle for [`mem_model::min_misses`].
+///
+/// Pass one links each access to the stream index of the next reference
+/// to the same block through one `HashMap` over the whole stream; pass two
+/// simulates every set as a `Vec` of occupants, evicting the one with the
+/// farthest next use. Counts only the accesses after `warmup`.
+pub fn ref_min_misses(stream: &[Access], geom: CacheGeometry, warmup: usize) -> CacheStats {
+    // Pass 1: next-use chains.
+    let mut next_use = vec![usize::MAX; stream.len()];
+    let mut last_seen: HashMap<u64, usize> = HashMap::new();
+    for (i, a) in stream.iter().enumerate().rev() {
+        let block = geom.block_of(a.addr);
+        next_use[i] = last_seen.get(&block).copied().unwrap_or(usize::MAX);
+        last_seen.insert(block, i);
+    }
+
+    // Pass 2: per-set simulation. Each occupant remembers its next use.
+    struct Occupant {
+        block: u64,
+        next: usize,
+    }
+    let mut sets: Vec<Vec<Occupant>> = (0..geom.sets()).map(|_| Vec::new()).collect();
+    let mut stats = CacheStats::new();
+    for (i, a) in stream.iter().enumerate() {
+        let block = geom.block_of(a.addr);
+        let set = &mut sets[geom.set_of_block(block)];
+        let measured = i >= warmup;
+        if measured {
+            stats.accesses += 1;
+        }
+        if let Some(occ) = set.iter_mut().find(|o| o.block == block) {
+            occ.next = next_use[i];
+            if measured {
+                stats.hits += 1;
+            }
+            continue;
+        }
+        if measured {
+            stats.misses += 1;
+        }
+        if set.len() == geom.ways() {
+            // Evict the occupant referenced farthest in the future.
+            let victim = set
+                .iter()
+                .enumerate()
+                .max_by_key(|(_, o)| o.next)
+                .map(|(idx, _)| idx)
+                .expect("set is full");
+            set.swap_remove(victim);
+            if measured {
+                stats.evictions += 1;
+            }
+        }
+        set.push(Occupant {
+            block,
+            next: next_use[i],
+        });
+    }
+    stats
 }
 
 #[cfg(test)]
