@@ -20,39 +20,32 @@ use sim_core::{AccessContext, CacheGeometry, ReplacementPolicy};
 /// Fixed-point scale for the adaptation target `p` (per-set T1 ways).
 const P_SCALE: u64 = 16;
 
-/// Which resident list a line is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum List {
-    T1,
-    T2,
-}
-
-/// Per-set ARC state: the two resident lists (way indices, MRU first)
-/// and the two ghost lists (block addresses, MRU first, capped at
-/// `ways`).
-#[derive(Debug, Clone, Default)]
-struct SetLists {
-    t1: Vec<usize>,
-    t2: Vec<usize>,
-    b1: Vec<u64>,
-    b2: Vec<u64>,
-}
-
-impl SetLists {
-    fn drop_way(&mut self, way: usize) -> Option<List> {
-        if let Some(i) = self.t1.iter().position(|&w| w == way) {
-            self.t1.remove(i);
-            return Some(List::T1);
-        }
-        if let Some(i) = self.t2.iter().position(|&w| w == way) {
-            self.t2.remove(i);
-            return Some(List::T2);
-        }
-        None
-    }
+/// Per-set ARC bookkeeping: list membership and the recency clock.
+///
+/// Bit `w` of `t1`/`t2` puts way `w` on that resident list; bit `i` of
+/// `b1`/`b2` marks ghost slot `i` of that list valid.
+#[derive(Debug, Clone, Copy, Default)]
+struct SetState {
+    t1: u64,
+    t2: u64,
+    b1: u64,
+    b2: u64,
+    /// Every touch and every ghost insert takes the next value, so the
+    /// stamps of one list order its members MRU → LRU.
+    clock: u64,
 }
 
 /// ARC with per-set lists and one global adaptation target.
+///
+/// Each list is a membership mask over fixed slots, ordered by recency
+/// stamps from a per-set clock instead of by position: T1 and T2 are masks
+/// over the set's ways, and B1 and B2 each own `ways` ghost slots holding
+/// a block address and a stamp. The victim is the stamp-min of the chosen
+/// list, a ghost lookup is one compare mask, and a ghost insert takes a
+/// free slot or, when the list is full, its oldest — so nothing is ever
+/// shifted. Stamps are packed above the way index in the victim key; the
+/// clock rises by at most two per access to the set, so the key cannot
+/// overflow before 2^57 accesses to one set, which no replay reaches.
 ///
 /// The policy keeps its own copy of each line's block address (written
 /// in `on_fill` from the access context) because the eviction callback
@@ -61,8 +54,15 @@ impl SetLists {
 pub struct ArcPolicy {
     geom: CacheGeometry,
     ways: usize,
-    lists: Vec<SetLists>,
+    /// log2(ways): the victim key keeps the slot index below this bit.
+    way_bits: u32,
+    sets: Vec<SetState>,
+    /// Per line: the stamp of its last touch and its block address.
+    stamp: Vec<u64>,
     blocks: Vec<u64>,
+    /// Per set, `2 * ways` ghost slots: B1's first, then B2's.
+    ghost_block: Vec<u64>,
+    ghost_stamp: Vec<u64>,
     /// T1 target in [`P_SCALE`]-ths of a way, in `0..=ways * P_SCALE`.
     p: u64,
     /// Set in `on_miss` on a ghost hit; routes the following fill to T2.
@@ -71,14 +71,50 @@ pub struct ArcPolicy {
     poison_p_clamp: bool,
 }
 
+/// Mask of the slots in `slots` that hold `block`.
+#[inline]
+fn match_mask(slots: &[u64], block: u64) -> u64 {
+    slots
+        .iter()
+        .enumerate()
+        .fold(0, |m, (i, &b)| m | (u64::from(b == block) << i))
+}
+
+/// The member of `mask` with the smallest stamp: the list's LRU end.
+#[inline]
+fn oldest(stamps: &[u64], mask: u64, way_bits: u32) -> usize {
+    let key = stamps
+        .iter()
+        .enumerate()
+        .map(|(i, &st)| {
+            // All ones unless slot `i` is a member: no branch per slot.
+            let absent = (mask >> i & 1).wrapping_sub(1);
+            (st << way_bits) | i as u64 | absent
+        })
+        .fold(u64::MAX, u64::min);
+    (key & ((1 << way_bits) - 1)) as usize
+}
+
+/// The members of `mask` ordered MRU first (descending stamp).
+fn by_recency(stamps: &[u64], mask: u64) -> Vec<usize> {
+    let mut members: Vec<usize> = (0..stamps.len()).filter(|&i| mask >> i & 1 != 0).collect();
+    members.sort_unstable_by_key(|&i| std::cmp::Reverse(stamps[i]));
+    members
+}
+
 impl ArcPolicy {
     /// Creates ARC for `geom`.
     pub fn new(geom: &CacheGeometry) -> Self {
+        let lines = geom.sets() * geom.ways();
         ArcPolicy {
             geom: *geom,
             ways: geom.ways(),
-            lists: vec![SetLists::default(); geom.sets()],
-            blocks: vec![0; geom.sets() * geom.ways()],
+            way_bits: geom.ways().trailing_zeros(),
+            sets: vec![SetState::default(); geom.sets()],
+            stamp: vec![0; lines],
+            blocks: vec![0; lines],
+            ghost_block: vec![0; 2 * lines],
+            ghost_stamp: vec![0; 2 * lines],
             p: 0,
             fill_to_t2: false,
             poison_p_clamp: false,
@@ -99,6 +135,27 @@ impl ArcPolicy {
     pub fn poison_p_clamp(&mut self) {
         self.poison_p_clamp = true;
     }
+
+    /// A set's resident list (`t2` false: T1), MRU first.
+    fn resident_list(&self, set: usize, t2: bool) -> Vec<usize> {
+        let s = &self.sets[set];
+        let base = set * self.ways;
+        by_recency(
+            &self.stamp[base..base + self.ways],
+            if t2 { s.t2 } else { s.t1 },
+        )
+    }
+
+    /// A set's ghost list (`b2` false: B1) as block addresses, MRU first.
+    fn ghost_list(&self, set: usize, b2: bool) -> Vec<u64> {
+        let s = &self.sets[set];
+        let base = (2 * set + usize::from(b2)) * self.ways;
+        let slots = base..base + self.ways;
+        by_recency(&self.ghost_stamp[slots], if b2 { s.b2 } else { s.b1 })
+            .into_iter()
+            .map(|i| self.ghost_block[base + i])
+            .collect()
+    }
 }
 
 impl ReplacementPolicy for ArcPolicy {
@@ -106,42 +163,53 @@ impl ReplacementPolicy for ArcPolicy {
         "ARC"
     }
 
+    #[inline]
     fn victim(&mut self, set: usize, _ctx: &AccessContext) -> usize {
-        let s = &self.lists[set];
+        let s = &self.sets[set];
         // REPLACE: shed T1 while it holds more than the target share (or
         // T2 has nothing to give); otherwise shed T2. Victims come from
         // each list's LRU end.
-        let from_t1 = !s.t1.is_empty() && (s.t2.is_empty() || s.t1.len() as u64 * P_SCALE > self.p);
-        let list = if from_t1 { &s.t1 } else { &s.t2 };
-        *list
-            .last()
-            .expect("victim asked of a set with no residents")
+        let from_t1 = s.t1 != 0 && (s.t2 == 0 || u64::from(s.t1.count_ones()) * P_SCALE > self.p);
+        let list = if from_t1 { s.t1 } else { s.t2 };
+        assert!(list != 0, "victim asked of a set with no residents");
+        let base = set * self.ways;
+        oldest(&self.stamp[base..base + self.ways], list, self.way_bits)
     }
 
+    #[inline]
     fn on_hit(&mut self, set: usize, way: usize, _ctx: &AccessContext) {
         // Any reuse promotes to T2's MRU position.
-        let s = &mut self.lists[set];
-        s.drop_way(way);
-        s.t2.insert(0, way);
+        let s = &mut self.sets[set];
+        s.t1 &= !(1 << way);
+        s.t2 |= 1 << way;
+        s.clock += 1;
+        self.stamp[set * self.ways + way] = s.clock;
     }
 
+    #[inline]
     fn on_miss(&mut self, set: usize, ctx: &AccessContext) {
         let block = self.geom.block_of(ctx.addr);
-        let s = &mut self.lists[set];
-        if let Some(i) = s.b1.iter().position(|&b| b == block) {
+        let base = 2 * set * self.ways;
+        let ghosts = &self.ghost_block[base..base + 2 * self.ways];
+        let s = &mut self.sets[set];
+        // A block sits in at most one ghost slot: it is ghosted only on
+        // eviction, and the miss that refills it drops its ghost.
+        let in_b1 = match_mask(&ghosts[..self.ways], block) & s.b1;
+        let in_b2 = match_mask(&ghosts[self.ways..], block) & s.b2;
+        if in_b1 != 0 {
             // Recency ghost hit: T1 was too small — grow the target.
-            s.b1.remove(i);
-            let step = (s.b2.len() as u64 / s.b1.len().max(1) as u64).max(1);
+            s.b1 &= !in_b1;
+            let step = u64::from(s.b2.count_ones() / s.b1.count_ones().max(1)).max(1);
             self.p = if self.poison_p_clamp {
                 self.p + step * P_SCALE
             } else {
                 (self.p + step * P_SCALE).min(self.ways as u64 * P_SCALE)
             };
             self.fill_to_t2 = true;
-        } else if let Some(i) = s.b2.iter().position(|&b| b == block) {
+        } else if in_b2 != 0 {
             // Frequency ghost hit: T2 was too small — shrink the target.
-            s.b2.remove(i);
-            let step = (s.b1.len() as u64 / s.b2.len().max(1) as u64).max(1);
+            s.b2 &= !in_b2;
+            let step = u64::from(s.b1.count_ones() / s.b2.count_ones().max(1)).max(1);
             self.p = self.p.saturating_sub(step * P_SCALE);
             self.fill_to_t2 = true;
         } else {
@@ -149,28 +217,48 @@ impl ReplacementPolicy for ArcPolicy {
         }
     }
 
+    #[inline]
     fn on_evict(&mut self, set: usize, way: usize) {
-        let block = self.blocks[set * self.ways + way];
-        let s = &mut self.lists[set];
-        let (ghost, cap) = match s.drop_way(way) {
-            Some(List::T2) => (&mut s.b2, self.ways),
-            // T1 members and (defensively) untracked ways ghost into B1.
-            _ => (&mut s.b1, self.ways),
+        let s = &mut self.sets[set];
+        let bit = 1 << way;
+        // T1 members and (defensively) untracked ways ghost into B1.
+        let to_b2 = s.t2 & bit != 0;
+        s.t1 &= !bit;
+        s.t2 &= !bit;
+        let valid = if to_b2 { &mut s.b2 } else { &mut s.b1 };
+        let base = (2 * set + usize::from(to_b2)) * self.ways;
+        // A free slot if the list has one, else its oldest.
+        let slot = if valid.count_ones() < self.ways as u32 {
+            (!*valid).trailing_zeros() as usize
+        } else {
+            oldest(
+                &self.ghost_stamp[base..base + self.ways],
+                *valid,
+                self.way_bits,
+            )
         };
-        ghost.insert(0, block);
-        ghost.truncate(cap);
+        *valid |= 1 << slot;
+        s.clock += 1;
+        self.ghost_block[base + slot] = self.blocks[set * self.ways + way];
+        self.ghost_stamp[base + slot] = s.clock;
     }
 
+    #[inline]
     fn on_fill(&mut self, set: usize, way: usize, ctx: &AccessContext) {
-        self.blocks[set * self.ways + way] = self.geom.block_of(ctx.addr);
+        let idx = set * self.ways + way;
+        self.blocks[idx] = self.geom.block_of(ctx.addr);
         let to_t2 = std::mem::take(&mut self.fill_to_t2);
-        let s = &mut self.lists[set];
-        s.drop_way(way);
+        let s = &mut self.sets[set];
+        let bit = 1 << way;
+        s.t1 &= !bit;
+        s.t2 &= !bit;
         if to_t2 {
-            s.t2.insert(0, way);
+            s.t2 |= bit;
         } else {
-            s.t1.insert(0, way);
+            s.t1 |= bit;
         }
+        s.clock += 1;
+        self.stamp[idx] = s.clock;
     }
 
     fn bits_per_set(&self) -> u64 {
@@ -193,20 +281,21 @@ impl ReplacementPolicy for ArcPolicy {
     // correct and load-bearing.
 
     fn audit_set_digest(&self, set: usize) -> Option<Vec<u8>> {
-        let s = &self.lists[set];
         let mut d = Vec::new();
         // Resident lists with their block addresses (only resident ways'
         // `blocks` entries are behaviourally live — evicted ways keep a
-        // stale copy that the next fill overwrites before any read).
-        for list in [&s.t1, &s.t2] {
-            for &w in list {
+        // stale copy that the next fill overwrites before any read), then
+        // the ghost lists, each MRU first. Free ghost slots and raw stamps
+        // stay out: only the order they induce is behaviour.
+        for t2 in [false, true] {
+            for w in self.resident_list(set, t2) {
                 d.push(w as u8);
                 d.extend_from_slice(&self.blocks[set * self.ways + w].to_le_bytes());
             }
             d.push(0xff);
         }
-        for ghost in [&s.b1, &s.b2] {
-            for &b in ghost {
+        for b2 in [false, true] {
+            for b in self.ghost_list(set, b2) {
                 d.extend_from_slice(&b.to_le_bytes());
             }
             d.push(0xff);
@@ -228,32 +317,40 @@ impl ReplacementPolicy for ArcPolicy {
                 self.p
             ));
         }
-        for (set, s) in self.lists.iter().enumerate() {
-            if s.b1.len() > self.ways || s.b2.len() > self.ways {
+        let out_of_range = if self.ways == 64 {
+            0
+        } else {
+            u64::MAX << self.ways
+        };
+        for (set, s) in self.sets.iter().enumerate() {
+            if (s.b1 | s.b2) & out_of_range != 0 {
                 return Err(format!(
-                    "ARC ghost lists in set {set} exceed capacity {}: |B1| = {}, |B2| = {}",
-                    self.ways,
-                    s.b1.len(),
-                    s.b2.len()
+                    "ARC ghost lists in set {set} exceed capacity {}: B1 {:#x}, B2 {:#x}",
+                    self.ways, s.b1, s.b2
                 ));
             }
-            if s.t1.len() + s.t2.len() > self.ways {
+            if (s.t1 | s.t2) & out_of_range != 0 {
                 return Err(format!(
-                    "ARC resident lists in set {set} exceed {} ways",
+                    "ARC resident lists in set {set} name ways beyond {}",
                     self.ways
                 ));
             }
-            let mut seen = vec![false; self.ways];
-            for &w in s.t1.iter().chain(&s.t2) {
-                if w >= self.ways {
-                    return Err(format!("ARC way {w} in set {set} is out of range"));
-                }
-                if seen[w] {
-                    return Err(format!(
-                        "ARC way {w} in set {set} appears on T1/T2 more than once"
-                    ));
-                }
-                seen[w] = true;
+            if s.t1 & s.t2 != 0 {
+                return Err(format!(
+                    "ARC way {} in set {set} appears on T1/T2 more than once",
+                    (s.t1 & s.t2).trailing_zeros()
+                ));
+            }
+            let base = set * self.ways;
+            let mut stamps: Vec<u64> = (0..self.ways)
+                .filter(|&w| (s.t1 | s.t2) >> w & 1 != 0)
+                .map(|w| self.stamp[base + w])
+                .collect();
+            stamps.sort_unstable();
+            if stamps.windows(2).any(|p| p[0] == p[1]) || stamps.last() > Some(&s.clock) {
+                return Err(format!(
+                    "ARC recency stamps in set {set} are not distinct past clock values"
+                ));
             }
         }
         Ok(())
@@ -301,12 +398,16 @@ mod tests {
         p.on_fill(0, 0, &rd(0));
         p.on_fill(0, 1, &rd(1));
         p.on_evict(0, 0);
-        assert_eq!(p.lists[0].b1, vec![0]);
+        assert_eq!(p.ghost_list(0, false), vec![0]);
         p.on_miss(0, &rd(0));
         assert!(p.t1_target() >= 1, "B1 hit grows the T1 target");
         p.on_fill(0, 0, &rd(0));
-        assert_eq!(p.lists[0].t2, vec![0], "ghost-hit refill lands in T2");
-        assert_eq!(p.lists[0].t1, vec![1]);
+        assert_eq!(
+            p.resident_list(0, true),
+            vec![0],
+            "ghost-hit refill lands in T2"
+        );
+        assert_eq!(p.resident_list(0, false), vec![1]);
     }
 
     #[test]
@@ -317,7 +418,7 @@ mod tests {
         p.on_fill(0, 0, &rd(0));
         p.on_hit(0, 0, &rd(0)); // way 0 → T2
         p.on_evict(0, 0);
-        assert_eq!(p.lists[0].b2, vec![0]);
+        assert_eq!(p.ghost_list(0, true), vec![0]);
         p.on_miss(0, &rd(0));
         assert!(p.p < 2 * P_SCALE, "B2 hit shrinks the T1 target");
     }
@@ -384,18 +485,60 @@ mod tests {
                 };
                 p.on_fill(set, w, &ctx);
             }
-            let s = &p.lists[set];
-            assert_eq!(s.t1.len() + s.t2.len(), filled[set]);
+            let (t1, t2) = (p.resident_list(set, false), p.resident_list(set, true));
+            assert_eq!(t1.len() + t2.len(), filled[set]);
             for w in 0..filled[set] {
                 assert_eq!(
-                    s.t1.contains(&w) as usize + s.t2.contains(&w) as usize,
+                    t1.contains(&w) as usize + t2.contains(&w) as usize,
                     1,
                     "way {w} must be on exactly one list"
                 );
             }
-            assert!(s.b1.len() <= 4 && s.b2.len() <= 4);
+            assert!(p.ghost_list(set, false).len() <= 4 && p.ghost_list(set, true).len() <= 4);
             assert!(p.p <= 4 * P_SCALE);
+            p.audit_invariants().unwrap();
         }
+    }
+
+    #[test]
+    fn victim_is_the_lru_end_of_the_chosen_list() {
+        let g = geom(1, 4);
+        let mut p = ArcPolicy::new(&g);
+        for w in [2, 0, 3, 1] {
+            p.on_fill(0, w, &rd(w as u64));
+        }
+        assert_eq!(p.resident_list(0, false), vec![1, 3, 0, 2]);
+        assert_eq!(p.victim(0, &rd(9)), 2, "T1's LRU end");
+        // T2 = [1, 3]; with the target at every way, T1 keeps its share
+        // and T2 gives up its LRU end.
+        p.on_hit(0, 3, &rd(3));
+        p.on_hit(0, 1, &rd(1));
+        p.p = 4 * P_SCALE;
+        assert_eq!(p.victim(0, &rd(9)), 3, "T2's LRU end");
+        p.p = 0;
+        assert_eq!(p.victim(0, &rd(9)), 2);
+    }
+
+    #[test]
+    fn full_ghost_list_overwrites_its_oldest_entry() {
+        let g = geom(1, 2);
+        let mut p = ArcPolicy::new(&g);
+        for b in 0..5u64 {
+            let w = (b % 2) as usize;
+            if b >= 2 {
+                p.on_miss(0, &rd(b));
+                p.on_evict(0, w);
+            }
+            p.on_fill(0, w, &rd(b));
+        }
+        // Blocks 0, 1, 2 were evicted from T1 in that order; B1 holds two.
+        assert_eq!(p.ghost_list(0, false), vec![2, 1]);
+        // A B1 hit frees a slot, and the next ghost reuses it.
+        p.on_miss(0, &rd(1));
+        assert_eq!(p.ghost_list(0, false), vec![2]);
+        p.on_evict(0, 1);
+        assert_eq!(p.ghost_list(0, false), vec![3, 2]);
+        p.audit_invariants().unwrap();
     }
 
     #[test]

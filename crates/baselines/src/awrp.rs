@@ -21,19 +21,30 @@ pub const FREQ_WEIGHT: u64 = 16;
 /// Frequency ceiling (4-bit counter).
 pub const FREQ_MAX: u8 = 15;
 
+/// Ages at or above this many clock ticks saturate in the victim key
+/// (unreachable; see [`AwrpPolicy`]). It keeps `AGE_CAP + bonus − age`
+/// unsigned and below 2^63.
+const AGE_CAP: u64 = 1 << 62;
+
 /// Weight-ranking replacement: victim = argmin(last-use + frequency
 /// bonus).
 ///
 /// The clock is **per set** and strides by `ways` per touch, for two
-/// load-bearing reasons: the low `log2(ways)` bits stay zero so
-/// [`victim`](ReplacementPolicy::victim) can pack the way index into the
-/// timestamp and take a branchless `min` (the [`crate::TrueLru`]
-/// trick), and — unlike a cache-global clock — per-set timestamps make
-/// weight *differences* depend only on the set's own access
-/// subsequence, which stable shard bucketing preserves. A global clock
-/// would stretch gaps by other sets' traffic and flip weight
-/// comparisons under sharded replay; with per-set clocks the policy is
-/// exactly [`ShardAffinity::SetLocal`].
+/// load-bearing reasons: the low `log2(ways)` bits of every age and bonus
+/// stay zero, so [`victim`](ReplacementPolicy::victim) packs the way index
+/// into a biased `AGE_CAP + bonus − age` key and takes one branch-free
+/// `min` (the [`crate::TrueLru`] trick), and — unlike a cache-global clock
+/// — per-set timestamps make weight *differences* depend only on the
+/// set's own access subsequence, which stable shard bucketing preserves.
+/// A global clock would stretch gaps by other sets' traffic and flip
+/// weight comparisons under sharded replay; with per-set clocks the
+/// policy is exactly [`ShardAffinity::SetLocal`].
+///
+/// The key saturates ages at 2^62 clock ticks. An age grows by `ways`
+/// ticks per touch of the line's set, so saturating one takes at least
+/// 2^56 touches of a single set (over 7 · 10^16 accesses); no replay
+/// reaches that state, and below it the key orders lines exactly as the
+/// unbounded weight does.
 #[derive(Debug, Clone)]
 pub struct AwrpPolicy {
     ways: usize,
@@ -91,16 +102,23 @@ impl ReplacementPolicy for AwrpPolicy {
     fn victim(&mut self, set: usize, _ctx: &AccessContext) -> usize {
         // Minimizing `last_use + bonus` equals minimizing `bonus - age`
         // (the set clock is a common constant), and the age form survives
-        // clock wraparound. Ties fall to the lowest way, as the old packed
-        // `weight | way` argmin did.
+        // clock wraparound. Biasing by AGE_CAP keeps the key unsigned;
+        // ages and bonuses are multiples of `ways`, so the way index fits
+        // in the low bits and ties fall to the lowest way.
         let base = set * self.ways;
-        (0..self.ways)
-            .min_by_key(|&w| {
-                let bonus =
-                    i128::from(self.freq[base + w]) * FREQ_WEIGHT as i128 * self.ways as i128;
-                (bonus - i128::from(self.age(set, base + w)), w)
+        let clock = self.clock[set];
+        let bonus_step = FREQ_WEIGHT * self.ways as u64;
+        let key = self.last_use[base..base + self.ways]
+            .iter()
+            .zip(&self.freq[base..base + self.ways])
+            .enumerate()
+            .map(|(w, (&last, &freq))| {
+                let age = clock.wrapping_sub(last).min(AGE_CAP);
+                (AGE_CAP - age + u64::from(freq) * bonus_step) | w as u64
             })
-            .expect("ways > 0")
+            .min()
+            .expect("ways > 0");
+        key as usize & (self.ways - 1)
     }
 
     #[inline]
@@ -266,6 +284,31 @@ mod tests {
         }
         let out = c.access_block(100, &ctx());
         assert!(out.hit, "hot block survived the scan");
+    }
+
+    #[test]
+    fn ties_fall_to_the_lowest_way() {
+        let g = CacheGeometry::from_sets(1, 4, 64).unwrap();
+        let mut p = AwrpPolicy::new(&g);
+        // Never-touched ways all weigh the same.
+        assert_eq!(p.victim(0, &ctx()), 0);
+        // Touches 1–4 fill the set; touch 5 hits way 2, whose weight
+        // becomes 5 + FREQ_WEIGHT = 21 touches.
+        for w in 0..4 {
+            p.on_fill(0, w, &ctx());
+        }
+        p.on_hit(0, 2, &ctx());
+        // Touches 6–20 make ways 0 and 3 heavy.
+        for _ in 0..8 {
+            p.on_hit(0, 0, &ctx());
+        }
+        for _ in 0..7 {
+            p.on_hit(0, 3, &ctx());
+        }
+        // Touch 21 refills way 1 with no bonus: weight 21, tied with way
+        // 2, which was touched 16 touches earlier. The lower way loses.
+        p.on_fill(0, 1, &ctx());
+        assert_eq!(p.victim(0, &ctx()), 1);
     }
 
     #[test]

@@ -19,35 +19,41 @@ use sim_core::{AccessContext, CacheGeometry, ReplacementPolicy};
 
 /// log2 of the EHCT size.
 const EHCT_BITS: u32 = 12;
+/// Width of the per-line hit counter, the low bits of each line's word.
+const HIT_BITS: u32 = 4;
 /// Hit-count ceiling (4-bit counters, per the paper's small-counter
 /// design point).
-const HITS_MAX: u8 = 15;
+const HITS_MAX: u8 = (1 << HIT_BITS) - 1;
 
 /// Expected-Hit-Count replacement over a PC-signature table.
 ///
-/// Per-line state: the fill signature and a saturating hit counter.
-/// Global state: the EHCT, trained on eviction with an exponential
-/// moving average (new = (old + observed) / 2, rounding up) so one
-/// outlier residency cannot erase a learned expectation.
+/// Per-line state: one `u16` holding the fill signature in its high 12
+/// bits and a saturating 4-bit hit counter in its low bits, so the victim
+/// scan reads one array. Global state: the EHCT, trained on eviction with
+/// an exponential moving average (new = (old + observed) / 2, truncating)
+/// so one outlier residency cannot erase a learned expectation, while a
+/// signature that stops being reused still decays all the way to zero.
 #[derive(Debug, Clone)]
 pub struct EhcPolicy {
     ways: usize,
-    signature: Vec<u16>,
-    hits: Vec<u8>,
-    ehct: Vec<u8>,
+    /// log2(ways): the victim key keeps the way index below this bit.
+    way_bits: u32,
+    /// Per line: `signature << HIT_BITS | hits`.
+    lines: Vec<u16>,
+    /// Sized so that every 12-bit signature indexes it without a check.
+    ehct: Box<[u8; 1 << EHCT_BITS]>,
 }
 
 impl EhcPolicy {
     /// Creates EHC for `geom`.
     pub fn new(geom: &CacheGeometry) -> Self {
-        let lines = geom.sets() * geom.ways();
         EhcPolicy {
             ways: geom.ways(),
-            signature: vec![0; lines],
-            hits: vec![0; lines],
+            way_bits: geom.ways().trailing_zeros(),
+            lines: vec![0; geom.sets() * geom.ways()],
             // Optimistic start: unseen signatures expect one hit, so new
             // instructions aren't evicted on sight.
-            ehct: vec![1; 1 << EHCT_BITS],
+            ehct: Box::new([1; 1 << EHCT_BITS]),
         }
     }
 
@@ -61,12 +67,12 @@ impl EhcPolicy {
     pub fn expected_hits(&self, sig: u16) -> u8 {
         self.ehct[usize::from(sig)]
     }
+}
 
-    /// Hits this line still owes per its signature's expectation.
-    #[inline]
-    fn remaining(&self, idx: usize) -> u8 {
-        self.ehct[usize::from(self.signature[idx])].saturating_sub(self.hits[idx])
-    }
+/// Splits a line word into its fill signature and hit count.
+#[inline]
+fn unpack(line: u16) -> (u16, u8) {
+    (line >> HIT_BITS, (line & u16::from(HITS_MAX)) as u8)
 }
 
 impl ReplacementPolicy for EhcPolicy {
@@ -74,33 +80,44 @@ impl ReplacementPolicy for EhcPolicy {
         "EHC"
     }
 
+    #[inline]
     fn victim(&mut self, set: usize, _ctx: &AccessContext) -> usize {
+        // Fewest remaining expected hits loses. The way index rides in the
+        // key's low bits, so one plain `min` picks the victim and ties
+        // fall to the lowest way.
         let base = set * self.ways;
-        // Fewest remaining expected hits loses; ties fall to the lowest
-        // way, matching the deterministic scan order used elsewhere.
-        (0..self.ways)
-            .min_by_key(|&w| self.remaining(base + w))
-            .expect("ways > 0")
+        let key = self.lines[base..base + self.ways]
+            .iter()
+            .enumerate()
+            .map(|(w, &line)| {
+                let (sig, hits) = unpack(line);
+                let remaining = self.ehct[usize::from(sig)].saturating_sub(hits);
+                (u32::from(remaining) << self.way_bits) | w as u32
+            })
+            .min()
+            .expect("ways > 0");
+        key as usize & (self.ways - 1)
     }
 
+    #[inline]
     fn on_hit(&mut self, set: usize, way: usize, _ctx: &AccessContext) {
-        let idx = set * self.ways + way;
-        self.hits[idx] = (self.hits[idx] + 1).min(HITS_MAX);
+        let line = &mut self.lines[set * self.ways + way];
+        *line += u16::from(unpack(*line).1 != HITS_MAX);
     }
 
+    #[inline]
     fn on_evict(&mut self, set: usize, way: usize) {
-        let idx = set * self.ways + way;
-        let sig = usize::from(self.signature[idx]);
+        let (sig, hits) = unpack(self.lines[set * self.ways + way]);
+        let expected = &mut self.ehct[usize::from(sig)];
         // Exponential moving average toward the observed hit count.
         // Truncation matters: a signature that stops being reused must
         // be able to decay all the way to zero.
-        self.ehct[sig] = (self.ehct[sig] + self.hits[idx]) / 2;
+        *expected = (*expected + hits) / 2;
     }
 
+    #[inline]
     fn on_fill(&mut self, set: usize, way: usize, ctx: &AccessContext) {
-        let idx = set * self.ways + way;
-        self.signature[idx] = Self::signature_of(ctx.pc);
-        self.hits[idx] = 0;
+        self.lines[set * self.ways + way] = Self::signature_of(ctx.pc) << HIT_BITS;
     }
 
     fn bits_per_set(&self) -> u64 {
@@ -120,9 +137,10 @@ impl ReplacementPolicy for EhcPolicy {
     fn audit_set_digest(&self, set: usize) -> Option<Vec<u8>> {
         let base = set * self.ways;
         let mut d = Vec::with_capacity(self.ways * 3);
-        for idx in base..base + self.ways {
-            d.extend_from_slice(&self.signature[idx].to_le_bytes());
-            d.push(self.hits[idx]);
+        for &line in &self.lines[base..base + self.ways] {
+            let (sig, hits) = unpack(line);
+            d.extend_from_slice(&sig.to_le_bytes());
+            d.push(hits);
         }
         Some(d)
     }
@@ -142,14 +160,9 @@ impl ReplacementPolicy for EhcPolicy {
     }
 
     fn audit_invariants(&self) -> Result<(), String> {
-        if let Some(idx) = self.hits.iter().position(|&h| h > HITS_MAX) {
-            return Err(format!(
-                "EHC hit counter {} at line {idx} exceeds {HITS_MAX}",
-                self.hits[idx]
-            ));
-        }
-        // Init is 1 and training averages toward a value ≤ HITS_MAX, so the
-        // expectation can never leave the 4-bit field.
+        // Hit counters cannot leave their 4-bit field: `on_hit` stops at
+        // HITS_MAX. Init is 1 and training averages toward a value ≤
+        // HITS_MAX, so the expectation can never leave it either.
         if let Some(sig) = self.ehct.iter().position(|&e| e > HITS_MAX) {
             return Err(format!(
                 "EHCT expectation {} for signature {sig} exceeds {HITS_MAX}",
@@ -257,6 +270,26 @@ mod tests {
         p.on_evict(0, 3);
         assert!(p.expected_hits(sig) >= high / 2);
         assert!(p.expected_hits(sig) < high);
+    }
+
+    #[test]
+    fn ties_fall_to_the_lowest_way() {
+        let g = CacheGeometry::from_sets(2, 8, 64).unwrap();
+        let mut p = EhcPolicy::new(&g);
+        for w in 0..8usize {
+            p.on_fill(1, w, &ctx(0x40));
+        }
+        assert_eq!(p.victim(1, &ctx(0)), 0, "all owe one hit: way 0");
+        // Ways 3 and 5 deliver their expected hit and tie at zero.
+        p.on_hit(1, 5, &ctx(0x40));
+        p.on_hit(1, 3, &ctx(0x40));
+        assert_eq!(p.victim(1, &ctx(0)), 3);
+        // A saturated counter stays spent and keeps the tie.
+        for _ in 0..40 {
+            p.on_hit(1, 5, &ctx(0x40));
+        }
+        assert_eq!(p.victim(1, &ctx(0)), 3);
+        assert_eq!(p.audit_set_digest(1).unwrap()[5 * 3 + 2], HITS_MAX);
     }
 
     #[test]

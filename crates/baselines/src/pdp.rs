@@ -26,7 +26,8 @@ use sim_core::{AccessContext, CacheGeometry, ReplacementPolicy};
 /// in the comparison paper: 4 bits per line, no bypass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PdpConfig {
-    /// Width of the per-line remaining-protecting-distance counter.
+    /// Width of the per-line remaining-protecting-distance counter, in
+    /// `1..=7`: the counter shares a byte with the line's reuse flag.
     pub rpd_bits: u32,
     /// Largest measurable reuse distance (in set accesses).
     pub max_distance: usize,
@@ -53,36 +54,67 @@ impl Default for PdpConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct SamplerEntry {
-    tag: u64,
-    last_count: u64,
+/// Top bit of a line's byte: set until the line is reused.
+const FRESH: u8 = 0x80;
+/// Low bits of a line's byte: its remaining protecting distance.
+const RPD_MASK: u8 = !FRESH;
+/// [`PdpPolicy::slot_of_set`] entry for a set the sampler does not watch.
+const UNSAMPLED: u32 = u32::MAX;
+
+/// One sampled set's reuse-distance ring: its access counter and which
+/// of its `sampler_depth` entries hold tags.
+#[derive(Debug, Clone, Copy, Default)]
+struct SamplerRing {
+    /// Accesses to the sampled set so far.
+    now: u64,
+    /// Entries in use; they fill from index 0 up.
+    len: usize,
+    /// Index of the oldest entry once the ring is full.
+    head: usize,
 }
 
 /// Protecting Distance based Policy, no-bypass configuration.
 ///
-/// Per-line state: a quantized remaining-protecting-distance (RPD) counter.
-/// On every access to a set, a per-set tick counter advances; each time it
-/// reaches the quantization step `ceil(PD / (2^rpd_bits - 1))`, all RPDs in
-/// the set decay by one. Hits and fills re-arm a line's RPD to the maximum.
-/// The victim is an unprotected line (RPD = 0) if any exists, otherwise the
-/// line closest to expiry.
+/// Per-line state: one byte holding a quantized remaining-protecting-
+/// distance (RPD) counter in its low bits and a never-reused flag in its
+/// top bit. On every access to a set, a per-set tick counter advances;
+/// each time it reaches the quantization step
+/// `ceil(PD / (2^rpd_bits - 1))`, all RPDs in the set decay by one in one
+/// pass over the set's bytes. Hits and fills re-arm a line's RPD to the
+/// maximum. The victim is the lowest unprotected line (RPD = 0) if any
+/// exists; otherwise the newest never-reused line — the one *farthest*
+/// from expiry — and, if every line has been reused, the newest line
+/// overall, the highest way winning ties.
+///
+/// The sampler watches one set in `sampler_stride` through a set→slot
+/// table, keeps a fixed ring of tags per watched set, and a countdown
+/// schedules the periodic PD recomputation, so an access does no
+/// division.
 #[derive(Debug, Clone)]
 pub struct PdpPolicy {
     cfg: PdpConfig,
     ways: usize,
+    /// log2(ways): the victim key keeps the way index below this bit.
+    way_bits: u32,
     line_shift: u32,
-    rpd: Vec<u8>,
-    reused: Vec<bool>,
+    /// Per line: [`FRESH`] if not yet reused, or-ed with the RPD.
+    line: Vec<u8>,
     rpd_max: u8,
     tick: Vec<u8>,
     quantum: u8,
     /// Reuse-distance histogram: `hist[d]` counts reuses at distance `d+1`.
     hist: Vec<u64>,
     total_sampled: u64,
-    sampler: Vec<Vec<SamplerEntry>>,
-    set_access_count: Vec<u64>,
+    /// Per set: its sampler ring, or [`UNSAMPLED`].
+    slot_of_set: Vec<u32>,
+    rings: Vec<SamplerRing>,
+    /// `sampler_depth` entries per ring: the tag and the ring's `now` at
+    /// its last access.
+    ring_tag: Vec<u64>,
+    ring_last: Vec<u64>,
     accesses: u64,
+    /// Accesses left until the next PD recomputation.
+    until_recompute: u64,
     pd: usize,
 }
 
@@ -96,30 +128,44 @@ impl PdpPolicy {
     ///
     /// # Panics
     ///
-    /// Panics if `rpd_bits` is 0 or greater than 8, or if the sampler
-    /// stride or depth is 0.
+    /// Panics if `rpd_bits` is 0 or greater than 7 (a line's RPD and its
+    /// reuse flag share one byte), if the sampler stride or depth is 0,
+    /// or if the compute period is 0.
     pub fn with_config(geom: &CacheGeometry, cfg: PdpConfig) -> Self {
-        assert!((1..=8).contains(&cfg.rpd_bits), "rpd_bits must be in 1..=8");
+        assert!((1..=7).contains(&cfg.rpd_bits), "rpd_bits must be in 1..=7");
         assert!(
             cfg.sampler_stride > 0 && cfg.sampler_depth > 0,
             "sampler dims must be nonzero"
         );
-        let rpd_max = ((1u16 << cfg.rpd_bits) - 1) as u8;
+        assert!(cfg.compute_period > 0, "compute_period must be nonzero");
+        let rpd_max = (1u8 << cfg.rpd_bits) - 1;
         let sampled_sets = geom.sets().div_ceil(cfg.sampler_stride);
+        let slot_of_set = (0..geom.sets())
+            .map(|set| {
+                if set % cfg.sampler_stride == 0 {
+                    u32::try_from(set / cfg.sampler_stride).expect("sampler slots fit in u32")
+                } else {
+                    UNSAMPLED
+                }
+            })
+            .collect();
         let mut policy = PdpPolicy {
             cfg,
             ways: geom.ways(),
+            way_bits: geom.ways().trailing_zeros(),
             line_shift: geom.line_bytes().trailing_zeros(),
-            rpd: vec![0; geom.sets() * geom.ways()],
-            reused: vec![false; geom.sets() * geom.ways()],
+            line: vec![FRESH; geom.sets() * geom.ways()],
             rpd_max,
             tick: vec![0; geom.sets()],
             quantum: 1,
             hist: vec![0; cfg.max_distance],
             total_sampled: 0,
-            sampler: (0..sampled_sets).map(|_| Vec::new()).collect(),
-            set_access_count: vec![0; sampled_sets],
+            slot_of_set,
+            rings: vec![SamplerRing::default(); sampled_sets],
+            ring_tag: vec![0; sampled_sets * cfg.sampler_depth],
+            ring_last: vec![0; sampled_sets * cfg.sampler_depth],
             accesses: 0,
+            until_recompute: cfg.compute_period,
             pd: cfg.initial_pd,
         };
         policy.quantum = policy.quantum_for(policy.pd);
@@ -140,7 +186,12 @@ impl PdpPolicy {
     /// (test/diagnostic aid: the victim invariant says a protected line is
     /// never evicted while an unprotected one exists).
     pub fn is_protected(&self, set: usize, way: usize) -> bool {
-        self.rpd[set * self.ways + way] != 0
+        self.rpd(set * self.ways + way) != 0
+    }
+
+    #[inline]
+    fn rpd(&self, idx: usize) -> u8 {
+        self.line[idx] & RPD_MASK
     }
 
     fn quantum_for(&self, pd: usize) -> u8 {
@@ -173,37 +224,53 @@ impl PdpPolicy {
         best_d
     }
 
-    fn sample(&mut self, set: usize, ctx: &AccessContext) {
-        if set % self.cfg.sampler_stride != 0 {
-            return;
-        }
-        let idx = set / self.cfg.sampler_stride;
-        self.set_access_count[idx] += 1;
-        let now = self.set_access_count[idx];
-        let tag = ctx.addr >> self.line_shift;
-        let entries = &mut self.sampler[idx];
-        if let Some(e) = entries.iter_mut().find(|e| e.tag == tag) {
-            let rd = (now - e.last_count) as usize;
-            let bucket = rd.clamp(1, self.cfg.max_distance) - 1;
-            self.hist[bucket] += 1;
-            self.total_sampled += 1;
-            e.last_count = now;
-        } else {
-            if entries.len() == self.cfg.sampler_depth {
-                entries.remove(0);
+    /// Records an access to the sampled set behind `slot`. Tags in a ring
+    /// are distinct (a tag is added only when absent), so the match scan
+    /// may run in storage order; a new tag takes the next free entry, or
+    /// overwrites the oldest once the ring is full.
+    fn sample(&mut self, slot: usize, tag: u64) {
+        let depth = self.cfg.sampler_depth;
+        let base = slot * depth;
+        let ring = &mut self.rings[slot];
+        ring.now += 1;
+        let now = ring.now;
+        match self.ring_tag[base..base + ring.len]
+            .iter()
+            .position(|&t| t == tag)
+        {
+            Some(i) => {
+                let rd = (now - self.ring_last[base + i]) as usize;
+                let bucket = rd.clamp(1, self.cfg.max_distance) - 1;
+                self.hist[bucket] += 1;
+                self.total_sampled += 1;
+                self.ring_last[base + i] = now;
             }
-            entries.push(SamplerEntry {
-                tag,
-                last_count: now,
-            });
+            None => {
+                let i = if ring.len < depth {
+                    ring.len += 1;
+                    ring.len - 1
+                } else {
+                    let oldest = ring.head;
+                    ring.head = if oldest + 1 == depth { 0 } else { oldest + 1 };
+                    oldest
+                };
+                self.ring_tag[base + i] = tag;
+                self.ring_last[base + i] = now;
+            }
         }
     }
 
+    #[inline]
     fn on_any_access(&mut self, set: usize, ctx: &AccessContext) {
-        self.sample(set, ctx);
+        let slot = self.slot_of_set[set];
+        if slot != UNSAMPLED {
+            self.sample(slot as usize, ctx.addr >> self.line_shift);
+        }
         // Periodic PD recomputation ("microcontroller" duty cycle).
         self.accesses += 1;
-        if self.accesses % self.cfg.compute_period == 0 {
+        self.until_recompute -= 1;
+        if self.until_recompute == 0 {
+            self.until_recompute = self.cfg.compute_period;
             self.pd = self.compute_pd();
             self.quantum = self.quantum_for(self.pd);
             // Age the histogram so PD tracks phase changes.
@@ -217,8 +284,8 @@ impl PdpPolicy {
         if self.tick[set] >= self.quantum {
             self.tick[set] = 0;
             let base = set * self.ways;
-            for w in 0..self.ways {
-                self.rpd[base + w] = self.rpd[base + w].saturating_sub(1);
+            for b in &mut self.line[base..base + self.ways] {
+                *b -= u8::from(*b & RPD_MASK != 0);
             }
         }
     }
@@ -229,33 +296,48 @@ impl ReplacementPolicy for PdpPolicy {
         "PDP"
     }
 
+    #[inline]
     fn victim(&mut self, set: usize, _ctx: &AccessContext) -> usize {
+        // One max over packed keys. An unprotected line outranks every
+        // protected one, and among them the *lowest* way wins (its index
+        // enters flipped). A protected line's byte orders by
+        // (never reused, RPD) — the newest never-reused insertion first,
+        // the bypass-like choice — and equal bytes fall to the highest
+        // way.
         let base = set * self.ways;
-        // Unprotected line first.
-        if let Some(w) = (0..self.ways).find(|&w| self.rpd[base + w] == 0) {
-            return w;
-        }
-        // All protected: sacrifice the newest never-reused insertion (the
-        // bypass-like choice); if everything has been reused, the newest
-        // line overall.
-        (0..self.ways)
-            .max_by_key(|&w| (!self.reused[base + w], self.rpd[base + w]))
-            .expect("ways > 0")
+        let flip = (self.ways - 1) as u32;
+        let unprotected = 1u32 << (8 + self.way_bits);
+        let key = self.line[base..base + self.ways]
+            .iter()
+            .enumerate()
+            .map(|(w, &b)| {
+                let w = w as u32;
+                if b & RPD_MASK == 0 {
+                    unprotected | (w ^ flip)
+                } else {
+                    (u32::from(b) << self.way_bits) | w
+                }
+            })
+            .max()
+            .expect("ways > 0");
+        let way = key & flip;
+        (if key >= unprotected { way ^ flip } else { way }) as usize
     }
 
+    #[inline]
     fn on_hit(&mut self, set: usize, way: usize, ctx: &AccessContext) {
         self.on_any_access(set, ctx);
-        self.rpd[set * self.ways + way] = self.rpd_max;
-        self.reused[set * self.ways + way] = true;
+        self.line[set * self.ways + way] = self.rpd_max;
     }
 
+    #[inline]
     fn on_miss(&mut self, set: usize, ctx: &AccessContext) {
         self.on_any_access(set, ctx);
     }
 
+    #[inline]
     fn on_fill(&mut self, set: usize, way: usize, _ctx: &AccessContext) {
-        self.rpd[set * self.ways + way] = self.rpd_max;
-        self.reused[set * self.ways + way] = false;
+        self.line[set * self.ways + way] = FRESH | self.rpd_max;
     }
 
     fn bits_per_set(&self) -> u64 {
@@ -268,7 +350,7 @@ impl ReplacementPolicy for PdpPolicy {
         // Sampler tags/counters plus the histogram and PD registers — the
         // structures the PDP paper assigns to its dedicated microcontroller
         // (an additional ~10K NAND gates of logic not counted here).
-        let sampler_bits = self.sampler.len() as u64 * self.cfg.sampler_depth as u64 * 32;
+        let sampler_bits = self.rings.len() as u64 * self.cfg.sampler_depth as u64 * 32;
         let hist_bits = self.cfg.max_distance as u64 * 16;
         sampler_bits + hist_bits + 64
     }
@@ -276,9 +358,9 @@ impl ReplacementPolicy for PdpPolicy {
     fn audit_set_digest(&self, set: usize) -> Option<Vec<u8>> {
         let base = set * self.ways;
         let mut d = Vec::with_capacity(self.ways * 2 + 1);
-        for w in 0..self.ways {
-            d.push(self.rpd[base + w]);
-            d.push(u8::from(self.reused[base + w]));
+        for &b in &self.line[base..base + self.ways] {
+            d.push(b & RPD_MASK);
+            d.push(u8::from(b & FRESH == 0));
         }
         d.push(self.tick[set]);
         Some(d)
@@ -299,11 +381,14 @@ impl ReplacementPolicy for PdpPolicy {
                 d.extend_from_slice(&h.to_le_bytes());
             }
         }
-        for (idx, entries) in self.sampler.iter().enumerate() {
-            d.extend_from_slice(&self.set_access_count[idx].to_le_bytes());
-            for e in entries {
-                d.extend_from_slice(&e.tag.to_le_bytes());
-                d.extend_from_slice(&e.last_count.to_le_bytes());
+        // Ring entries oldest first, as a FIFO would list them.
+        let depth = self.cfg.sampler_depth;
+        for (slot, ring) in self.rings.iter().enumerate() {
+            d.extend_from_slice(&ring.now.to_le_bytes());
+            for k in 0..ring.len {
+                let i = slot * depth + (ring.head + k) % depth;
+                d.extend_from_slice(&self.ring_tag[i].to_le_bytes());
+                d.extend_from_slice(&self.ring_last[i].to_le_bytes());
             }
             d.push(0xff);
         }
@@ -311,10 +396,11 @@ impl ReplacementPolicy for PdpPolicy {
     }
 
     fn audit_invariants(&self) -> Result<(), String> {
-        if let Some(idx) = self.rpd.iter().position(|&v| v > self.rpd_max) {
+        if let Some(idx) = (0..self.line.len()).find(|&i| self.rpd(i) > self.rpd_max) {
             return Err(format!(
                 "PDP RPD counter {} at line {idx} exceeds max {}",
-                self.rpd[idx], self.rpd_max
+                self.rpd(idx),
+                self.rpd_max
             ));
         }
         if self.quantum != self.quantum_for(self.pd) {
@@ -323,15 +409,19 @@ impl ReplacementPolicy for PdpPolicy {
                 self.quantum, self.pd
             ));
         }
-        if let Some(idx) = self
-            .sampler
-            .iter()
-            .position(|e| e.len() > self.cfg.sampler_depth)
-        {
+        let period = self.cfg.compute_period;
+        if self.until_recompute != period - self.accesses % period {
             return Err(format!(
-                "PDP sampler {idx} holds {} entries, over depth {}",
-                self.sampler[idx].len(),
-                self.cfg.sampler_depth
+                "PDP countdown {} is out of step with {} accesses (period {period})",
+                self.until_recompute, self.accesses
+            ));
+        }
+        if let Some(idx) = self.rings.iter().position(|r| {
+            r.len > self.cfg.sampler_depth || (r.head != 0 && r.len < self.cfg.sampler_depth)
+        }) {
+            return Err(format!(
+                "PDP sampler {idx} holds {} entries from index {}, depth {}",
+                self.rings[idx].len, self.rings[idx].head, self.cfg.sampler_depth
             ));
         }
         Ok(())
@@ -392,7 +482,7 @@ mod tests {
         for i in 0..7 {
             p.on_miss(0, &ctx_for(1 << 20 | i));
         }
-        assert_eq!(p.rpd[3], 0, "protection fully decayed");
+        assert_eq!(p.rpd(3), 0, "protection fully decayed");
     }
 
     #[test]
@@ -410,10 +500,10 @@ mod tests {
         for _ in 0..10 {
             p.on_miss(0, &ctx_for(1 << 20));
         }
-        let decayed = p.rpd[3];
+        let decayed = p.rpd(3);
         assert!(decayed < p.rpd_max);
         p.on_hit(0, 3, &ctx_for(0));
-        assert_eq!(p.rpd[3], p.rpd_max);
+        assert_eq!(p.rpd(3), p.rpd_max);
     }
 
     #[test]
@@ -496,6 +586,64 @@ mod tests {
         assert!(
             p.global_bits() > 0,
             "sampler and histogram are global state"
+        );
+    }
+
+    #[test]
+    fn all_protected_victim_is_the_highest_of_the_tied_maxima() {
+        let g = CacheGeometry::from_sets(1, 8, 64).unwrap();
+        // quantum = 1400 / 7 = 200 accesses per decay step.
+        let mut p = PdpPolicy::with_config(
+            &g,
+            PdpConfig {
+                initial_pd: 1400,
+                compute_period: u64::MAX,
+                ..PdpConfig::default()
+            },
+        );
+        let c = ctx_for(0);
+        // Ways 0–3 fill, one decay step passes, ways 4–7 fill: the newer
+        // never-reused lines 4–7 tie at full RPD.
+        for w in 0..4 {
+            p.on_fill(0, w, &c);
+        }
+        for _ in 0..200 {
+            p.on_miss(0, &c);
+        }
+        for w in 4..8 {
+            p.on_fill(0, w, &c);
+        }
+        assert_eq!(p.victim(0, &c), 7, "last of the tied maxima");
+        // Reused lines rank below every never-reused one.
+        for w in [5, 6, 7] {
+            p.on_hit(0, w, &c);
+        }
+        assert_eq!(p.victim(0, &c), 4);
+        for w in 0..8 {
+            p.on_hit(0, w, &c);
+        }
+        assert_eq!(p.victim(0, &c), 7, "all reused and tied: highest way");
+        // Seven decay steps unprotect every line; unprotected lines come
+        // first, the lowest of them.
+        for _ in 0..1400 {
+            p.on_miss(0, &c);
+        }
+        assert!((0..8).all(|w| !p.is_protected(0, w)));
+        p.on_fill(0, 2, &c);
+        assert_eq!(p.victim(0, &c), 0);
+        p.on_fill(0, 0, &c);
+        assert_eq!(p.victim(0, &c), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "rpd_bits")]
+    fn rejects_counters_too_wide_to_share_a_byte() {
+        let _ = PdpPolicy::with_config(
+            &geom(),
+            PdpConfig {
+                rpd_bits: 8,
+                ..Default::default()
+            },
         );
     }
 

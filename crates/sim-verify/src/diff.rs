@@ -17,7 +17,7 @@
 
 use crate::refcache::RefCache;
 use crate::refmodels::{
-    RefAwrp, RefFifo, RefGiplr, RefGippr, RefLru, RefPdp, RefPlruPolicy, RefSrrip,
+    RefArc, RefAwrp, RefEhc, RefFifo, RefGiplr, RefGippr, RefLru, RefPdp, RefPlruPolicy, RefSrrip,
 };
 use baselines::{
     ArcPolicy, AwrpPolicy, BrripPolicy, DipPolicy, DrripPolicy, EhcPolicy, FifoPolicy, PdpPolicy,
@@ -295,8 +295,9 @@ fn minimize(
 /// The verification roster.
 ///
 /// Pairs with a truly independent reference implementation:
-/// LRU, FIFO, PLRU, SRRIP, PDP, GIPPR, GIPLR, AWRP. The remaining policies are
-/// *self-paired* (the same deterministic construction on both sides): they
+/// LRU, FIFO, PLRU, SRRIP, PDP, GIPPR, GIPLR, AWRP, EHC, ARC. The remaining
+/// policies are *self-paired* (the same deterministic construction on both
+/// sides): they
 /// cannot catch a policy-logic bug, but they still drive the packed
 /// [`SetAssocCache`] against the naive [`RefCache`] tag store, which is
 /// where the substrate bugs live.
@@ -344,6 +345,16 @@ pub fn roster(which: &str) -> Vec<PolicyPair> {
             factory(|g| Box::new(AwrpPolicy::new(g))),
             factory(|g| Box::new(RefAwrp::new(g))),
         ),
+        PolicyPair::new(
+            "ehc",
+            factory(|g| Box::new(EhcPolicy::new(g))),
+            factory(|g| Box::new(RefEhc::new(g))),
+        ),
+        PolicyPair::new(
+            "arc",
+            factory(|g| Box::new(ArcPolicy::new(g))),
+            factory(|g| Box::new(RefArc::new(g))),
+        ),
         // Self-paired substrate checks.
         PolicyPair::new(
             "random",
@@ -374,16 +385,6 @@ pub fn roster(which: &str) -> Vec<PolicyPair> {
             "sdbp",
             factory(|g| Box::new(SdbpPolicy::new(g))),
             factory(|g| Box::new(SdbpPolicy::new(g))),
-        ),
-        PolicyPair::new(
-            "ehc",
-            factory(|g| Box::new(EhcPolicy::new(g))),
-            factory(|g| Box::new(EhcPolicy::new(g))),
-        ),
-        PolicyPair::new(
-            "arc",
-            factory(|g| Box::new(ArcPolicy::new(g))),
-            factory(|g| Box::new(ArcPolicy::new(g))),
         ),
         PolicyPair::new(
             "rrip-ipv",

@@ -17,8 +17,8 @@
 //! * [`refmodels`] — naive counterparts of the replacement state machines:
 //!   [`RefPlru`](refmodels::RefPlru), a `Vec<bool>` PLRU tree;
 //!   [`RefRecencyStack`](refmodels::RefRecencyStack), an MRU-ordered list;
-//!   plus reference policies for LRU, FIFO, SRRIP, PDP, PLRU, GIPPR, and
-//!   GIPLR.
+//!   plus reference policies for LRU, FIFO, SRRIP, PDP, AWRP, EHC, ARC,
+//!   PLRU, GIPPR, and GIPLR.
 //! * [`diff`] — the differential driver: three models per access
 //!   (`access_fast`, `access_block`, reference), compared on hit/miss,
 //!   bypass, victim identity and dirtiness, set contents, and final stats.

@@ -14,6 +14,10 @@
 //!   instead of the optimized way-packed, `ways`-strided clock.
 //! * [`RefFifo`], [`RefSrrip`], and [`RefPdp`] are clarity-first ports of
 //!   the published policy descriptions.
+//! * [`RefArc`] keeps ARC's four lists as MRU-first `Vec`s and [`RefEhc`]
+//!   keeps EHC's signatures and hit counts in separate arrays, where the
+//!   optimized policies pack both into masks, stamps and words; each emits
+//!   its twin's audit digest bytes, so the two compare state for state.
 //! * [`RefPlruPolicy`], [`RefGippr`], and [`RefGiplr`] drive the naive
 //!   structures through the [`ReplacementPolicy`] interface.
 //! * [`ref_min_misses`] is Belady MIN as a whole-stream hash map of
@@ -295,6 +299,18 @@ impl ReplacementPolicy for RefAwrp {
     fn shard_affinity(&self) -> sim_core::ShardAffinity {
         sim_core::ShardAffinity::SetLocal
     }
+
+    // Same bytes as `baselines::AwrpPolicy`'s digest: each way's age in
+    // the optimized clock's `ways`-strided units, then its frequency.
+    fn audit_set_digest(&self, set: usize) -> Option<Vec<u8>> {
+        let mut d = Vec::new();
+        for w in 0..self.ways {
+            let age = (self.touches[set] - self.last_touch[set][w]) * self.ways as u64;
+            d.extend_from_slice(&age.to_le_bytes());
+            d.push(self.freq[set][w]);
+        }
+        Some(d)
+    }
 }
 
 /// Reference FIFO: a per-set round-robin pointer, advanced only when a fill
@@ -532,7 +548,11 @@ pub struct RefPdp {
 impl RefPdp {
     /// Creates the reference PDP policy with default configuration.
     pub fn new(geom: &CacheGeometry) -> Self {
-        let cfg = baselines::PdpConfig::default();
+        Self::with_config(geom, baselines::PdpConfig::default())
+    }
+
+    /// Creates the reference PDP policy with an explicit configuration.
+    pub fn with_config(geom: &CacheGeometry, cfg: baselines::PdpConfig) -> Self {
         let rpd_max = ((1u16 << cfg.rpd_bits) - 1) as u8;
         let sampled_sets = geom.sets().div_ceil(cfg.sampler_stride);
         let mut p = RefPdp {
@@ -664,6 +684,319 @@ impl ReplacementPolicy for RefPdp {
 
     fn bits_per_set(&self) -> u64 {
         self.ways as u64 * (u64::from(self.cfg.rpd_bits) + 1) + 8
+    }
+
+    // Same bytes as `baselines::PdpPolicy`'s digests, so the two can be
+    // compared state for state.
+    fn audit_set_digest(&self, set: usize) -> Option<Vec<u8>> {
+        let mut d = Vec::new();
+        for w in 0..self.ways {
+            d.push(self.rpd[set][w]);
+            d.push(u8::from(self.reused[set][w]));
+        }
+        d.push(self.tick[set]);
+        Some(d)
+    }
+
+    fn audit_global_digest(&self) -> Vec<u8> {
+        let mut d = Vec::new();
+        d.extend_from_slice(&(self.pd as u64).to_le_bytes());
+        d.push(self.quantum);
+        d.extend_from_slice(&self.accesses.to_le_bytes());
+        d.extend_from_slice(&self.total_sampled.to_le_bytes());
+        for (i, &h) in self.hist.iter().enumerate() {
+            if h != 0 {
+                d.extend_from_slice(&(i as u16).to_le_bytes());
+                d.extend_from_slice(&h.to_le_bytes());
+            }
+        }
+        for (entries, count) in self.sampler.iter().zip(&self.set_access_count) {
+            d.extend_from_slice(&count.to_le_bytes());
+            for &(tag, last) in entries {
+                d.extend_from_slice(&tag.to_le_bytes());
+                d.extend_from_slice(&last.to_le_bytes());
+            }
+            d.push(0xff);
+        }
+        d
+    }
+}
+
+/// Fixed-point scale for [`RefArc`]'s adaptation target `p`.
+const ARC_P_SCALE: u64 = 16;
+
+/// Which resident list a [`RefArc`] line is on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ArcList {
+    T1,
+    T2,
+}
+
+/// Per-set [`RefArc`] state: the two resident lists (way indices, MRU
+/// first) and the two ghost lists (block addresses, MRU first, capped at
+/// `ways`).
+#[derive(Debug, Clone, Default)]
+struct ArcSetLists {
+    t1: Vec<usize>,
+    t2: Vec<usize>,
+    b1: Vec<u64>,
+    b2: Vec<u64>,
+}
+
+impl ArcSetLists {
+    fn drop_way(&mut self, way: usize) -> Option<ArcList> {
+        if let Some(i) = self.t1.iter().position(|&w| w == way) {
+            self.t1.remove(i);
+            return Some(ArcList::T1);
+        }
+        if let Some(i) = self.t2.iter().position(|&w| w == way) {
+            self.t2.remove(i);
+            return Some(ArcList::T2);
+        }
+        None
+    }
+}
+
+/// Reference ARC: per-set T1/T2/B1/B2 as MRU-first `Vec`s, shifted with
+/// `insert(0)` and `remove`, and one cache-global adaptation target.
+///
+/// [`baselines::ArcPolicy`] keeps the same lists as membership masks and
+/// recency stamps. The audit digests use the same bytes, so the two can
+/// be compared state for state.
+#[derive(Debug, Clone)]
+pub struct RefArc {
+    geom: CacheGeometry,
+    ways: usize,
+    lists: Vec<ArcSetLists>,
+    blocks: Vec<u64>,
+    /// T1 target in [`ARC_P_SCALE`]-ths of a way, in `0..=ways * ARC_P_SCALE`.
+    p: u64,
+    /// Set in `on_miss` on a ghost hit; routes the following fill to T2.
+    fill_to_t2: bool,
+}
+
+impl RefArc {
+    /// Creates the reference ARC policy for `geom`.
+    pub fn new(geom: &CacheGeometry) -> Self {
+        RefArc {
+            geom: *geom,
+            ways: geom.ways(),
+            lists: vec![ArcSetLists::default(); geom.sets()],
+            blocks: vec![0; geom.sets() * geom.ways()],
+            p: 0,
+            fill_to_t2: false,
+        }
+    }
+}
+
+impl ReplacementPolicy for RefArc {
+    fn name(&self) -> &str {
+        "ref-ARC"
+    }
+
+    fn victim(&mut self, set: usize, _ctx: &AccessContext) -> usize {
+        let s = &self.lists[set];
+        // REPLACE: shed T1 while it holds more than the target share (or
+        // T2 has nothing to give); otherwise shed T2. Victims come from
+        // each list's LRU end.
+        let from_t1 =
+            !s.t1.is_empty() && (s.t2.is_empty() || s.t1.len() as u64 * ARC_P_SCALE > self.p);
+        let list = if from_t1 { &s.t1 } else { &s.t2 };
+        *list
+            .last()
+            .expect("victim asked of a set with no residents")
+    }
+
+    fn on_hit(&mut self, set: usize, way: usize, _ctx: &AccessContext) {
+        // Any reuse promotes to T2's MRU position.
+        let s = &mut self.lists[set];
+        s.drop_way(way);
+        s.t2.insert(0, way);
+    }
+
+    fn on_miss(&mut self, set: usize, ctx: &AccessContext) {
+        let block = self.geom.block_of(ctx.addr);
+        let s = &mut self.lists[set];
+        if let Some(i) = s.b1.iter().position(|&b| b == block) {
+            // Recency ghost hit: T1 was too small — grow the target.
+            s.b1.remove(i);
+            let step = (s.b2.len() as u64 / s.b1.len().max(1) as u64).max(1);
+            self.p = (self.p + step * ARC_P_SCALE).min(self.ways as u64 * ARC_P_SCALE);
+            self.fill_to_t2 = true;
+        } else if let Some(i) = s.b2.iter().position(|&b| b == block) {
+            // Frequency ghost hit: T2 was too small — shrink the target.
+            s.b2.remove(i);
+            let step = (s.b1.len() as u64 / s.b2.len().max(1) as u64).max(1);
+            self.p = self.p.saturating_sub(step * ARC_P_SCALE);
+            self.fill_to_t2 = true;
+        } else {
+            self.fill_to_t2 = false;
+        }
+    }
+
+    fn on_evict(&mut self, set: usize, way: usize) {
+        let block = self.blocks[set * self.ways + way];
+        let s = &mut self.lists[set];
+        let (ghost, cap) = match s.drop_way(way) {
+            Some(ArcList::T2) => (&mut s.b2, self.ways),
+            // T1 members and (defensively) untracked ways ghost into B1.
+            _ => (&mut s.b1, self.ways),
+        };
+        ghost.insert(0, block);
+        ghost.truncate(cap);
+    }
+
+    fn on_fill(&mut self, set: usize, way: usize, ctx: &AccessContext) {
+        self.blocks[set * self.ways + way] = self.geom.block_of(ctx.addr);
+        let to_t2 = std::mem::take(&mut self.fill_to_t2);
+        let s = &mut self.lists[set];
+        s.drop_way(way);
+        if to_t2 {
+            s.t2.insert(0, way);
+        } else {
+            s.t1.insert(0, way);
+        }
+    }
+
+    fn bits_per_set(&self) -> u64 {
+        self.ways as u64
+            + sim_core::overhead::lru_bits_per_set(self.ways)
+            + 2 * self.ways as u64 * 16
+    }
+
+    fn global_bits(&self) -> u64 {
+        16
+    }
+
+    fn audit_set_digest(&self, set: usize) -> Option<Vec<u8>> {
+        let s = &self.lists[set];
+        let mut d = Vec::new();
+        for list in [&s.t1, &s.t2] {
+            for &w in list {
+                d.push(w as u8);
+                d.extend_from_slice(&self.blocks[set * self.ways + w].to_le_bytes());
+            }
+            d.push(0xff);
+        }
+        for ghost in [&s.b1, &s.b2] {
+            for &b in ghost {
+                d.extend_from_slice(&b.to_le_bytes());
+            }
+            d.push(0xff);
+        }
+        Some(d)
+    }
+
+    fn audit_global_digest(&self) -> Vec<u8> {
+        let mut d = self.p.to_le_bytes().to_vec();
+        d.push(u8::from(self.fill_to_t2));
+        d
+    }
+}
+
+/// log2 of [`RefEhc`]'s expected-hit-count table size.
+const EHCT_BITS: u32 = 12;
+/// [`RefEhc`]'s hit-count ceiling (4-bit counters).
+const EHC_HITS_MAX: u8 = 15;
+
+/// Reference EHC: separate per-line signature and hit-count arrays and an
+/// explicit `min_by_key` over remaining expected hits.
+///
+/// [`baselines::EhcPolicy`] packs each line's signature and hit count
+/// into one `u16`. The audit digests use the same bytes, so the two can
+/// be compared state for state.
+#[derive(Debug, Clone)]
+pub struct RefEhc {
+    ways: usize,
+    signature: Vec<u16>,
+    hits: Vec<u8>,
+    ehct: Vec<u8>,
+}
+
+impl RefEhc {
+    /// Creates the reference EHC policy for `geom`.
+    pub fn new(geom: &CacheGeometry) -> Self {
+        let lines = geom.sets() * geom.ways();
+        RefEhc {
+            ways: geom.ways(),
+            signature: vec![0; lines],
+            hits: vec![0; lines],
+            // Optimistic start: unseen signatures expect one hit.
+            ehct: vec![1; 1 << EHCT_BITS],
+        }
+    }
+
+    /// The EHCT signature for a memory instruction PC.
+    pub fn signature_of(pc: u64) -> u16 {
+        let folded = (pc >> 2) ^ (pc >> 14) ^ (pc >> 33);
+        (folded & ((1 << EHCT_BITS) - 1)) as u16
+    }
+
+    /// Hits this line still owes per its signature's expectation.
+    fn remaining(&self, idx: usize) -> u8 {
+        self.ehct[usize::from(self.signature[idx])].saturating_sub(self.hits[idx])
+    }
+}
+
+impl ReplacementPolicy for RefEhc {
+    fn name(&self) -> &str {
+        "ref-EHC"
+    }
+
+    fn victim(&mut self, set: usize, _ctx: &AccessContext) -> usize {
+        let base = set * self.ways;
+        // Fewest remaining expected hits loses; ties fall to the lowest way.
+        (0..self.ways)
+            .min_by_key(|&w| self.remaining(base + w))
+            .expect("ways > 0")
+    }
+
+    fn on_hit(&mut self, set: usize, way: usize, _ctx: &AccessContext) {
+        let idx = set * self.ways + way;
+        self.hits[idx] = (self.hits[idx] + 1).min(EHC_HITS_MAX);
+    }
+
+    fn on_evict(&mut self, set: usize, way: usize) {
+        let idx = set * self.ways + way;
+        let sig = usize::from(self.signature[idx]);
+        // Exponential moving average toward the observed hit count,
+        // truncating so a dead signature can decay to zero.
+        self.ehct[sig] = (self.ehct[sig] + self.hits[idx]) / 2;
+    }
+
+    fn on_fill(&mut self, set: usize, way: usize, ctx: &AccessContext) {
+        let idx = set * self.ways + way;
+        self.signature[idx] = Self::signature_of(ctx.pc);
+        self.hits[idx] = 0;
+    }
+
+    fn bits_per_set(&self) -> u64 {
+        self.ways as u64 * (u64::from(EHCT_BITS) + 4)
+    }
+
+    fn global_bits(&self) -> u64 {
+        (1u64 << EHCT_BITS) * 4
+    }
+
+    fn audit_set_digest(&self, set: usize) -> Option<Vec<u8>> {
+        let base = set * self.ways;
+        let mut d = Vec::with_capacity(self.ways * 3);
+        for idx in base..base + self.ways {
+            d.extend_from_slice(&self.signature[idx].to_le_bytes());
+            d.push(self.hits[idx]);
+        }
+        Some(d)
+    }
+
+    fn audit_global_digest(&self) -> Vec<u8> {
+        let mut d = Vec::new();
+        for (i, &v) in self.ehct.iter().enumerate() {
+            if v != 1 {
+                d.extend_from_slice(&(i as u16).to_le_bytes());
+                d.push(v);
+            }
+        }
+        d
     }
 }
 
