@@ -27,7 +27,6 @@ pub mod policies;
 pub mod report;
 pub mod runner;
 pub mod scale;
-pub mod seed_replay;
 pub mod stats;
 
 pub use cache::{workload_cache, WorkloadCache};

@@ -251,31 +251,6 @@ impl StackDistanceProfile {
             self.misses(ways) as f64 * 1000.0 / self.instructions as f64
         }
     }
-
-    /// Folds another profile of the *same configuration* into this one
-    /// (histograms and counters sum). Captures over disjoint set ranges
-    /// of one stream — shard routing — merge to exactly the whole-stream
-    /// profile, because stack distances depend only on per-set
-    /// subsequences.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configurations (sets, line size, `max_ways`)
-    /// differ.
-    pub fn absorb(&mut self, other: &StackDistanceProfile) {
-        assert!(
-            self.sets == other.sets
-                && self.line_bytes == other.line_bytes
-                && self.max_ways == other.max_ways,
-            "cannot merge profiles of different configurations"
-        );
-        for (h, o) in self.hist.iter_mut().zip(&other.hist) {
-            *h += o;
-        }
-        self.beyond += other.beyond;
-        self.measured += other.measured;
-        self.instructions += other.instructions;
-    }
 }
 
 /// Whether `kernel` has true-LRU semantics: the all-zero stack IPV (every
@@ -362,38 +337,6 @@ mod tests {
             let single = StackDistanceProfile::capture(&stream, g, 100, *w);
             assert_eq!(*got, single);
         }
-    }
-
-    #[test]
-    fn absorb_merges_disjoint_set_ranges() {
-        let g = geom(4, 4);
-        let stream: Vec<Access> = (0..400u64)
-            .map(|i| Access::read(((i * 7) % 64) * 64, 0))
-            .collect();
-        let whole = StackDistanceProfile::capture(&stream, &g, 0, 4);
-        // Route by set into two halves, preserving per-set order.
-        let lo: Vec<Access> = stream
-            .iter()
-            .copied()
-            .filter(|a| g.set_of(a.addr) < 2)
-            .collect();
-        let hi: Vec<Access> = stream
-            .iter()
-            .copied()
-            .filter(|a| g.set_of(a.addr) >= 2)
-            .collect();
-        let mut merged = StackDistanceProfile::capture(&lo, &g, 0, 4);
-        merged.absorb(&StackDistanceProfile::capture(&hi, &g, 0, 4));
-        assert_eq!(merged, whole);
-    }
-
-    #[test]
-    #[should_panic(expected = "different configurations")]
-    fn absorb_rejects_mismatched_configs() {
-        let stream = reads(&[0, 1]);
-        let mut a = StackDistanceProfile::capture(&stream, &geom(2, 2), 0, 2);
-        let b = StackDistanceProfile::capture(&stream, &geom(4, 2), 0, 2);
-        a.absorb(&b);
     }
 
     #[test]

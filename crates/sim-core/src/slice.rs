@@ -1871,6 +1871,9 @@ mod tests {
         assert_eq!(SliceKernel::StackIpv { ipv: vec![0; 17] }.lanes(16), 1);
         assert_eq!(SliceKernel::RripIpv { vector: [0; 5] }.lanes(16), 1);
         assert_eq!(duel(vec![plru.clone(), plru], 0, None).lanes(16), 4);
+        // A nibble duel (DRRIP's shape) shares one word-filling set.
+        let rrip = SliceKernel::RripIpv { vector: [0; 5] };
+        assert_eq!(duel(vec![rrip.clone(), rrip], 0, None).lanes(16), 1);
     }
 
     #[test]

@@ -468,7 +468,6 @@ fn lint_island_atomicity(root: &Path) -> usize {
         // Port file and client stats files are poll-read by other
         // processes, so a torn write is an immediate race.
         ("crates/harness/src/bin/serve.rs", &["atomic_write"]),
-        ("crates/harness/src/bin/bench-serve.rs", &["atomic_write"]),
     ];
     let mut failures = 0;
     for (rel, needles) in checks {
