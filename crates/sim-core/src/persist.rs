@@ -36,11 +36,35 @@ pub fn tmp_path(path: &Path) -> PathBuf {
 /// into place. On any error the staging file is removed, so failures
 /// leave the previous artifact intact and no orphan behind.
 ///
+/// The caller's slice is written as it is, without a copy; only an
+/// injected `corrupt` fault, which must alter the bytes, stages a copy.
+///
 /// # Errors
 ///
 /// Propagates filesystem errors (including injected ones).
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    atomic_write_with(path, |w| w.write_all(bytes))
+    if let Some(dir) = path.parent() {
+        if !dir.as_os_str().is_empty() {
+            fs::create_dir_all(dir)?;
+        }
+    }
+
+    let label = path.to_string_lossy();
+    let fault = sim_fault::on_write(&label);
+    if fault == sim_fault::WriteFault::Error {
+        return Err(io::Error::other(format!(
+            "injected write fault: no space left on device ({label})"
+        )));
+    }
+
+    let tmp = tmp_path(path);
+    let result = commit(&tmp, path, bytes, fault);
+    if result.is_err() {
+        // Failures must not leave staging orphans; the previous artifact
+        // at `path` is untouched either way.
+        let _ = fs::remove_file(&tmp);
+    }
+    result
 }
 
 /// [`atomic_write`] with a streaming producer: `fill` writes the payload
@@ -58,64 +82,38 @@ where
 {
     let mut payload: Vec<u8> = Vec::new();
     fill(&mut payload)?;
-
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            fs::create_dir_all(dir)?;
-        }
-    }
-
-    let label = path.to_string_lossy();
-    let fault = sim_fault::on_write(&label);
-    if fault == sim_fault::WriteFault::Error {
-        return Err(io::Error::other(format!(
-            "injected write fault: no space left on device ({label})"
-        )));
-    }
-
-    let tmp = tmp_path(path);
-    let result = commit(&tmp, path, payload, fault);
-    if result.is_err() {
-        // Failures must not leave staging orphans; the previous artifact
-        // at `path` is untouched either way.
-        let _ = fs::remove_file(&tmp);
-    }
-    result
+    atomic_write(path, &payload)
 }
 
 /// Stages `payload` at `tmp`, applies any injected fault, and renames it
 /// over `path`.
-fn commit(
-    tmp: &Path,
-    path: &Path,
-    mut payload: Vec<u8>,
-    fault: sim_fault::WriteFault,
-) -> io::Result<()> {
+fn commit(tmp: &Path, path: &Path, payload: &[u8], fault: sim_fault::WriteFault) -> io::Result<()> {
     use sim_fault::WriteFault;
 
-    let torn = match fault {
+    let mut copy;
+    let (staged, torn) = match fault {
         WriteFault::Torn(keep) => {
             let keep = keep.unwrap_or(payload.len() / 2).min(payload.len());
-            payload.truncate(keep);
-            true
+            (&payload[..keep], true)
         }
         WriteFault::Corrupt => {
-            // Flip one mid-payload bit but commit successfully: the
-            // deterministic stand-in for post-commit corruption, which
+            // Flip one mid-payload bit of a copy but commit successfully:
+            // the deterministic stand-in for post-commit corruption, which
             // only a reader-side CRC can catch.
-            let mid = payload.len() / 2;
-            match payload.get_mut(mid) {
+            copy = payload.to_vec();
+            let mid = copy.len() / 2;
+            match copy.get_mut(mid) {
                 Some(byte) => *byte ^= 0x40,
-                None => payload.push(0x40),
+                None => copy.push(0x40),
             }
-            false
+            (copy.as_slice(), false)
         }
-        _ => false,
+        _ => (payload, false),
     };
 
     {
         let mut file = fs::File::create(tmp)?;
-        file.write_all(&payload)?;
+        file.write_all(staged)?;
         file.sync_all()?;
     }
     if torn {
@@ -261,6 +259,39 @@ mod tests {
             assert_eq!(written.len(), 64);
             assert_ne!(written, payload, "exactly the committed-corruption case");
             assert_eq!(written.iter().filter(|&&b| b != 0).count(), 1);
+            assert_eq!(written[32], 0x40, "the mid-payload byte is the flipped one");
+            assert!(
+                payload.iter().all(|&b| b == 0),
+                "the caller's bytes are untouched"
+            );
+            // The streaming front end commits through the same path.
+            sim_fault::with_plan("corrupt@blob.bin", || {
+                atomic_write_with(&path, |w| w.write_all(&payload)).unwrap();
+            });
+            assert_eq!(fs::read(&path).unwrap(), written);
+            let _ = fs::remove_dir_all(&dir);
+        }
+
+        #[test]
+        fn torn_commit_stages_only_the_kept_prefix() {
+            // `atomic_write` removes the torn staging file, so look at the
+            // commit step it delegates to: the staged bytes are a prefix
+            // of the caller's slice and the destination never changes.
+            let dir = scratch("torn-prefix");
+            fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("out.bin");
+            let tmp = tmp_path(&path);
+            atomic_write(&path, b"old").unwrap();
+            let payload = b"0123456789";
+            for (fault, kept) in [
+                (sim_fault::WriteFault::Torn(Some(4)), &payload[..4]),
+                (sim_fault::WriteFault::Torn(None), &payload[..5]),
+                (sim_fault::WriteFault::Torn(Some(99)), &payload[..]),
+            ] {
+                assert!(commit(&tmp, &path, payload, fault).is_err());
+                assert_eq!(fs::read(&tmp).unwrap(), kept, "{fault:?}");
+                assert_eq!(fs::read(&path).unwrap(), b"old");
+            }
             let _ = fs::remove_dir_all(&dir);
         }
     }

@@ -21,11 +21,11 @@
 //! kind, bad record bytes — decodes to a typed [`ProtoError`], never a
 //! panic.
 
-use sim_core::{Access, AccessKind, CacheStats};
+use sim_core::{Access, CacheStats};
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
-use traces::format::Crc32;
+use traces::format::{decode_record, encode_record, Crc32};
 
 /// Protocol version spoken by this build (carried in `Hello`).
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -36,7 +36,7 @@ pub const PROTOCOL_VERSION: u32 = 1;
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
 /// One record of the `traces` container layout on the wire.
-pub const RECORD_BYTES: usize = 21;
+pub const RECORD_BYTES: usize = traces::format::RECORD_BYTES;
 
 // Client->server frame kinds.
 const K_HELLO: u8 = 0x01;
@@ -421,33 +421,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn put_access(buf: &mut Vec<u8>, a: &Access) {
-    // The `traces` container record layout, byte for byte.
-    buf.push(match a.kind {
-        AccessKind::Read => 0,
-        AccessKind::Write => 1,
-        AccessKind::Writeback => 2,
-    });
-    put_u64(buf, a.addr);
-    put_u64(buf, a.pc);
-    put_u32(buf, a.icount_delta);
-}
-
-fn get_access(c: &mut Cursor<'_>) -> Result<Access, ProtoError> {
-    let kind = match c.u8()? {
-        0 => AccessKind::Read,
-        1 => AccessKind::Write,
-        2 => AccessKind::Writeback,
-        other => return Err(ProtoError::BadKind(other)),
-    };
-    Ok(Access {
-        kind,
-        addr: c.u64()?,
-        pc: c.u64()?,
-        icount_delta: c.u32()?,
-    })
-}
-
 fn put_stats(buf: &mut Vec<u8>, s: &CacheStats) {
     put_u64(buf, s.accesses);
     put_u64(buf, s.hits);
@@ -512,15 +485,14 @@ fn get_delta(c: &mut Cursor<'_>) -> Result<Delta, ProtoError> {
 /// Propagates sink I/O failures.
 pub fn write_frame(w: &mut dyn Write, kind: u8, payload: &[u8]) -> io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME_LEN, "oversized frame built");
-    let mut crc = Crc32::new();
-    crc.update(&[kind]);
-    crc.update(payload);
     // One buffered write per frame so a frame is never interleaved with
     // another thread's partial write at the `Write` level.
     let mut out = Vec::with_capacity(9 + payload.len());
     put_u32(&mut out, payload.len() as u32);
     out.push(kind);
     out.extend_from_slice(payload);
+    let mut crc = Crc32::new();
+    crc.update(&out[4..]);
     put_u32(&mut out, crc.finish());
     w.write_all(&out)?;
     w.flush()
@@ -576,13 +548,16 @@ impl ClientFrame {
                 (K_HELLO, buf)
             }
             ClientFrame::Accesses(batch) => {
+                buf.reserve_exact(4 + batch.len() * RECORD_BYTES);
                 put_u32(&mut buf, batch.len() as u32);
                 for a in batch {
-                    put_access(&mut buf, a);
+                    // The `traces` container record layout, byte for byte.
+                    buf.extend_from_slice(&encode_record(a));
                 }
                 (K_ACCESSES, buf)
             }
             ClientFrame::KvBatch(ops) => {
+                buf.reserve_exact(4 + ops.iter().map(|op| 3 + op.key.len()).sum::<usize>());
                 put_u32(&mut buf, ops.len() as u32);
                 for op in ops {
                     buf.push(u8::from(op.write));
@@ -636,8 +611,9 @@ impl ClientFrame {
                     return Err(ProtoError::BadPayload("record count disagrees with length"));
                 }
                 let mut batch = Vec::with_capacity(n);
-                for _ in 0..n {
-                    batch.push(get_access(&mut c)?);
+                for rec in c.take(n * RECORD_BYTES)?.chunks_exact(RECORD_BYTES) {
+                    let rec = rec.try_into().expect("record-sized chunk");
+                    batch.push(decode_record(rec).map_err(|_| ProtoError::BadKind(rec[0]))?);
                 }
                 ClientFrame::Accesses(batch)
             }
@@ -832,6 +808,7 @@ pub fn error_code_for(e: &ProtoError) -> ErrorCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::AccessKind;
 
     fn sample_delta() -> Delta {
         Delta {

@@ -12,7 +12,11 @@
 //!   backpressure with O(bound) memory;
 //! * a **replayer** that owns the tenant's [`Session`], fans batches
 //!   across the worker pool, cuts deltas into the bounded
-//!   [`SharedOutbox`], and writes periodic snapshots;
+//!   [`SharedOutbox`], and writes periodic snapshots. When it falls
+//!   behind, it merges the frames already queued into one ingest (one
+//!   pool fan-out): **ingest batching**, which stops at a change of frame
+//!   kind and at the next delta or snapshot boundary, so every delta and
+//!   snapshot is cut exactly where frame-by-frame replay would cut it;
 //! * a **writer** that drains the outbox onto the socket. A slow client
 //!   leaves the writer blocked, the outbox coalesces, and the client
 //!   eventually sees a merged delta plus a `Throttled` frame.
@@ -23,11 +27,13 @@
 //! failures (including injected `sim-fault` connection faults) tear down
 //! only that connection, after which the replayer parks the session back
 //! in the registry and snapshots it — so a mid-stream disconnect costs the
-//! tenant nothing but the partial batch in flight. Idle and half-open
-//! connections are expired by the deadline wheel. Accept failures are
-//! logged and survived. Snapshot write failures retry with backoff; a
-//! persistently failing disk degrades the session to ephemeral with a
-//! `Warning` frame instead of killing the tenant.
+//! tenant nothing but the partial batch in flight. A park writes the
+//! snapshot only if the session changed since its last successful one, so
+//! a `Finish` (which snapshots) followed by `Bye` writes it once. Idle
+//! and half-open connections are expired by the deadline wheel. Accept
+//! failures are logged and survived. Snapshot write failures retry with
+//! backoff; a persistently failing disk degrades the session to ephemeral
+//! with a `Warning` frame instead of killing the tenant.
 
 use crate::backpressure::SharedOutbox;
 use crate::protocol::{
@@ -305,9 +311,11 @@ impl Shared {
 
     /// Writes `session`'s snapshot with retry; on exhaustion degrades the
     /// session to ephemeral and reports the degradation through `outbox`
-    /// (when a connection is attached to hear it).
+    /// (when a connection is attached to hear it). A state already on
+    /// disk is not written again, so the detach after a `Finish` costs
+    /// nothing.
     fn snapshot_session(&self, session: &mut Session, outbox: Option<&SharedOutbox>) {
-        if session.is_ephemeral() {
+        if session.is_ephemeral() || session.is_persisted() {
             return;
         }
         let Some(path) = self.snapshot_path(session.config().tenant.as_str()) else {
@@ -320,7 +328,7 @@ impl Shared {
             self.config.backoff,
             self.config.snapshot_attempts,
         ) {
-            Ok(()) => {}
+            Ok(()) => session.mark_persisted(),
             Err(e) => {
                 // Graceful degradation: the tenant keeps streaming, only
                 // crash-resumability is lost — and the client is told.
@@ -483,7 +491,9 @@ fn restore_sessions(dir: &Path, registry: &Roster, sessions: &mut HashMap<String
             .map_err(|e| SnapshotError::Journal(traces::TraceError::Io(e)))
             .and_then(|bytes| Session::restore(&bytes, registry));
         match restore {
-            Ok(session) => {
+            Ok(mut session) => {
+                // The file it came from already holds this state.
+                session.mark_persisted();
                 let tenant = session.config().tenant.clone();
                 eprintln!(
                     "sim-serve: resumed session for tenant {:?} at {} accesses",
@@ -840,6 +850,42 @@ fn open_session(
     Ok((Box::new(session), 0))
 }
 
+/// Ingest batching: merges the frames already waiting in `rx` into
+/// `first`, so one [`Session::ingest`] (one worker-pool fan-out) replays
+/// them all. Merging stops at a change of frame kind, never takes a
+/// `Finish` or a `KvBatch` bound for an address session (each of those is
+/// handled alone), and stops at the frame that reaches `room` accesses,
+/// the next delta or snapshot boundary. Deltas and snapshots are
+/// therefore cut at exactly the points frame-by-frame replay cuts them.
+/// Returns the merged message and the waiting message that could not
+/// join it, if one was taken off the channel.
+fn batch_ingest(
+    first: Ingest,
+    rx: &Receiver<Ingest>,
+    room: u64,
+    kv_session: bool,
+) -> (Ingest, Option<Ingest>) {
+    let mut merged = first;
+    loop {
+        let len = match &merged {
+            Ingest::Batch(batch) => batch.len(),
+            Ingest::Kv(ops) if kv_session => ops.len(),
+            _ => return (merged, None),
+        };
+        if len as u64 >= room {
+            return (merged, None);
+        }
+        let Ok(next) = rx.try_recv() else {
+            return (merged, None);
+        };
+        match (&mut merged, next) {
+            (Ingest::Batch(batch), Ingest::Batch(more)) => batch.extend_from_slice(&more),
+            (Ingest::Kv(ops), Ingest::Kv(more)) => ops.extend(more),
+            (_, other) => return (merged, Some(other)),
+        }
+    }
+}
+
 /// Owns the session for the life of the connection: replays batches, cuts
 /// deltas, snapshots, and parks the session on the way out.
 fn replay_loop(
@@ -851,7 +897,15 @@ fn replay_loop(
     let tenant = session.config().tenant.clone();
     let mut last_snapshot_at = session.ingested();
     let mut panicked = false;
-    while let Ok(msg) = rx.recv() {
+    let mut held = None;
+    while let Some(first) = held.take().or_else(|| rx.recv().ok()) {
+        let every = shared.config.snapshot_every;
+        let mut room = session.until_delta();
+        if every > 0 {
+            room = room.min((last_snapshot_at + every).saturating_sub(session.ingested()));
+        }
+        let (msg, next) = batch_ingest(first, &rx, room, session.config().kv_mode);
+        held = next;
         let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             replay_step(&mut session, msg, &outbox, &shared, &mut last_snapshot_at)
         }));
@@ -930,5 +984,88 @@ fn writer_loop(mut sink: FaultStream, outbox: Arc<SharedOutbox>) {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::KvOp;
+
+    fn batch(n: usize) -> Ingest {
+        Ingest::Batch(vec![Access::read(0, 0); n])
+    }
+
+    fn kv(n: usize) -> Ingest {
+        let op = KvOp {
+            write: false,
+            key: "k".into(),
+        };
+        Ingest::Kv(vec![op; n])
+    }
+
+    /// A channel already holding `msgs`, as the reader would have left it.
+    fn queued(msgs: Vec<Ingest>) -> Receiver<Ingest> {
+        let (tx, rx) = sync_channel(msgs.len().max(1));
+        for m in msgs {
+            assert!(tx.send(m).is_ok());
+        }
+        rx
+    }
+
+    fn len(m: &Ingest) -> Option<usize> {
+        match m {
+            Ingest::Batch(b) => Some(b.len()),
+            Ingest::Kv(ops) => Some(ops.len()),
+            Ingest::Finish => None,
+        }
+    }
+
+    #[test]
+    fn merges_through_the_frame_that_reaches_the_boundary() {
+        let rx = queued(vec![batch(10), batch(10), batch(10), batch(10)]);
+        let (merged, held) = batch_ingest(batch(10), &rx, 35, false);
+        assert_eq!(len(&merged), Some(40), "stops after crossing 35");
+        assert!(held.is_none());
+        assert_eq!(rx.try_iter().count(), 1, "the last frame stays queued");
+
+        // A first frame already at the boundary merges nothing.
+        let rx = queued(vec![batch(1)]);
+        let (merged, _) = batch_ingest(batch(35), &rx, 35, false);
+        assert_eq!(len(&merged), Some(35));
+        assert_eq!(rx.try_iter().count(), 1);
+    }
+
+    #[test]
+    fn a_kind_change_or_finish_ends_the_merge() {
+        let rx = queued(vec![batch(5), kv(5), batch(5)]);
+        let (merged, held) = batch_ingest(batch(5), &rx, 100, true);
+        assert_eq!(len(&merged), Some(10));
+        assert!(matches!(held, Some(Ingest::Kv(ref ops)) if ops.len() == 5));
+
+        let rx = queued(vec![Ingest::Finish]);
+        let (merged, held) = batch_ingest(kv(5), &rx, 100, true);
+        assert_eq!(len(&merged), Some(5));
+        assert!(matches!(held, Some(Ingest::Finish)));
+
+        let rx = queued(vec![batch(5)]);
+        let (merged, held) = batch_ingest(Ingest::Finish, &rx, 100, false);
+        assert!(matches!(merged, Ingest::Finish) && held.is_none());
+        assert_eq!(rx.try_iter().count(), 1);
+    }
+
+    #[test]
+    fn kv_frames_merge_only_on_kv_sessions() {
+        // On an address session each KvBatch is refused on its own.
+        let rx = queued(vec![kv(3)]);
+        let (merged, held) = batch_ingest(kv(3), &rx, 100, false);
+        assert_eq!(len(&merged), Some(3));
+        assert!(held.is_none());
+        assert_eq!(rx.try_iter().count(), 1);
+
+        let rx = queued(vec![kv(3), kv(3)]);
+        let (merged, held) = batch_ingest(kv(3), &rx, 100, true);
+        assert_eq!(len(&merged), Some(9));
+        assert!(held.is_none());
     }
 }

@@ -25,6 +25,26 @@
 //! Snapshots are written through [`sim_core::persist::atomic_write`] with
 //! retry-and-backoff, so a torn write can never destroy the previous good
 //! snapshot and a transient `ENOSPC` is ridden out rather than fatal.
+//! [`Session::snapshot_bytes`] builds one exactly sized buffer and
+//! checksums the journal's record region in one pass; `atomic_write`
+//! commits that buffer without copying it.
+//!
+//! # Snapshot once per state
+//!
+//! A snapshot records the journal and the delta sequence number, and
+//! nothing else changes over a session's life. The session remembers that
+//! pair as of its last snapshot known to be on disk
+//! ([`Session::mark_persisted`]); [`Session::is_persisted`] then tells the
+//! server a write would only repeat the file, so a `Finish` followed by a
+//! disconnect writes the journal once.
+//!
+//! # Ingest batching
+//!
+//! [`Session::ingest`] takes a batch of any length and cuts at most one
+//! delta, at its end. The server merges queued frames into one call (one
+//! pool fan-out), stopping at the frame that reaches
+//! [`Session::until_delta`], so the cuts land where frame-by-frame
+//! ingest would put them.
 
 use crate::kv;
 use crate::protocol::{put_str, put_u16, put_u32, put_u64};
@@ -39,7 +59,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::Duration;
-use traces::{TraceReader, TraceWriter};
+use traces::format::{append_container, container_len, Crc32};
+use traces::TraceReader;
 
 /// Snapshot file magic (the `.ssn` sibling of the `PLRUTRC1` container).
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"PLRUSSN1";
@@ -184,6 +205,10 @@ pub struct Session {
     last_delta_at: u64,
     /// True once snapshots have been given up on (degraded mode).
     ephemeral: bool,
+    /// `(ingested, delta_seq)` as of the last snapshot known to be on
+    /// disk: the two things a snapshot records that change over a
+    /// session's life.
+    persisted: Option<(u64, u64)>,
 }
 
 /// Builds each named roster policy for `geom`.
@@ -254,6 +279,7 @@ impl Session {
             delta_seq: 0,
             last_delta_at: 0,
             ephemeral: false,
+            persisted: None,
         })
     }
 
@@ -276,6 +302,22 @@ impl Session {
     /// keeps working.
     pub fn degrade_to_ephemeral(&mut self) {
         self.ephemeral = true;
+    }
+
+    /// True when the last snapshot known to be on disk already holds this
+    /// exact state: nothing was ingested and no delta was cut since.
+    pub fn is_persisted(&self) -> bool {
+        self.persisted == Some((self.ingested(), self.delta_seq))
+    }
+
+    /// Records that the current state's snapshot is on disk.
+    pub fn mark_persisted(&mut self) {
+        self.persisted = Some((self.ingested(), self.delta_seq));
+    }
+
+    /// Accesses still to ingest before the next `delta_every` cut.
+    pub fn until_delta(&self) -> u64 {
+        (self.last_delta_at + self.config.delta_every).saturating_sub(self.ingested())
     }
 
     /// Runs `batch` through every engine and appends it to the journal.
@@ -351,7 +393,8 @@ impl Session {
 
     // -- snapshots ---------------------------------------------------------
 
-    /// Serializes the session (config + journal) into snapshot bytes.
+    /// Serializes the session (config + journal) into snapshot bytes, in
+    /// one exactly sized buffer.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let mut meta = Vec::new();
         put_u32(&mut meta, SNAPSHOT_VERSION);
@@ -367,19 +410,16 @@ impl Session {
             put_str(&mut meta, name);
         }
 
-        let mut out = Vec::new();
+        let len = SNAPSHOT_MAGIC.len() + 4 + meta.len() + 4 + container_len(self.journal.len());
+        let mut out = Vec::with_capacity(len);
         out.extend_from_slice(SNAPSHOT_MAGIC);
         put_u32(&mut out, meta.len() as u32);
         out.extend_from_slice(&meta);
-        let mut crc = traces::format::Crc32::new();
+        let mut crc = Crc32::new();
         crc.update(&meta);
         put_u32(&mut out, crc.finish());
-
-        let mut w = TraceWriter::new(&mut out).expect("vec sink cannot fail");
-        for a in &self.journal {
-            w.write(a).expect("vec sink cannot fail");
-        }
-        w.finish().expect("vec sink cannot fail");
+        append_container(&mut out, &self.journal);
+        debug_assert_eq!(out.len(), len);
         out
     }
 
@@ -406,7 +446,7 @@ impl Session {
         let meta = &bytes[12..meta_end];
         let stored_crc =
             u32::from_le_bytes(bytes[meta_end..meta_end + 4].try_into().expect("4 bytes"));
-        let mut crc = traces::format::Crc32::new();
+        let mut crc = Crc32::new();
         crc.update(meta);
         if crc.finish() != stored_crc {
             return Err(SnapshotError::MetaCrc);

@@ -1,8 +1,8 @@
 //! End-to-end daemon tests over real TCP loopback sockets: the happy
 //! path, typed rejection of malformed input, restart-resume bit-identity,
 //! idle expiry, and — with `sim-fault` injection — mid-stream
-//! disconnects, accept failures, forced backpressure coalescing, and
-//! snapshot disk faults.
+//! disconnects, accept failures, forced backpressure coalescing, snapshot
+//! disk faults, and one snapshot write per session state.
 
 use sim_core::{Access, AccessKind};
 use sim_serve::protocol::{
@@ -10,7 +10,7 @@ use sim_serve::protocol::{
     ServerFrame,
 };
 use sim_serve::server::{Server, ServerConfig, ServerHandle};
-use sim_serve::session::{canonical_stats, default_roster, reference_delta};
+use sim_serve::session::{canonical_stats, default_roster, reference_delta, Session};
 use sim_serve::PROTOCOL_VERSION;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -588,6 +588,64 @@ fn snapshot_disk_fault_degrades_session_with_warning() {
     assert_eq!(canonical_stats(&delta), canonical_stats(&reference));
     // And no snapshot file exists (the writes all failed atomically).
     assert!(!dir.join("tenant-deg.ssn").exists());
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn finish_then_bye_writes_the_snapshot_once() {
+    if !sim_fault::COMPILED_IN {
+        return;
+    }
+    let dir = std::env::temp_dir().join(format!("sim-serve-e2e-once-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    fn no_backoff(_attempt: u64) -> Duration {
+        Duration::from_millis(0)
+    }
+    let server = serve(ServerConfig {
+        snapshot_dir: Some(dir.clone()),
+        snapshot_attempts: 1,
+        backoff: no_backoff,
+        ..ServerConfig::default()
+    });
+    let accesses = stream(200, 61);
+
+    // A second write of the tenant's snapshot would hit ENOSPC and, with a
+    // single attempt, degrade the session with a Warning. `Finish` writes
+    // the snapshot; the detach after `Bye` finds that state already on
+    // disk and must not write again.
+    let after_bye = sim_fault::with_plan("enospc@tenant-once.ssn:n=2", || {
+        let mut c = Client::connect(&server);
+        assert!(matches!(
+            c.hello("tenant-once", false, false, 64),
+            ServerFrame::HelloAck { .. }
+        ));
+        for chunk in accesses.chunks(25) {
+            c.send(&ClientFrame::Accesses(chunk.to_vec())).unwrap();
+        }
+        c.send(&ClientFrame::Finish).unwrap();
+        let (_, _, warnings, _) = c.drain_to_final();
+        assert!(warnings.is_empty(), "{warnings:?}");
+        c.send(&ClientFrame::Bye).unwrap();
+        // The server closes only after the session is parked.
+        let mut frames = Vec::new();
+        while let Ok(f) = c.try_recv() {
+            frames.push(f);
+        }
+        frames
+    });
+    assert!(matches!(after_bye[..], [ServerFrame::Bye]), "{after_bye:?}");
+
+    // The one write restores to a bit-identical session.
+    let bytes = std::fs::read(dir.join("tenant-once.ssn")).unwrap();
+    let restored = Session::restore(&bytes, &default_roster()).unwrap();
+    assert_eq!(restored.ingested(), 200);
+    assert_eq!(restored.snapshot_bytes(), bytes);
+    let reference = reference_delta(&accesses, &[], &default_roster(), spec()).unwrap();
+    assert_eq!(
+        canonical_stats(&restored.current_delta()),
+        canonical_stats(&reference)
+    );
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,9 +1,29 @@
-//! Property-based tests for the trace container: round-trip fidelity and
-//! corruption detection under arbitrary byte damage.
+//! Property-based tests for the trace container: round-trip fidelity,
+//! corruption detection under arbitrary byte damage, and the table-driven
+//! CRC-32 against the plain bitwise definition.
 
 use proptest::prelude::*;
 use sim_core::{Access, AccessKind};
+use traces::format::{append_container, container_len, Crc32};
 use traces::{TraceReader, TraceWriter};
+
+/// The bit-at-a-time CRC-32 (reflected 0xEDB88320), the definition the
+/// slicing-by-8 tables are derived from.
+fn bitwise_crc32(bytes: &[u8]) -> u32 {
+    let mut state = 0xffff_ffffu32;
+    for &b in bytes {
+        let mut cur = (state ^ u32::from(b)) & 0xff;
+        for _ in 0..8 {
+            cur = if cur & 1 == 1 {
+                (cur >> 1) ^ 0xedb8_8320
+            } else {
+                cur >> 1
+            };
+        }
+        state = (state >> 8) ^ cur;
+    }
+    state ^ 0xffff_ffff
+}
 
 fn arb_access() -> impl Strategy<Value = Access> {
     (any::<u64>(), any::<u64>(), 0u8..3, any::<u32>()).prop_map(|(addr, pc, kind, delta)| Access {
@@ -84,5 +104,37 @@ proptest! {
             Err(e) => Err(e),
         };
         prop_assert!(outcome.is_err(), "truncated at {keep}/{} not detected", buf.len());
+    }
+
+    /// Any bytes, split at any chunk boundaries, checksum exactly as the
+    /// bitwise definition does over the whole input.
+    #[test]
+    fn crc_matches_bitwise_definition_across_splits(
+        bytes in proptest::collection::vec(any::<u32>().prop_map(|x| x as u8), 0..600),
+        cuts in proptest::collection::vec(0.0f64..1.0, 0..6),
+    ) {
+        let mut at: Vec<usize> = cuts.iter().map(|f| (bytes.len() as f64 * f) as usize).collect();
+        at.push(0);
+        at.push(bytes.len());
+        at.sort_unstable();
+        let mut crc = Crc32::new();
+        for w in at.windows(2) {
+            crc.update(&bytes[w[0]..w[1]]);
+        }
+        prop_assert_eq!(crc.finish(), bitwise_crc32(&bytes));
+    }
+
+    /// The one-pass container encoder emits exactly the streaming
+    /// writer's bytes, at exactly the advertised length.
+    #[test]
+    fn append_container_equals_streaming_writer(
+        accesses in proptest::collection::vec(arb_access(), 0..200),
+        prefix in proptest::collection::vec(any::<u32>().prop_map(|x| x as u8), 0..16),
+    ) {
+        let mut out = prefix.clone();
+        append_container(&mut out, &accesses);
+        prop_assert_eq!(out.len(), prefix.len() + container_len(accesses.len()));
+        prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+        prop_assert_eq!(&out[prefix.len()..], &encode(&accesses)[..]);
     }
 }
