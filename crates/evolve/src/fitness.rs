@@ -10,13 +10,13 @@
 use gippr::{DgipprPolicy, GiplrPolicy, GipprPolicy, Ipv};
 use mem_model::cpi::LinearCpiModel;
 use mem_model::{
-    capture_llc_stream, plan, replay_llc_mono, replay_llc_sharded, Engine, HierarchyConfig,
+    capture_llc_stream_into, plan, replay_llc_mono, replay_llc_sharded, Engine, HierarchyConfig,
     Replayer, WindowPerfModel,
 };
 use sim_core::{
     Access, CacheGeometry, ReplacementPolicy, SampledStream, ShardedStream, StackDistanceProfile,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use traces::spec2006::Spec2006;
 use traces::WorkloadSpec;
 
@@ -124,6 +124,55 @@ pub struct WorkloadStream {
     pub weight: f64,
 }
 
+impl WorkloadStream {
+    /// One spec's share of [`FitnessContext::from_specs`]: captures its
+    /// first `accesses` references into `stream` (empty, pre-sized by the
+    /// caller) and builds everything derived from the capture.
+    fn build(
+        spec: &WorkloadSpec,
+        weight: f64,
+        config: HierarchyConfig,
+        accesses: usize,
+        shift: u32,
+        mut stream: Vec<Access>,
+    ) -> Self {
+        let scaled = spec.scaled_down(shift);
+        capture_llc_stream_into(
+            config,
+            scaled.generator(0).take(accesses),
+            false,
+            &mut stream,
+        );
+        let warmup = mem_model::llc::default_warmup(stream.len());
+        // One Mattson pass replaces the LRU baseline replay: the profile's
+        // miss count at the full associativity IS the sequential replay's
+        // (exactness is proven in sim-verify and the mem-model
+        // differential tests), and the same capture answers every
+        // narrower associativity for the prefilter
+        // ([`FitnessContext::lru_speedup_at`]).
+        let profile =
+            StackDistanceProfile::capture(&stream, &config.llc, warmup, config.llc.ways());
+        let sharded = ShardedStream::for_parallelism(
+            &stream,
+            &config.llc,
+            warmup,
+            sim_core::pool::global().cap(),
+        );
+        let sampled = SampledWorkload::build(&stream, &config.llc, warmup, DEFAULT_SAMPLE_EVERY, 0);
+        WorkloadStream {
+            name: scaled.name,
+            stream: Arc::new(stream),
+            sharded: Arc::new(sharded),
+            warmup,
+            instructions: profile.instructions().max(1),
+            lru_misses: profile.misses(config.llc.ways()),
+            profile: Arc::new(profile),
+            sampled: Arc::new(sampled),
+            weight,
+        }
+    }
+}
+
 /// Captured streams plus everything needed to score a candidate vector.
 #[derive(Debug, Clone)]
 pub struct FitnessContext {
@@ -136,6 +185,16 @@ pub struct FitnessContext {
 impl FitnessContext {
     /// Builds a context from explicit workload specs. `accesses_per_stream`
     /// is the reference-trace length fed to L1 (the LLC stream is shorter).
+    ///
+    /// Each spec's set-up (generate, capture, Mattson profile, shard
+    /// routing, sampled build) is independent of the others, so the specs
+    /// fan out over [`sim_core::pool::global`], at most `scale.threads`
+    /// at a time, and come back in spec order: the context is the same at
+    /// any thread count and when built from inside a pool task. The
+    /// captured-stream buffers are allocated here, on the calling thread,
+    /// and filled by the tasks: a buffer a pool worker allocated would
+    /// come from that worker's malloc arena, which keeps freed buffers
+    /// resident after the context is dropped.
     pub fn from_specs(
         specs: &[(WorkloadSpec, f64)],
         accesses_per_stream: usize,
@@ -143,47 +202,32 @@ impl FitnessContext {
     ) -> Self {
         let config = HierarchyConfig::paper_scaled(scale.shift)
             .expect("scale shift leaves valid geometries");
-        let streams = specs
+        let threads = scale.threads.max(1);
+        let buffers: Vec<Mutex<Vec<Access>>> = specs
             .iter()
-            .map(|(spec, weight)| {
-                let scaled = spec.scaled_down(scale.shift);
-                let (stream, _core_instructions) =
-                    capture_llc_stream(config, scaled.generator(0).take(accesses_per_stream));
-                let warmup = mem_model::llc::default_warmup(stream.len());
-                // One Mattson pass replaces the LRU baseline replay: the
-                // profile's miss count at the full associativity IS the
-                // sequential replay's (exactness is proven in sim-verify
-                // and the mem-model differential tests), and the same
-                // capture answers every narrower associativity for the
-                // prefilter below.
-                let profile =
-                    StackDistanceProfile::capture(&stream, &config.llc, warmup, config.llc.ways());
-                let sharded = ShardedStream::for_parallelism(
-                    &stream,
-                    &config.llc,
-                    warmup,
-                    sim_core::pool::global().cap(),
-                );
-                let sampled =
-                    SampledWorkload::build(&stream, &config.llc, warmup, DEFAULT_SAMPLE_EVERY, 0);
-                WorkloadStream {
-                    name: scaled.name.clone(),
-                    stream: Arc::new(stream),
-                    sharded: Arc::new(sharded),
-                    warmup,
-                    instructions: profile.instructions().max(1),
-                    lru_misses: profile.misses(config.llc.ways()),
-                    profile: Arc::new(profile),
-                    sampled: Arc::new(sampled),
-                    weight: *weight,
-                }
-            })
+            .map(|_| Mutex::new(Vec::with_capacity(accesses_per_stream)))
             .collect();
+        let streams = sim_core::pool::global().run(specs.len(), threads, |i| {
+            let (spec, weight) = &specs[i];
+            let buffer = std::mem::take(
+                &mut *buffers[i]
+                    .lock()
+                    .expect("no task panics while holding a buffer lock"),
+            );
+            WorkloadStream::build(
+                spec,
+                *weight,
+                config,
+                accesses_per_stream,
+                scale.shift,
+                buffer,
+            )
+        });
         FitnessContext {
             streams,
             geom: config.llc,
             model: LinearCpiModel::default(),
-            threads: scale.threads.max(1),
+            threads,
         }
     }
 
@@ -496,6 +540,75 @@ mod tests {
                 threads: 2,
             },
         )
+    }
+
+    fn assert_same_stream(got: &WorkloadStream, want: &WorkloadStream, how: &str) {
+        let what = format!("{} ({how})", want.name);
+        assert_eq!(got.name, want.name, "{what}");
+        assert!(got.stream == want.stream, "{what}: stream");
+        assert_eq!(got.warmup, want.warmup, "{what}");
+        assert_eq!(got.instructions, want.instructions, "{what}");
+        assert_eq!(got.lru_misses, want.lru_misses, "{what}");
+        assert_eq!(got.weight.to_bits(), want.weight.to_bits(), "{what}");
+        let (p, q) = (&got.profile, &want.profile);
+        assert_eq!(p.histogram(), q.histogram(), "{what}: profile");
+        assert_eq!(
+            (p.beyond(), p.accesses(), p.instructions()),
+            (q.beyond(), q.accesses(), q.instructions()),
+            "{what}: profile"
+        );
+        let (s, t) = (&got.sampled, &want.sampled);
+        assert!(s.stream.stream() == t.stream.stream(), "{what}: sampled");
+        assert_eq!(
+            (s.stream.warmup(), s.instructions, s.lru_misses),
+            (t.stream.warmup(), t.instructions, t.lru_misses),
+            "{what}: sampled"
+        );
+        let (r, u) = (&got.sharded, &want.sharded);
+        assert_eq!(
+            (r.shards(), r.len(), r.warmup()),
+            (u.shards(), u.len(), u.warmup()),
+            "{what}"
+        );
+        assert_eq!(r.shard_of(), u.shard_of(), "{what}: routing");
+        assert_eq!(r.icount(), u.icount(), "{what}: routing");
+        for k in 0..r.shards() {
+            assert_eq!(r.measured_in(k), u.measured_in(k), "{what}: shard {k}");
+        }
+    }
+
+    #[test]
+    fn pooled_context_build_equals_a_serial_build() {
+        let specs: Vec<(WorkloadSpec, f64)> = [
+            Spec2006::Mcf,
+            Spec2006::Libquantum,
+            Spec2006::DealII,
+            Spec2006::Gamess,
+            Spec2006::Soplex,
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, b)| (b.workload(), 0.5 + i as f64))
+        .collect();
+        let (accesses, shift) = (12_000, 6);
+        let config = HierarchyConfig::paper_scaled(shift).unwrap();
+        let serial: Vec<WorkloadStream> = specs
+            .iter()
+            .map(|(spec, w)| WorkloadStream::build(spec, *w, config, accesses, shift, Vec::new()))
+            .collect();
+        let build =
+            |threads| FitnessContext::from_specs(&specs, accesses, FitnessScale { shift, threads });
+        let mut builds = vec![("1 thread", build(1)), ("2 threads", build(2))];
+        // From inside pool tasks, as `WorkloadCache::fitness_context` can
+        // be: the inner fan-out is a nested `run`.
+        let nested = sim_core::pool::global().run(2, usize::MAX, |_| build(2));
+        builds.extend(nested.into_iter().map(|ctx| ("nested in a pool task", ctx)));
+        for (how, ctx) in &builds {
+            assert_eq!(ctx.streams().len(), serial.len());
+            for (got, want) in ctx.streams().iter().zip(&serial) {
+                assert_same_stream(got, want, how);
+            }
+        }
     }
 
     #[test]

@@ -44,7 +44,10 @@ pub mod prefetch;
 pub use batch::{replay_llc_sharded, replay_many, replay_many_sharded};
 pub use cpi::{LinearCpiModel, WindowPerfModel};
 pub use engine::{plan, replay_llc_sliced, Engine, Plan, Replayer};
-pub use hierarchy::{capture_llc_stream, Hierarchy, HierarchyConfig, Inclusion, ServiceLevel};
+pub use hierarchy::{
+    capture_llc_stream, capture_llc_stream_into, Hierarchy, HierarchyConfig, Inclusion,
+    LineSizeMismatch, ServiceLevel,
+};
 pub use llc::{default_warmup, replay_llc, replay_llc_mono, LlcRunResult};
 pub use multicore::MulticoreHierarchy;
 pub use optimal::min_misses;

@@ -35,6 +35,8 @@ struct PrivateCaches {
 pub struct MulticoreHierarchy {
     cores: Vec<PrivateCaches>,
     llc: SetAssocCache,
+    /// `log2` of the line size all three levels share.
+    line_shift: u32,
     llc_by_core: Vec<CacheStats>,
     instructions: Vec<u64>,
 }
@@ -54,7 +56,8 @@ impl MulticoreHierarchy {
     ///
     /// # Panics
     ///
-    /// Panics if `n_cores` is 0 or greater than 255.
+    /// Panics if `n_cores` is 0 or greater than 255, or if the levels of
+    /// `config` disagree on line size.
     pub fn new(
         n_cores: usize,
         config: HierarchyConfig,
@@ -72,6 +75,7 @@ impl MulticoreHierarchy {
                 })
                 .collect(),
             llc: SetAssocCache::new(config.llc, llc_policy),
+            line_shift: config.shared_line_shift(),
             llc_by_core: vec![CacheStats::new(); n_cores],
             instructions: vec![0; n_cores],
         }
@@ -104,7 +108,7 @@ impl MulticoreHierarchy {
             if ev.dirty {
                 let wb_ctx = sim_core::AccessContext {
                     pc: ctx.pc,
-                    addr: ev.block_addr * 64,
+                    addr: ev.block_addr << self.line_shift,
                     is_write: true,
                 };
                 let _ = pc.l2.access_block(ev.block_addr, &wb_ctx);

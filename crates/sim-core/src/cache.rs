@@ -17,7 +17,7 @@ struct Line(u64);
 
 pub(crate) const LINE_VALID: u64 = 1 << 62;
 pub(crate) const LINE_DIRTY: u64 = 1 << 63;
-const LINE_TAG_MASK: u64 = LINE_VALID - 1;
+pub(crate) const LINE_TAG_MASK: u64 = LINE_VALID - 1;
 
 /// One wide pass over a set: `(match_mask, valid_mask)` with bit `way`
 /// set iff that way matches `tag` / is valid.

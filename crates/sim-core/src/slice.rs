@@ -49,8 +49,8 @@
 
 #![forbid(unsafe_code)]
 
-use crate::access::Access;
-use crate::cache::{LINE_DIRTY, LINE_VALID};
+use crate::access::{Access, AccessKind};
+use crate::cache::{Evicted, LINE_DIRTY, LINE_TAG_MASK, LINE_VALID};
 use crate::dueling::{LeaderMap, Selector, SetRole};
 use crate::geometry::CacheGeometry;
 use crate::simd::scan_masks;
@@ -696,6 +696,10 @@ pub struct KernelSweepReport {
     /// Packed transitions checked against the scalar model (for the PLRU
     /// family, every `(way, position)` lane write too).
     pub transitions: u64,
+    /// Accesses driven through [`SlicedCache::access_block`] on a small
+    /// cache, each checked against a [`SlicedCache::feed`] twin and a
+    /// residency model of the displaced lines.
+    pub accesses: u64,
     /// Whether the start states covered the entire state space. True for
     /// every PLRU sweep and for nibble kernels up to 8 ways; the 16-way
     /// nibble spaces (`16!` stack orders, `4^16` RRPV maps) are driven by
@@ -768,19 +772,113 @@ fn sweep(
         SliceKernel::Duel { sides, .. } => &sides[0],
         single => single,
     };
-    match family {
+    let mut report = match family {
         SliceKernel::PlruIpv { .. } => {
             // The lane writes are table-independent: check them once per
             // kernel rather than once per duel side and role.
             let writes = sweep_plru_writes(ways)?;
             let mut report = sweep_with::<PlruLanes>(kernel, family, ways, defect)?;
             report.transitions += writes;
-            Ok(report)
+            report
         }
-        SliceKernel::StackIpv { .. } => sweep_with::<StackList>(kernel, family, ways, defect),
-        SliceKernel::RripIpv { .. } => sweep_with::<RripNibbles>(kernel, family, ways, defect),
+        SliceKernel::StackIpv { .. } => sweep_with::<StackList>(kernel, family, ways, defect)?,
+        SliceKernel::RripIpv { .. } => sweep_with::<RripNibbles>(kernel, family, ways, defect)?,
         SliceKernel::Duel { .. } => unreachable!("supports_ways rejects nested duels"),
+    };
+    report.accesses = sweep_access_entry(kernel, ways)?;
+    Ok(report)
+}
+
+/// Checks [`SlicedCache::access_block`] access by access: its hit flag
+/// and statistics equal a [`SlicedCache::feed`] twin's, and the line it
+/// reports displaced is exactly what a residency model says left the set
+/// (a resident block of the accessed set, with the dirty bit its stores
+/// gave it, reported only when the set was full). Returns the number of
+/// accesses checked.
+fn sweep_access_entry(kernel: &SliceKernel, ways: usize) -> Result<u64, String> {
+    // The smallest set count whose leader layout a duel accepts.
+    let geom = [8usize, 64, 1024, 4096]
+        .iter()
+        .filter_map(|&sets| CacheGeometry::from_sets(sets, ways, 64).ok())
+        .find(|g| kernel.supports(g))
+        .ok_or_else(|| format!("kernel {kernel:?} supports no {ways}-way sweep geometry"))?;
+    let mut cache = SlicedCache::new(&geom, kernel).expect("supports() checked");
+    let mut twin = SlicedCache::new(&geom, kernel).expect("supports() checked");
+    // Per set: resident blocks and their dirty bits.
+    let mut resident: Vec<Vec<(u64, bool)>> = vec![Vec::new(); geom.sets()];
+    // Two blocks per way of every set: frequent hits and evictions alike.
+    let pool = (2 * geom.sets() * ways) as u64;
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let accesses = 64 * pool;
+    for i in 0..accesses {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let block = x % pool;
+        let is_write = x >> 60 < 5;
+        let a = Access {
+            addr: block << 6,
+            pc: 0,
+            kind: if is_write {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            },
+            icount_delta: 1,
+        };
+        let (hit, evicted) = cache.access_block(block, is_write);
+        let mut twin_hit = None;
+        twin.feed(std::slice::from_ref(&a), |_, h| twin_hit = Some(h));
+        let fault =
+            |what: String| format!("{kernel:?} {ways}-way access {i} (block {block}): {what}");
+        if twin_hit != Some(hit) {
+            return Err(fault(format!(
+                "access_block hit {hit}, feed says {twin_hit:?}"
+            )));
+        }
+        let set = &mut resident[geom.set_of_block(block)];
+        let slot = set.iter().position(|&(b, _)| b == block);
+        if hit != slot.is_some() {
+            return Err(fault(format!(
+                "hit {hit} but residency model says {}",
+                !hit
+            )));
+        }
+        if let Some(k) = slot {
+            set[k].1 |= is_write;
+            continue;
+        }
+        match evicted {
+            Some(ev) => {
+                let k = set.iter().position(|&(b, _)| b == ev.block_addr);
+                let Some(k) = k.filter(|_| set.len() == ways) else {
+                    return Err(fault(format!(
+                        "reported {ev:?} displaced, not a resident of a full set"
+                    )));
+                };
+                if set[k].1 != ev.dirty {
+                    return Err(fault(format!(
+                        "reported {ev:?}, model dirty bit {}",
+                        set[k].1
+                    )));
+                }
+                set.swap_remove(k);
+            }
+            None if set.len() == ways => {
+                return Err(fault("filled a full set without displacing a line".into()));
+            }
+            None => {}
+        }
+        set.push((block, is_write));
     }
+    if cache.stats() != twin.stats() {
+        return Err(format!(
+            "{kernel:?} {ways}-way: access_block stats {:?}, feed stats {:?}",
+            cache.stats(),
+            twin.stats()
+        ));
+    }
+    Ok(accesses)
 }
 
 /// Builds the interpreter for `kernel` on the packed words `W` of its
@@ -814,6 +912,7 @@ fn sweep_with<W: Words>(
         states: 0,
         transitions: 0,
         exhaustive: true,
+        accesses: 0,
     };
     for side in 0..sides.len() {
         for leader in [true, false] {
@@ -1058,6 +1157,7 @@ fn sweep_plru<S: ReplState>(
         states: tree_states,
         transitions,
         exhaustive: true,
+        accesses: 0,
     })
 }
 
@@ -1190,6 +1290,7 @@ fn sweep_stack<S: ReplState>(
         states,
         transitions,
         exhaustive,
+        accesses: 0,
     })
 }
 
@@ -1304,6 +1405,7 @@ fn sweep_rrip<S: ReplState>(
         states,
         transitions,
         exhaustive,
+        accesses: 0,
     })
 }
 
@@ -1311,11 +1413,15 @@ fn sweep_rrip<S: ReplState>(
 // The replay loop.
 // ---------------------------------------------------------------------------
 
-/// One access against the packed tag array + replacement state, with the
-/// exact statistics protocol and callback order of
+/// One access to `block` against the packed tag array + replacement
+/// state, with the exact statistics protocol and callback order of
 /// `SetAssocCache::access_tagged`. Qualifying kernels use the default
 /// `should_bypass` and `on_evict` (never / no-op), so those callbacks are
 /// elided rather than emulated.
+///
+/// Returns whether the access hit, and the packed line word the fill
+/// displaced (0 when it hit or filled an invalid way). [`run`] drops the
+/// word, so the stream path pays nothing for it.
 #[inline(always)]
 fn step<P: ReplState>(
     ways: usize,
@@ -1323,13 +1429,12 @@ fn step<P: ReplState>(
     lines: &mut [u64],
     state: &mut P,
     stats: &mut CacheStats,
-    a: &Access,
-) -> bool {
-    let block = geom.block_of(a.addr);
+    block: u64,
+    is_write: bool,
+) -> (bool, u64) {
     let set = geom.set_of_block(block);
     let tag = geom.tag_of_block(block);
     let base = set * ways;
-    let is_write = a.is_write();
     stats.accesses += 1;
 
     let (match_mask, valid_mask) = scan_masks(
@@ -1346,24 +1451,25 @@ fn step<P: ReplState>(
         }
         stats.hits += 1;
         state.on_hit(ways, set, way);
-        return true;
+        return (true, 0);
     }
 
     stats.misses += 1;
     state.on_miss(set);
     let first_invalid = (!valid_mask).trailing_zeros() as usize;
-    let fill_way = if first_invalid < ways {
-        first_invalid
+    let (fill_way, displaced) = if first_invalid < ways {
+        (first_invalid, 0)
     } else {
         let w = state.victim(ways, set);
         debug_assert!(w < ways, "sliced victim out of range");
+        let old = lines[base + w];
         stats.evictions += 1;
-        stats.writebacks += u64::from(lines[base + w] & LINE_DIRTY != 0);
-        w
+        stats.writebacks += u64::from(old & LINE_DIRTY != 0);
+        (w, old)
     };
     lines[base + fill_way] = tag | LINE_VALID | if is_write { LINE_DIRTY } else { 0 };
     state.on_fill(ways, set, fill_way);
-    false
+    (false, displaced)
 }
 
 /// The packed replacement state of one kernel. Duel state is boxed to
@@ -1386,6 +1492,48 @@ pub struct SlicedCache {
     lines: Vec<u64>,
     state: Packed,
     stats: CacheStats,
+    /// [`SlicedCache::access_block`]'s `step`, monomorphized for this
+    /// cache's state variant and associativity and chosen once in `new`:
+    /// a predicted call through it costs less than matching both per
+    /// access, which a caller interleaving two caches pays twice per
+    /// reference (measured on the L1/L2 capture).
+    step_one: StepFn,
+}
+
+/// One `step` on a [`SlicedCache`]: `(hit, displaced line word)`.
+type StepFn = fn(&mut SlicedCache, u64, bool) -> (bool, u64);
+
+/// The [`StepFn`] for `state` at `ways` (which `supports` validated).
+/// `$deref` unboxes the duel variants.
+fn step_fn(state: &Packed, ways: usize) -> StepFn {
+    macro_rules! at {
+        ($variant:ident, $($deref:tt)*) => {
+            match ways {
+                2 => at!(@ $variant, 2, $($deref)*),
+                4 => at!(@ $variant, 4, $($deref)*),
+                8 => at!(@ $variant, 8, $($deref)*),
+                16 => at!(@ $variant, 16, $($deref)*),
+                _ => unreachable!("supports() admitted ways {ways}"),
+            }
+        };
+        (@ $variant:ident, $w:literal, $($deref:tt)*) => {
+            |c: &mut SlicedCache, block: u64, is_write: bool| {
+                let SlicedCache { geom, lines, state, stats, .. } = c;
+                let Packed::$variant(st) = state else {
+                    unreachable!("step_fn matched the state variant")
+                };
+                step($w, geom, lines, $($deref)* st, stats, block, is_write)
+            }
+        };
+    }
+    match state {
+        Packed::Plru(_) => at!(Plru,),
+        Packed::Stack(_) => at!(Stack,),
+        Packed::Rrip(_) => at!(Rrip,),
+        Packed::DuelPlru(_) => at!(DuelPlru, &mut **),
+        Packed::DuelStack(_) => at!(DuelStack, &mut **),
+        Packed::DuelRrip(_) => at!(DuelRrip, &mut **),
+    }
 }
 
 impl SlicedCache {
@@ -1426,6 +1574,7 @@ impl SlicedCache {
         Some(SlicedCache {
             geom: *geom,
             lines: vec![0u64; sets * ways],
+            step_one: step_fn(&state, ways),
             state,
             stats: CacheStats::new(),
         })
@@ -1440,6 +1589,7 @@ impl SlicedCache {
             lines,
             state,
             stats,
+            ..
         } = self;
         // Dispatch on the (validated) associativity with literal arguments
         // so each arm monomorphizes `run` with a constant `ways`: the lane
@@ -1463,6 +1613,23 @@ impl SlicedCache {
             Packed::DuelStack(st) => run_ways!(&mut **st),
             Packed::DuelRrip(st) => run_ways!(&mut **st),
         }
+    }
+
+    /// One access to `block` with the per-access protocol of
+    /// [`feed`](Self::feed) (the same `step`), for callers that drive a
+    /// cache level by level: returns whether it hit and the block the fill
+    /// displaced, with its dirty bit, so a dirty victim can be written to
+    /// the next level. This is how `mem_model`'s L1/L2 capture runs true
+    /// LRU (the all-zero [`SliceKernel::StackIpv`]) on the packed state.
+    #[inline(always)]
+    pub fn access_block(&mut self, block: u64, is_write: bool) -> (bool, Option<Evicted>) {
+        let (hit, displaced) = (self.step_one)(self, block, is_write);
+        let geom = &self.geom;
+        let evicted = (displaced & LINE_VALID != 0).then(|| Evicted {
+            block_addr: geom.block_from_parts(geom.set_of_block(block), displaced & LINE_TAG_MASK),
+            dirty: displaced & LINE_DIRTY != 0,
+        });
+        (hit, evicted)
     }
 
     /// Zeroes the statistics (the warm-up boundary); cache and
@@ -1490,7 +1657,15 @@ fn run<P: ReplState, S: FnMut(u32, bool)>(
     // A local copy keeps the counters in registers across the loop.
     let mut local = *stats;
     for a in accesses {
-        let hit = step(ways, geom, lines, state, &mut local, a);
+        let (hit, _) = step(
+            ways,
+            geom,
+            lines,
+            state,
+            &mut local,
+            geom.block_of(a.addr),
+            a.is_write(),
+        );
         sink(a.icount_delta, hit);
     }
     *stats = local;
@@ -1916,6 +2091,7 @@ mod tests {
                     .unwrap_or_else(|e| panic!("ways={ways} kernel={kernel:?}: {e}"));
                 assert!(r.exhaustive, "ways={ways} kernel={kernel:?}");
                 assert!(r.transitions > 0);
+                assert!(r.accesses > 0, "the single-access entry is swept");
             }
         }
         // 16-way nibble kernels fall back to the deterministic walk; the
@@ -1931,6 +2107,29 @@ mod tests {
         )
         .unwrap();
         assert!(!r.exhaustive);
+    }
+
+    #[test]
+    fn access_block_reports_the_displaced_line() {
+        // 1 set x 2 ways of true LRU: A (stored), B, then C displaces A,
+        // dirty; D displaces B, clean.
+        let geom = CacheGeometry::from_sets(1, 2, 64).unwrap();
+        let lru = SliceKernel::StackIpv { ipv: vec![0; 3] };
+        let mut c = SlicedCache::new(&geom, &lru).unwrap();
+        assert_eq!(c.access_block(10, true), (false, None));
+        assert_eq!(c.access_block(11, false), (false, None));
+        assert_eq!(c.access_block(11, false), (true, None));
+        let dirty = Evicted {
+            block_addr: 10,
+            dirty: true,
+        };
+        assert_eq!(c.access_block(12, false), (false, Some(dirty)));
+        let clean = Evicted {
+            block_addr: 11,
+            dirty: false,
+        };
+        assert_eq!(c.access_block(13, false), (false, Some(clean)));
+        assert_eq!((c.stats().evictions, c.stats().writebacks), (2, 1));
     }
 
     #[test]

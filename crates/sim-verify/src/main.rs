@@ -9,11 +9,12 @@
 //! Replays every requested policy pair over the three synthetic workloads
 //! and exits nonzero if any access diverges between the optimized simulator
 //! and the naive reference models. `--mattson` checks the stack-distance
-//! profile against per-associativity replay instead, and `--min` the
-//! optimized Belady MIN against its naive reference.
+//! profile against per-associativity replay instead, `--min` the
+//! optimized Belady MIN against its naive reference, and `--capture` the
+//! packed-kernel L1/L2 capture against the reference capture loop.
 
 use sim_verify::diff::{diff_replay, oracle_geometry, roster};
-use sim_verify::refmodels::ref_min_misses;
+use sim_verify::refmodels::{ref_capture_llc_stream, ref_min_misses};
 use sim_verify::workloads::workloads;
 use std::process::ExitCode;
 
@@ -132,12 +133,85 @@ fn min_check(seed: u64, accesses: usize) -> ExitCode {
     }
 }
 
+/// The `--capture` mode: [`mem_model::capture_llc_stream_into`] (L1/L2
+/// on the packed LRU kernel) must emit the reference capture loop's LLC
+/// stream record for record, and the same instruction total, per
+/// workload, under both writeback conventions, at `paper_scaled(3)`,
+/// `paper_scaled(4)` and two tiny hierarchies (2-way L1 over 4-way L2,
+/// 4-way L1 over 2-way L2) small enough that every workload evicts dirty
+/// lines constantly.
+fn capture_check(seed: u64, accesses: usize) -> ExitCode {
+    let tiny = |l1_ways: usize, l2_ways: usize| mem_model::HierarchyConfig {
+        l1: sim_core::CacheGeometry::from_sets(16, l1_ways, 64).expect("static geometry is valid"),
+        l2: sim_core::CacheGeometry::from_sets(64, l2_ways, 64).expect("static geometry is valid"),
+        llc: sim_core::CacheGeometry::from_sets(256, 16, 64).expect("static geometry is valid"),
+    };
+    let paper = |shift| mem_model::HierarchyConfig::paper_scaled(shift).expect("valid shift");
+    let configs = [
+        ("paper_scaled(3)", paper(3)),
+        ("paper_scaled(4)", paper(4)),
+        ("tiny 2/4-way", tiny(2, 4)),
+        ("tiny 4/2-way", tiny(4, 2)),
+    ];
+    let streams = workloads(seed, accesses);
+    println!(
+        "sim-verify --capture: {} workload(s) x {} accesses, {} hierarchies, both writeback \
+         conventions (seed {})",
+        streams.len(),
+        accesses,
+        configs.len(),
+        seed
+    );
+    let mut failures = 0u32;
+    for (wname, refs) in &streams {
+        for (cname, config) in &configs {
+            for include_writebacks in [false, true] {
+                let mut fast = Vec::new();
+                let instructions = mem_model::capture_llc_stream_into(
+                    *config,
+                    refs.iter().copied(),
+                    include_writebacks,
+                    &mut fast,
+                );
+                let (naive, naive_instructions) =
+                    ref_capture_llc_stream(*config, refs, include_writebacks);
+                let convention = if include_writebacks { "+wb" } else { "demand" };
+                let first_diff =
+                    (0..fast.len().max(naive.len())).find(|&i| fast.get(i) != naive.get(i));
+                if first_diff.is_none() && instructions == naive_instructions {
+                    println!(
+                        "  ok   {wname:<14} {cname:<16} {convention:<6}: {} LLC accesses",
+                        fast.len()
+                    );
+                } else {
+                    failures += 1;
+                    println!(
+                        "  FAIL {wname:<14} {cname:<16} {convention:<6}: {} vs {} records, \
+                         {instructions} vs {naive_instructions} instructions, first \
+                         difference at {first_diff:?}",
+                        fast.len(),
+                        naive.len()
+                    );
+                }
+            }
+        }
+    }
+    if failures > 0 {
+        eprintln!("sim-verify --capture: {failures} disagreement(s)");
+        ExitCode::FAILURE
+    } else {
+        println!("sim-verify --capture: packed and reference capture agree everywhere");
+        ExitCode::SUCCESS
+    }
+}
+
 struct Args {
     policy: String,
     accesses: usize,
     seed: u64,
     mattson: bool,
     min: bool,
+    capture: bool,
 }
 
 fn parse_count(s: &str) -> Result<usize, String> {
@@ -159,6 +233,7 @@ fn parse_args() -> Result<Args, String> {
         seed: 1,
         mattson: false,
         min: false,
+        capture: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -171,8 +246,9 @@ fn parse_args() -> Result<Args, String> {
             }
             "--mattson" => args.mattson = true,
             "--min" => args.min = true,
+            "--capture" => args.capture = true,
             "--help" | "-h" => return Err(
-                "usage: sim-verify [--policy NAME|all] [--accesses N[k|M]] [--seed N] [--mattson] [--min]"
+                "usage: sim-verify [--policy NAME|all] [--accesses N[k|M]] [--seed N] [--mattson] [--min] [--capture]"
                     .to_string(),
             ),
             other => return Err(format!("unknown flag {other:?}")),
@@ -194,6 +270,9 @@ fn main() -> ExitCode {
     }
     if args.min {
         return min_check(args.seed, args.accesses);
+    }
+    if args.capture {
+        return capture_check(args.seed, args.accesses);
     }
     let pairs = roster(&args.policy);
     if pairs.is_empty() {

@@ -23,9 +23,17 @@
 //! * [`ref_min_misses`] is Belady MIN as a whole-stream hash map of
 //!   next uses and a `Vec` per set, the oracle for the set-bucketed
 //!   [`mem_model::min_misses`].
+//! * [`ref_capture_llc_stream`] is the L1/L2 capture loop as it ran before
+//!   the packed LRU kernel: one `SetAssocCache<TrueLru>` per level and an
+//!   `Evicted` record per fill, the oracle for
+//!   [`mem_model::capture_llc_stream_into`].
 
+use baselines::TrueLru;
 use gippr::Ipv;
-use sim_core::{Access, AccessContext, CacheGeometry, CacheStats, ReplacementPolicy};
+use mem_model::HierarchyConfig;
+use sim_core::{
+    Access, AccessContext, AccessKind, CacheGeometry, CacheStats, ReplacementPolicy, SetAssocCache,
+};
 use std::collections::HashMap;
 
 /// A tree PseudoLRU state holding one `bool` per internal node.
@@ -1060,6 +1068,79 @@ pub fn ref_min_misses(stream: &[Access], geom: CacheGeometry, warmup: usize) -> 
         });
     }
     stats
+}
+
+/// Reference L1/L2 capture: the loop `mem_model`'s capture ran before it
+/// moved onto the packed LRU kernel, kept as the oracle for
+/// [`mem_model::capture_llc_stream_into`] (both writeback conventions).
+/// Returns the LLC stream and the total instructions of `refs`.
+///
+/// # Panics
+///
+/// Panics if the levels of `config` disagree on line size.
+pub fn ref_capture_llc_stream(
+    config: HierarchyConfig,
+    refs: &[Access],
+    include_writebacks: bool,
+) -> (Vec<Access>, u64) {
+    let line = config.l1.line_bytes();
+    config.line_shift().expect("one line size at every level");
+    let mut l1 = SetAssocCache::with_policy(config.l1, TrueLru::new(&config.l1));
+    let mut l2 = SetAssocCache::with_policy(config.l2, TrueLru::new(&config.l2));
+    let mut stream = Vec::new();
+    let mut pending_icount = 0u64;
+    let mut total_instructions = 0u64;
+    let emit = |stream: &mut Vec<Access>, pending: &mut u64, addr, pc, kind| {
+        stream.push(Access {
+            addr,
+            pc,
+            kind,
+            icount_delta: (*pending).min(u64::from(u32::MAX)) as u32,
+        });
+        *pending = 0;
+    };
+    for access in refs {
+        total_instructions += u64::from(access.icount_delta);
+        pending_icount += u64::from(access.icount_delta);
+        let l1_out = l1.access(access);
+        let l2_accesses = [
+            l1_out
+                .evicted
+                .filter(|ev| ev.dirty)
+                .map(|ev| (ev.block_addr, AccessKind::Writeback)),
+            (!l1_out.hit).then(|| (l1.geometry().block_of(access.addr), access.kind)),
+        ];
+        for (block, kind) in l2_accesses.into_iter().flatten() {
+            let ctx = AccessContext {
+                pc: access.pc,
+                addr: block * line,
+                is_write: kind != AccessKind::Read,
+            };
+            let out = l2.access_block(block, &ctx);
+            if let Some(ev) = out.evicted {
+                if include_writebacks && ev.dirty {
+                    let addr = ev.block_addr * line;
+                    emit(
+                        &mut stream,
+                        &mut pending_icount,
+                        addr,
+                        access.pc,
+                        AccessKind::Writeback,
+                    );
+                }
+            }
+            if !out.hit && kind != AccessKind::Writeback {
+                emit(
+                    &mut stream,
+                    &mut pending_icount,
+                    block * line,
+                    access.pc,
+                    kind,
+                );
+            }
+        }
+    }
+    (stream, total_instructions)
 }
 
 #[cfg(test)]

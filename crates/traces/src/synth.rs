@@ -77,6 +77,9 @@ pub enum Pattern {
 #[derive(Debug, Clone)]
 struct PatternState {
     pattern: Pattern,
+    /// [`Pattern::Stream`]/[`Pattern::Loop`]: the byte offset of the next
+    /// access, already wrapped; [`Pattern::PointerChase`]: the LCG state;
+    /// [`Pattern::SlidingWindow`]: the line within the current sweep.
     cursor: u64,
     /// Window base for [`Pattern::SlidingWindow`].
     window_base: u64,
@@ -101,19 +104,24 @@ impl PatternState {
             Pattern::Stream {
                 start,
                 stride,
-                region_bytes,
-            } => {
-                let offset = (self.cursor * stride) % region_bytes.max(stride);
-                self.cursor += 1;
-                start + (offset & !63)
+                region_bytes: wrap,
             }
-            Pattern::Loop {
+            | Pattern::Loop {
                 start,
-                working_set_bytes,
                 stride,
+                working_set_bytes: wrap,
             } => {
-                let offset = (self.cursor * stride) % working_set_bytes.max(stride);
-                self.cursor += 1;
+                // The `i`-th offset is `(i * stride) % wrap.max(stride)`,
+                // kept incrementally: `stride <= wrap.max(stride)`, so one
+                // conditional subtraction wraps each step exactly.
+                let offset = self.cursor;
+                let next = offset + stride;
+                let modulus = wrap.max(stride);
+                self.cursor = if next >= modulus {
+                    next - modulus
+                } else {
+                    next
+                };
                 start + (offset & !63)
             }
             Pattern::Gather {
@@ -140,7 +148,14 @@ impl PatternState {
             } => {
                 let window_lines = (window_bytes / 64).max(1);
                 let region_lines = (region_bytes / 64).max(window_lines);
-                let line = (self.window_base + self.cursor) % region_lines;
+                // Both terms are below `region_lines` (`window_lines` is
+                // at most that), so one conditional subtraction wraps.
+                let line = self.window_base + self.cursor;
+                let line = if line >= region_lines {
+                    line - region_lines
+                } else {
+                    line
+                };
                 self.cursor += 1;
                 if self.cursor >= window_lines {
                     self.cursor = 0;
@@ -209,7 +224,8 @@ impl WorkloadSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the spec has no phases or a phase has no components.
+    /// Panics if the spec has no phases, a phase has no components, or
+    /// the write ratio is NaN.
     pub fn generator(&self, variant: u64) -> WorkloadGen {
         WorkloadGen::new(self, variant)
     }
@@ -278,7 +294,10 @@ pub struct WorkloadGen {
     phases: Vec<(Vec<PatternState>, Vec<f64>, u64)>,
     phase_idx: usize,
     in_phase: u64,
-    instructions_per_access: f64,
+    /// `ln(1 - 1/mean)` of the geometric instruction gap, or `None` when
+    /// the mean is 1 (every gap is 1).
+    gap_log_q: Option<f64>,
+    /// Store probability, checked to lie in `[0, 1]` at construction.
     write_ratio: f64,
 }
 
@@ -320,13 +339,21 @@ impl WorkloadGen {
                 (states, cumulative, phase.accesses.max(1))
             })
             .collect();
+        let mean = spec.instructions_per_access.max(1.0);
+        let write_ratio = spec.write_ratio.clamp(0.0, 1.0);
+        assert!(
+            (0.0..=1.0).contains(&write_ratio),
+            "workload {} has write ratio {}",
+            spec.name,
+            spec.write_ratio
+        );
         WorkloadGen {
             rng: StdRng::seed_from_u64(spec.seed ^ variant.wrapping_mul(0x9e3779b97f4a7c15)),
             phases,
             phase_idx: 0,
             in_phase: 0,
-            instructions_per_access: spec.instructions_per_access.max(1.0),
-            write_ratio: spec.write_ratio.clamp(0.0, 1.0),
+            gap_log_q: (mean > 1.0).then(|| (1.0 - 1.0 / mean).ln()),
+            write_ratio,
         }
     }
 }
@@ -345,15 +372,16 @@ impl Iterator for WorkloadGen {
         let addr = states[idx].next_addr(&mut self.rng);
         let pc = states[idx].pc(&mut self.rng);
         // Geometric instruction gap with the requested mean.
-        let mean = self.instructions_per_access;
-        let gap = if mean <= 1.0 {
-            1
-        } else {
-            let p = 1.0 / mean;
-            let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-            (1.0 + (u.ln() / (1.0 - p).ln())).floor().min(1000.0) as u32
+        let gap = match self.gap_log_q {
+            None => 1,
+            Some(log_q) => {
+                let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
+                (1.0 + (u.ln() / log_q)).floor().min(1000.0) as u32
+            }
         };
-        let kind = if self.rng.gen_bool(self.write_ratio) {
+        // `gen_bool`'s draw without its per-call range check: the ratio
+        // was checked once in `new`.
+        let kind = if self.rng.gen::<f64>() < self.write_ratio {
             AccessKind::Write
         } else {
             AccessKind::Read
@@ -571,6 +599,14 @@ mod tests {
         assert_eq!(&addrs[0..3], &[0, 0, 0]);
         assert_eq!(&addrs[3..5], &[1 << 30, 1 << 30]);
         assert_eq!(&addrs[5..8], &[0, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "write ratio NaN")]
+    fn nan_write_ratio_panics_at_construction() {
+        let mut spec = stream_spec();
+        spec.write_ratio = f64::NAN;
+        let _ = spec.generator(0);
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //!   4. the slice-kernel equivalence sweep: every kernel the roster
 //!      advertises (plus the published paper vectors) checked lane-by-lane
 //!      against the scalar interpreters, the packed PLRU lanes against the
-//!      naive mirror at every lane write;
+//!      naive mirror at every lane write, and the single-access entry
+//!      (`SlicedCache::access_block`) against `feed` and a residency model
+//!      of the lines it reports displaced;
 //!   5. the Mattson qualification audit plus seeded-defect self-tests
 //!      (drifting PLRU hit orbit, poisoned ARC `p` update, fake-`SetLocal`
 //!      fixture, poisoned lane transitions) proving each checker catches
@@ -791,8 +793,8 @@ fn kernel_sweep_pass(
 
     println!("\nslice-kernel equivalence sweep (packed lanes vs scalar policy):");
     println!(
-        "{:<22} {:>5} {:>6} {:>10} {:>12}  verdict",
-        "kernel", "ways", "lanes", "states", "transitions"
+        "{:<22} {:>5} {:>6} {:>10} {:>12} {:>9}  verdict",
+        "kernel", "ways", "lanes", "states", "transitions", "accesses"
     );
     let mut failures = 0;
     for ways in [2usize, 4, 8, 16] {
@@ -878,12 +880,13 @@ fn kernel_sweep_pass(
             }
             match sim_core::kernel_soundness_sweep(&kernel, ways) {
                 Ok(r) => println!(
-                    "{:<22} {:>5} {:>6} {:>10} {:>12}  ok{}",
+                    "{:<22} {:>5} {:>6} {:>10} {:>12} {:>9}  ok{}",
                     label,
                     ways,
                     r.lanes,
                     r.states,
                     r.transitions,
+                    r.accesses,
                     if r.exhaustive { "" } else { " (sampled walk)" }
                 ),
                 Err(e) => {
