@@ -3,14 +3,16 @@
 //! The paper's full-scale GA is hours of CPU time (20 000 initial
 //! candidates, 50 generations, 29 workloads each); losing a run to a crash
 //! at generation 49 is not acceptable. A [`Checkpointing`] policy makes
-//! [`crate::Ga`] snapshot its complete loop state — generation index,
-//! population, RNG state, best-fitness history, and the fitness memo —
-//! every `every` generations through `sim_core::persist::atomic_write`,
-//! and load the newest snapshot on the next run. Because the snapshot is
-//! taken at the top of a generation and includes the RNG's internal state,
-//! a resumed run replays the exact random stream of an uninterrupted one:
-//! resumption is bit-identical, not merely "close" (proven by a
-//! differential test in `ga.rs`).
+//! every GA run — a [`crate::Ga`] stage or one island of a fleet —
+//! snapshot its complete loop state at the top of every generation
+//! through `sim_core::persist::atomic_write`: generation index,
+//! population, RNG state, best-fitness history, fitness memo, the best
+//! full-fidelity genome so far and the ladder's evaluation counts. The
+//! next run loads the newest snapshot. Because the snapshot includes the
+//! RNG's internal state, a resumed run replays the exact random stream of
+//! an uninterrupted one: resumption is bit-identical, not merely "close"
+//! (proven by differential tests in `island.rs` and
+//! `tests/ga_golden.rs`).
 //!
 //! # File format (`PLRUGAC1`)
 //!
@@ -18,21 +20,14 @@
 //! magic            8 B   "PLRUGAC1"
 //! version          u32   1
 //! fingerprint      u64   FNV-1a over the GaConfig + stage label
-//! status           u8    0 = in-progress state, 1 = final result,
-//!                        2 = island state, 3 = migration mailbox,
-//!                        4 = island final
-//! -- status 0 --
+//! status           u8    2 = in-progress state, 3 = migration mailbox,
+//!                        4 = final result
+//! -- status 2 --
 //! generation       u32
 //! rng state        4 × u64
 //! history          u32 count + count × f64
 //! population       u32 count + count × (u32 len + genome bytes)
 //! memo             u32 count + count × (u32 len + key bytes + f64)
-//! -- status 1 --
-//! best             u32 len + genome bytes
-//! best fitness     f64
-//! history          u32 count + count × f64
-//! -- status 2 --
-//! status-0 body, then:
 //! best flag        u8    0 = no full-fidelity best yet, 1 = present
 //! best             u32 len + genome bytes      (flag 1 only)
 //! best fitness     f64                         (flag 1 only)
@@ -40,16 +35,21 @@
 //! -- status 3 --
 //! migrants         u32 count + count × (u32 len + genome bytes + f64)
 //! -- status 4 --
-//! status-1 body, then ladder stats (5 × u64)
+//! best             u32 len + genome bytes
+//! best fitness     f64
+//! history          u32 count + count × f64
+//! ladder stats     5 × u64
 //! -- all --
 //! crc32            u32   over everything after the magic
 //! ```
 //!
 //! Genome bytes come from [`crate::Genome::encode`]. All integers are
 //! little-endian. A checkpoint that fails *any* validation — magic,
-//! version, CRC, fingerprint, or genome decode — is ignored with a warning
-//! and the stage restarts from scratch: a corrupt checkpoint can cost
-//! recomputation, never correctness.
+//! version, CRC, fingerprint, status, or genome decode — is ignored with a
+//! warning and the stage restarts from scratch: a corrupt checkpoint can
+//! cost recomputation, never correctness. Statuses 0 and 1 were an older
+//! single-fidelity state and result; such files take the same restart
+//! path.
 
 use crate::ga::{GaConfig, GaResult, Genome};
 use crate::ladder::LadderStats;
@@ -61,24 +61,20 @@ use traces::format::Crc32;
 const MAGIC: &[u8; 8] = b"PLRUGAC1";
 const VERSION: u32 = 1;
 
-/// Where and how often a GA run checkpoints. Each stage of a multi-stage
-/// run (the paper's stage-1 islands, the seeded final stage, each duel
-/// size) gets its own file under `dir`, named by its stage label.
+/// Where a GA run checkpoints. Each stage of a multi-stage run (the
+/// paper's stage-1 runs, the seeded final stage, each duel size, each
+/// island) gets its own file under `dir`, named by its stage label, and
+/// snapshots at the top of every generation.
 #[derive(Debug, Clone)]
 pub struct Checkpointing {
     /// Directory holding one checkpoint file per stage.
     pub dir: PathBuf,
-    /// Snapshot every `every` generations (clamped to at least 1).
-    pub every: usize,
 }
 
 impl Checkpointing {
-    /// Checkpoints under `dir` every generation.
+    /// Checkpoints under `dir`.
     pub fn in_dir(dir: impl Into<PathBuf>) -> Self {
-        Checkpointing {
-            dir: dir.into(),
-            every: 1,
-        }
+        Checkpointing { dir: dir.into() }
     }
 
     /// The checkpoint file for the stage labeled `label`.
@@ -103,12 +99,16 @@ impl Checkpointing {
 }
 
 /// The complete loop state of a GA run at the top of a generation.
-pub(crate) struct ResumeState<G> {
+pub(crate) struct Snapshot<G> {
     pub generation: usize,
     pub rng: StdRng,
     pub history: Vec<f64>,
     pub population: Vec<G>,
     pub memo: HashMap<Vec<u8>, f64>,
+    /// Best full-fidelity genome seen so far (None before the first
+    /// generation completes).
+    pub best: Option<(G, f64)>,
+    pub stats: LadderStats,
 }
 
 /// What a checkpoint file held.
@@ -116,30 +116,43 @@ pub(crate) enum Loaded<G> {
     /// No usable checkpoint (absent, corrupt, or different config).
     None,
     /// An in-progress run to resume.
-    State(ResumeState<G>),
+    State(Snapshot<G>),
     /// The stage already finished; its result short-circuits the run.
-    Final(GaResult<G>),
+    Final(GaResult<G>, LadderStats),
+}
+
+/// FNV-1a over `parts` in order: the hash behind every checkpoint and
+/// mailbox fingerprint.
+pub(crate) fn fnv1a(parts: &[&[u8]]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in parts.iter().copied().flatten() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Every [`GaConfig`] parameter as little-endian bytes, in declaration
+/// order: the GA's share of a fingerprint.
+pub(crate) fn ga_bytes(config: &GaConfig) -> Vec<u8> {
+    [
+        config.initial_population as u64,
+        config.population as u64,
+        config.generations as u64,
+        config.mutation_rate.to_bits(),
+        config.elitism as u64,
+        config.tournament as u64,
+        config.seed,
+    ]
+    .iter()
+    .flat_map(|v| v.to_le_bytes())
+    .collect()
 }
 
 /// Stage fingerprint: a checkpoint is only resumable by the exact GA
 /// configuration (and stage) that wrote it.
 pub(crate) fn fingerprint(config: &GaConfig, label: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&(config.initial_population as u64).to_le_bytes());
-    eat(&(config.population as u64).to_le_bytes());
-    eat(&(config.generations as u64).to_le_bytes());
-    eat(&config.mutation_rate.to_le_bytes());
-    eat(&(config.elitism as u64).to_le_bytes());
-    eat(&(config.tournament as u64).to_le_bytes());
-    eat(&config.seed.to_le_bytes());
-    eat(label.as_bytes());
-    h
+    fnv1a(&[&ga_bytes(config), label.as_bytes()])
 }
 
 struct Writer {
@@ -168,6 +181,13 @@ impl Writer {
     fn bytes(&mut self, v: &[u8]) {
         self.u32(v.len() as u32);
         self.buf.extend_from_slice(v);
+    }
+
+    fn f64s(&mut self, v: &[f64]) {
+        self.u32(v.len() as u32);
+        for &x in v {
+            self.f64(x);
+        }
     }
 
     fn finish(mut self) -> Vec<u8> {
@@ -211,80 +231,78 @@ impl<'a> Reader<'a> {
         let len = self.u32()? as usize;
         self.take(len)
     }
+
+    fn f64s(&mut self) -> Option<Vec<f64>> {
+        (0..self.u32()?).map(|_| self.f64()).collect()
+    }
 }
 
-/// Serializes and atomically persists an in-progress snapshot (taken at
-/// the top of `generation`, before its fitness evaluation).
-pub(crate) fn save_state<G: Genome>(
-    path: &Path,
-    fp: u64,
-    generation: usize,
-    rng: &StdRng,
-    history: &[f64],
-    population: &[G],
-    memo: &HashMap<Vec<u8>, f64>,
-) -> std::io::Result<()> {
+/// The header every file shares: version, fingerprint and status byte.
+fn header(fp: u64, status: u8) -> Writer {
     let mut w = Writer::new();
     w.u32(VERSION);
     w.u64(fp);
-    w.buf.push(0); // status: in-progress
-    write_state_body(&mut w, generation, rng, history, population, memo);
-    sim_core::persist::atomic_write(path, &w.finish())
+    w.buf.push(status);
+    w
 }
 
-/// The status-0 body shared by plain GA states and island states.
-fn write_state_body<G: Genome>(
-    w: &mut Writer,
-    generation: usize,
-    rng: &StdRng,
-    history: &[f64],
-    population: &[G],
-    memo: &HashMap<Vec<u8>, f64>,
-) {
-    w.u32(generation as u32);
-    for word in rng.state() {
+/// Serializes and atomically persists a snapshot (status 2), taken at the
+/// top of `state.generation`, before its fitness evaluation.
+pub(crate) fn save_snapshot<G: Genome>(
+    path: &Path,
+    fp: u64,
+    state: &Snapshot<G>,
+) -> std::io::Result<()> {
+    let mut w = header(fp, 2);
+    w.u32(state.generation as u32);
+    for word in state.rng.state() {
         w.u64(word);
     }
-    w.u32(history.len() as u32);
-    for &h in history {
-        w.f64(h);
-    }
-    w.u32(population.len() as u32);
-    for g in population {
+    w.f64s(&state.history);
+    w.u32(state.population.len() as u32);
+    for g in &state.population {
         w.bytes(&g.encode());
     }
     // Deterministic memo order so identical states write identical bytes.
-    let mut entries: Vec<(&Vec<u8>, &f64)> = memo.iter().collect();
+    let mut entries: Vec<(&Vec<u8>, &f64)> = state.memo.iter().collect();
     entries.sort_by(|a, b| a.0.cmp(b.0));
     w.u32(entries.len() as u32);
     for (key, &value) in entries {
         w.bytes(key);
         w.f64(value);
     }
-}
-
-/// Serializes and atomically persists a finished stage's result, so a
-/// later resume short-circuits the whole stage.
-pub(crate) fn save_final<G: Genome>(
-    path: &Path,
-    fp: u64,
-    result: &GaResult<G>,
-) -> std::io::Result<()> {
-    let mut w = Writer::new();
-    w.u32(VERSION);
-    w.u64(fp);
-    w.buf.push(1); // status: final
-    w.bytes(&result.best.encode());
-    w.f64(result.best_fitness);
-    w.u32(result.history.len() as u32);
-    for &h in &result.history {
-        w.f64(h);
+    match &state.best {
+        Some((g, f)) => {
+            w.buf.push(1);
+            w.bytes(&g.encode());
+            w.f64(*f);
+        }
+        None => w.buf.push(0),
     }
+    write_stats(&mut w, &state.stats);
     sim_core::persist::atomic_write(path, &w.finish())
 }
 
-/// Loads whatever `path` holds, validating magic, version, CRC, and the
-/// stage fingerprint. Every failure degrades to [`Loaded::None`].
+/// Serializes and atomically persists a finished stage's result with its
+/// ladder accounting (status 4), so a later run short-circuits the whole
+/// stage.
+pub(crate) fn save_result<G: Genome>(
+    path: &Path,
+    fp: u64,
+    result: &GaResult<G>,
+    stats: &LadderStats,
+) -> std::io::Result<()> {
+    let mut w = header(fp, 4);
+    w.bytes(&result.best.encode());
+    w.f64(result.best_fitness);
+    w.f64s(&result.history);
+    write_stats(&mut w, stats);
+    sim_core::persist::atomic_write(path, &w.finish())
+}
+
+/// Loads whatever checkpoint `path` holds, validating magic, version,
+/// CRC, fingerprint and status. Every failure degrades to
+/// [`Loaded::None`] with a warning; a missing file is silent.
 pub(crate) fn load<G: Genome>(path: &Path, fp: u64, assoc: usize) -> Loaded<G> {
     let buf = match std::fs::read(path) {
         Ok(buf) => buf,
@@ -294,12 +312,57 @@ pub(crate) fn load<G: Genome>(path: &Path, fp: u64, assoc: usize) -> Loaded<G> {
         Some(loaded) => loaded,
         None => {
             eprintln!(
-                "evolve: ignoring unusable checkpoint {} (corrupt or from a \
-                 different configuration); restarting the stage",
+                "evolve: ignoring unusable checkpoint {} (corrupt, an older \
+                 format, or from a different configuration); restarting the stage",
                 path.display()
             );
             Loaded::None
         }
+    }
+}
+
+fn parse<G: Genome>(buf: &[u8], fp: u64, assoc: usize) -> Option<Loaded<G>> {
+    let (status, mut r) = open(buf, fp)?;
+    match status {
+        2 => {
+            let generation = r.u32()? as usize;
+            let rng = StdRng::from_state([r.u64()?, r.u64()?, r.u64()?, r.u64()?]);
+            let history = r.f64s()?;
+            let population = (0..r.u32()?)
+                .map(|_| G::decode(r.bytes()?, assoc))
+                .collect::<Option<Vec<_>>>()?;
+            let memo = (0..r.u32()?)
+                .map(|_| Some((r.bytes()?.to_vec(), r.f64()?)))
+                .collect::<Option<HashMap<_, _>>>()?;
+            let best = match r.u8()? {
+                0 => None,
+                1 => Some((G::decode(r.bytes()?, assoc)?, r.f64()?)),
+                _ => return None,
+            };
+            let stats = read_stats(&mut r)?;
+            Some(Loaded::State(Snapshot {
+                generation,
+                rng,
+                history,
+                population,
+                memo,
+                best,
+                stats,
+            }))
+        }
+        4 => {
+            let best = G::decode(r.bytes()?, assoc)?;
+            let best_fitness = r.f64()?;
+            let history = r.f64s()?;
+            let stats = read_stats(&mut r)?;
+            let result = GaResult {
+                best,
+                best_fitness,
+                history,
+            };
+            Some(Loaded::Final(result, stats))
+        }
+        _ => None,
     }
 }
 
@@ -324,45 +387,6 @@ fn open<'a>(buf: &'a [u8], fp: u64) -> Option<(u8, Reader<'a>)> {
     Some((status, r))
 }
 
-fn parse<G: Genome>(buf: &[u8], fp: u64, assoc: usize) -> Option<Loaded<G>> {
-    let (status, mut r) = open(buf, fp)?;
-    match status {
-        0 => Some(Loaded::State(read_state_body(&mut r, assoc)?)),
-        1 => Some(Loaded::Final(read_final_body(&mut r, assoc)?)),
-        _ => None,
-    }
-}
-
-fn read_state_body<G: Genome>(r: &mut Reader<'_>, assoc: usize) -> Option<ResumeState<G>> {
-    let generation = r.u32()? as usize;
-    let rng = StdRng::from_state([r.u64()?, r.u64()?, r.u64()?, r.u64()?]);
-    let history = (0..r.u32()?).map(|_| r.f64()).collect::<Option<Vec<_>>>()?;
-    let population = (0..r.u32()?)
-        .map(|_| G::decode(r.bytes()?, assoc))
-        .collect::<Option<Vec<_>>>()?;
-    let memo = (0..r.u32()?)
-        .map(|_| Some((r.bytes()?.to_vec(), r.f64()?)))
-        .collect::<Option<HashMap<_, _>>>()?;
-    Some(ResumeState {
-        generation,
-        rng,
-        history,
-        population,
-        memo,
-    })
-}
-
-fn read_final_body<G: Genome>(r: &mut Reader<'_>, assoc: usize) -> Option<GaResult<G>> {
-    let best = G::decode(r.bytes()?, assoc)?;
-    let best_fitness = r.f64()?;
-    let history = (0..r.u32()?).map(|_| r.f64()).collect::<Option<Vec<_>>>()?;
-    Some(GaResult {
-        best,
-        best_fitness,
-        history,
-    })
-}
-
 fn write_stats(w: &mut Writer, stats: &LadderStats) {
     w.u64(stats.profile_evals);
     w.u64(stats.sampled_evals);
@@ -381,121 +405,6 @@ fn read_stats(r: &mut Reader<'_>) -> Option<LadderStats> {
     })
 }
 
-/// An island worker's loop state: the plain GA state plus the running
-/// full-fidelity best and the ladder's evaluation accounting.
-pub(crate) struct IslandState<G> {
-    pub ga: ResumeState<G>,
-    /// Best full-fidelity genome seen so far (None before the first
-    /// generation completes).
-    pub best: Option<(G, f64)>,
-    pub stats: LadderStats,
-}
-
-/// What an island checkpoint file held.
-pub(crate) enum IslandLoaded<G> {
-    /// No usable checkpoint (absent, corrupt, or different config).
-    None,
-    /// An in-progress island to resume.
-    State(IslandState<G>),
-    /// The island already finished.
-    Final(GaResult<G>, LadderStats),
-}
-
-/// Serializes and atomically persists an island snapshot (status 2),
-/// taken at the top of a generation like [`save_state`].
-pub(crate) fn save_island_state<G: Genome>(
-    path: &Path,
-    fp: u64,
-    state: &IslandState<G>,
-) -> std::io::Result<()> {
-    let mut w = Writer::new();
-    w.u32(VERSION);
-    w.u64(fp);
-    w.buf.push(2); // status: island state
-    write_state_body(
-        &mut w,
-        state.ga.generation,
-        &state.ga.rng,
-        &state.ga.history,
-        &state.ga.population,
-        &state.ga.memo,
-    );
-    match &state.best {
-        Some((g, f)) => {
-            w.buf.push(1);
-            w.bytes(&g.encode());
-            w.f64(*f);
-        }
-        None => w.buf.push(0),
-    }
-    write_stats(&mut w, &state.stats);
-    sim_core::persist::atomic_write(path, &w.finish())
-}
-
-/// Serializes and atomically persists a finished island's result
-/// (status 4): the GA result plus its ladder accounting.
-pub(crate) fn save_island_final<G: Genome>(
-    path: &Path,
-    fp: u64,
-    result: &GaResult<G>,
-    stats: &LadderStats,
-) -> std::io::Result<()> {
-    let mut w = Writer::new();
-    w.u32(VERSION);
-    w.u64(fp);
-    w.buf.push(4); // status: island final
-    w.bytes(&result.best.encode());
-    w.f64(result.best_fitness);
-    w.u32(result.history.len() as u32);
-    for &h in &result.history {
-        w.f64(h);
-    }
-    write_stats(&mut w, stats);
-    sim_core::persist::atomic_write(path, &w.finish())
-}
-
-/// Loads whatever island checkpoint `path` holds. Every failure — and any
-/// non-island status — degrades to [`IslandLoaded::None`] with a warning,
-/// exactly like [`load`].
-pub(crate) fn load_island<G: Genome>(path: &Path, fp: u64, assoc: usize) -> IslandLoaded<G> {
-    let buf = match std::fs::read(path) {
-        Ok(buf) => buf,
-        Err(_) => return IslandLoaded::None,
-    };
-    let parsed = (|| {
-        let (status, mut r) = open(&buf, fp)?;
-        match status {
-            2 => {
-                let ga = read_state_body(&mut r, assoc)?;
-                let best = match r.u8()? {
-                    0 => None,
-                    1 => Some((G::decode(r.bytes()?, assoc)?, r.f64()?)),
-                    _ => return None,
-                };
-                let stats = read_stats(&mut r)?;
-                Some(IslandLoaded::State(IslandState { ga, best, stats }))
-            }
-            4 => {
-                let result = read_final_body(&mut r, assoc)?;
-                let stats = read_stats(&mut r)?;
-                Some(IslandLoaded::Final(result, stats))
-            }
-            _ => None,
-        }
-    })();
-    match parsed {
-        Some(loaded) => loaded,
-        None => {
-            eprintln!(
-                "evolve: ignoring unusable island checkpoint {} (corrupt or \
-                 from a different configuration); restarting the island",
-                path.display()
-            );
-            IslandLoaded::None
-        }
-    }
-}
-
 /// Atomically persists a migration mailbox (status 3): the sender's elite
 /// genomes with their full-fidelity scores, in rank order.
 pub(crate) fn save_mailbox(
@@ -503,10 +412,7 @@ pub(crate) fn save_mailbox(
     fp: u64,
     migrants: &[(Vec<u8>, f64)],
 ) -> std::io::Result<()> {
-    let mut w = Writer::new();
-    w.u32(VERSION);
-    w.u64(fp);
-    w.buf.push(3); // status: mailbox
+    let mut w = header(fp, 3);
     w.u32(migrants.len() as u32);
     for (enc, fitness) in migrants {
         w.bytes(enc);
@@ -538,7 +444,17 @@ mod tests {
         GaConfig::quick(17)
     }
 
-    fn state() -> ResumeState<Ipv> {
+    fn stats() -> LadderStats {
+        LadderStats {
+            profile_evals: 10,
+            sampled_evals: 6,
+            full_evals: 3,
+            pruned: 2,
+            full_saved: 7,
+        }
+    }
+
+    fn state() -> Snapshot<Ipv> {
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(5);
         rng.gen::<u64>();
@@ -546,64 +462,54 @@ mod tests {
         let mut memo = HashMap::new();
         memo.insert(population[0].encode(), 1.25);
         memo.insert(population[1].encode(), f64::NEG_INFINITY);
-        ResumeState {
+        Snapshot {
             generation: 3,
             rng,
             history: vec![1.0, 1.1, 1.2],
+            best: Some((population[0].clone(), 1.375)),
             population,
             memo,
+            stats: stats(),
         }
     }
 
-    fn save(path: &Path, fp: u64, s: &ResumeState<Ipv>) {
-        save_state(
-            path,
-            fp,
-            s.generation,
-            &s.rng,
-            &s.history,
-            &s.population,
-            &s.memo,
-        )
-        .unwrap();
-    }
-
     #[test]
-    fn state_roundtrips_exactly() {
+    fn state_and_final_roundtrip_exactly() {
         let dir = std::env::temp_dir().join(format!("gack-rt-{}", std::process::id()));
         let path = dir.join("stage.ckpt");
         let fp = fingerprint(&cfg(), "stage");
-        let original = state();
-        save(&path, fp, &original);
-        match load::<Ipv>(&path, fp, 16) {
-            Loaded::State(loaded) => {
-                assert_eq!(loaded.generation, original.generation);
-                assert_eq!(loaded.rng, original.rng);
-                assert_eq!(loaded.history, original.history);
-                assert_eq!(loaded.population, original.population);
-                assert_eq!(loaded.memo, original.memo);
+        for best in [true, false] {
+            let mut original = state();
+            if !best {
+                original.best = None;
             }
-            _ => panic!("expected an in-progress state"),
+            save_snapshot(&path, fp, &original).unwrap();
+            match load::<Ipv>(&path, fp, 16) {
+                Loaded::State(loaded) => {
+                    assert_eq!(loaded.generation, original.generation);
+                    assert_eq!(loaded.rng, original.rng);
+                    assert_eq!(loaded.history, original.history);
+                    assert_eq!(loaded.population, original.population);
+                    assert_eq!(loaded.memo, original.memo);
+                    assert_eq!(loaded.best, original.best);
+                    assert_eq!(loaded.stats, original.stats);
+                }
+                _ => panic!("expected an in-progress state"),
+            }
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 
-    #[test]
-    fn final_roundtrips_and_wrong_fingerprint_is_rejected() {
-        let dir = std::env::temp_dir().join(format!("gack-fin-{}", std::process::id()));
-        let path = dir.join("stage.ckpt");
-        let fp = fingerprint(&cfg(), "stage");
         let result = GaResult {
             best: Ipv::lru_insertion(16),
             best_fitness: 1.5,
-            history: vec![1.0, 1.5],
+            history: vec![1.1, 1.5],
         };
-        save_final(&path, fp, &result).unwrap();
+        save_result(&path, fp, &result, &stats()).unwrap();
         match load::<Ipv>(&path, fp, 16) {
-            Loaded::Final(loaded) => {
+            Loaded::Final(loaded, s) => {
                 assert_eq!(loaded.best, result.best);
                 assert_eq!(loaded.best_fitness, result.best_fitness);
                 assert_eq!(loaded.history, result.history);
+                assert_eq!(s, stats());
             }
             _ => panic!("expected a final result"),
         }
@@ -618,7 +524,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("gack-bad-{}", std::process::id()));
         let path = dir.join("stage.ckpt");
         let fp = fingerprint(&cfg(), "stage");
-        save(&path, fp, &state());
+        save_snapshot(&path, fp, &state()).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
@@ -632,62 +538,9 @@ mod tests {
         assert!(matches!(load::<Ipv>(&path, fp, 16), Loaded::None));
         let _ = std::fs::remove_file(&path);
         assert!(matches!(load::<Ipv>(&path, fp, 16), Loaded::None));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn island_state_and_final_roundtrip_exactly() {
-        let dir = std::env::temp_dir().join(format!("gack-isl-{}", std::process::id()));
-        let path = dir.join("island-0.ckpt");
-        let fp = fingerprint(&cfg(), "island-0");
-        let ga = state();
-        let best = Some((ga.population[0].clone(), 1.375f64));
-        let stats = LadderStats {
-            profile_evals: 10,
-            sampled_evals: 6,
-            full_evals: 3,
-            pruned: 2,
-            full_saved: 7,
-        };
-        save_island_state(
-            &path,
-            fp,
-            &IslandState {
-                ga: state(),
-                best: best.clone(),
-                stats,
-            },
-        )
-        .unwrap();
-        match load_island::<Ipv>(&path, fp, 16) {
-            IslandLoaded::State(loaded) => {
-                assert_eq!(loaded.ga.generation, ga.generation);
-                assert_eq!(loaded.ga.rng, ga.rng);
-                assert_eq!(loaded.ga.population, ga.population);
-                assert_eq!(loaded.ga.memo, ga.memo);
-                assert_eq!(loaded.best, best);
-                assert_eq!(loaded.stats, stats);
-            }
-            _ => panic!("expected an island state"),
-        }
-        // A plain GA loader must not accept an island checkpoint.
+        // A mailbox is a valid container but not a stage checkpoint.
+        save_mailbox(&path, fp, &[]).unwrap();
         assert!(matches!(load::<Ipv>(&path, fp, 16), Loaded::None));
-
-        let result = GaResult {
-            best: Ipv::lru_insertion(16),
-            best_fitness: 1.5,
-            history: vec![1.1, 1.5],
-        };
-        save_island_final(&path, fp, &result, &stats).unwrap();
-        match load_island::<Ipv>(&path, fp, 16) {
-            IslandLoaded::Final(loaded, s) => {
-                assert_eq!(loaded.best, result.best);
-                assert_eq!(loaded.best_fitness, result.best_fitness);
-                assert_eq!(loaded.history, result.history);
-                assert_eq!(s, stats);
-            }
-            _ => panic!("expected an island final"),
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -723,7 +576,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("gack-clear-{}", std::process::id()));
         let ckpt = Checkpointing::in_dir(&dir);
         let fp = fingerprint(&cfg(), "stage");
-        save(&ckpt.stage_path("stage"), fp, &state());
+        save_snapshot(&ckpt.stage_path("stage"), fp, &state()).unwrap();
         assert!(ckpt.stage_path("stage").exists());
         ckpt.clear();
         assert!(!ckpt.stage_path("stage").exists());

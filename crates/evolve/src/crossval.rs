@@ -54,7 +54,7 @@ pub fn wn1_evaluation(
             let test = ctx.filtered(|n| n == holdout);
             let ga = Ga::new(config);
             let (vectors, _train_fitness) = if n_vectors == 1 {
-                let r = ga.run_single(&train, substrate);
+                let r = ga.run_single(&train, substrate, None);
                 (vec![r.best], r.best_fitness)
             } else {
                 let seeds = if n_vectors == 2 {
@@ -62,7 +62,7 @@ pub fn wn1_evaluation(
                 } else {
                     vec![VectorSet::new(gippr::vectors::wi_4dgippr().to_vec())]
                 };
-                let r = ga.run_set(&train, n_vectors, seeds);
+                let r = ga.run_set(&train, n_vectors, seeds, None);
                 (r.best.vectors().to_vec(), r.best_fitness)
             };
             let holdout_speedup = if n_vectors == 1 {

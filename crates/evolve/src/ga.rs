@@ -7,20 +7,18 @@
 //! the vector is replaced with a random integer between 0 and 15."
 //!
 //! The algorithm is generic over a [`Genome`], so the same machinery
-//! evolves single IPVs (GIPPR) and dueling vector sets (2-/4-DGIPPR).
+//! evolves single IPVs (GIPPR) and dueling vector sets (2-/4-DGIPPR). Its
+//! generation loop is [`crate::island`]'s: a [`Ga`] run is one island
+//! with no migration ring, scored on the full-only ladder.
 
-use crate::checkpoint::{self, Checkpointing, Loaded};
+use crate::checkpoint::{self, Checkpointing};
 use crate::fitness::{FitnessContext, Substrate};
+use crate::island::{self, Run};
+use crate::ladder::LadderConfig;
 use gippr::Ipv;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use rand::Rng;
 use std::fmt;
-
-/// Fitness-memo size bound: above this the memo is pruned to the current
-/// generation's keys. Purely a memory cap — pruning changes which genomes
-/// are *recomputed*, never their (deterministic) fitness values.
-const MEMO_CAP: usize = 1 << 17;
 
 /// A searchable genome: random initialization, crossover, mutation.
 pub trait Genome: Clone + Send + Sync + fmt::Display {
@@ -126,9 +124,13 @@ impl VectorSet {
         self.vectors.is_empty()
     }
 
-    /// Default member count used by [`Genome::sample`] (set before
-    /// sampling via thread-local would be awkward; we sample pairs and let
-    /// callers construct quads explicitly or via [`VectorSet::sample_n`]).
+    /// Samples a set of `n` uniformly random vectors for an `assoc`-way
+    /// cache. [`Genome::sample`] always draws a pair; a GA over quads
+    /// passes this with `n = 4` as its sampler.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `n` is 2 or 4.
     pub fn sample_n<R: Rng + ?Sized>(n: usize, assoc: usize, rng: &mut R) -> Self {
         VectorSet::new((0..n).map(|_| Ipv::random(assoc, rng)).collect())
     }
@@ -254,7 +256,8 @@ pub struct GaResult<G> {
     pub best: G,
     /// Its fitness (mean speedup over LRU).
     pub best_fitness: f64,
-    /// Best fitness per generation (monotone nondecreasing with elitism).
+    /// Best full-fidelity fitness known after each generation (monotone
+    /// nondecreasing; with elitism ≥ 1 it is also that generation's best).
     pub history: Vec<f64>,
 }
 
@@ -270,20 +273,16 @@ impl Ga {
         Ga { config }
     }
 
-    /// Evolves a single IPV on `substrate` (GIPPR/GIPLR).
-    pub fn run_single(&self, ctx: &FitnessContext, substrate: Substrate) -> GaResult<Ipv> {
-        self.run_single_checkpointed(ctx, substrate, None)
-    }
-
-    /// [`run_single`](Ga::run_single) with optional crash-safe
-    /// checkpointing under the given stage label.
-    pub fn run_single_checkpointed(
+    /// Evolves a single IPV on `substrate` (GIPPR/GIPLR). `ckpt` names a
+    /// checkpoint directory and stage label (see
+    /// [`run_seeded`](Ga::run_seeded)).
+    pub fn run_single(
         &self,
         ctx: &FitnessContext,
         substrate: Substrate,
         ckpt: Option<(&Checkpointing, &str)>,
     ) -> GaResult<Ipv> {
-        self.run_seeded_checkpointed(
+        self.run_seeded(
             ctx,
             Vec::new(),
             |ctx, g| ctx.fitness_single(g, substrate),
@@ -300,20 +299,9 @@ impl Ga {
         ctx: &FitnessContext,
         n: usize,
         seeds: Vec<VectorSet>,
-    ) -> GaResult<VectorSet> {
-        self.run_set_checkpointed(ctx, n, seeds, None)
-    }
-
-    /// [`run_set`](Ga::run_set) with optional crash-safe checkpointing
-    /// under the given stage label.
-    pub fn run_set_checkpointed(
-        &self,
-        ctx: &FitnessContext,
-        n: usize,
-        seeds: Vec<VectorSet>,
         ckpt: Option<(&Checkpointing, &str)>,
     ) -> GaResult<VectorSet> {
-        self.run_seeded_checkpointed(
+        self.run_seeded(
             ctx,
             seeds,
             |ctx, g: &VectorSet| ctx.fitness_set(g.vectors()),
@@ -328,86 +316,63 @@ impl Ga {
     ///
     /// Stage one runs `first_stage_runs` independent GAs from different
     /// seeds; stage two runs one final GA whose initial population is
-    /// seeded with every stage-one winner.
+    /// seeded with every stage-one winner. With `ckpt`, each stage-one run
+    /// checkpoints under `<label>-s1-<i>` and the seeded final stage under
+    /// `<label>-final`, so a crash anywhere in the multi-hour pipeline
+    /// resumes at the interrupted stage (completed stages short-circuit off
+    /// their final markers).
     pub fn run_two_stage_single(
-        &self,
-        ctx: &FitnessContext,
-        substrate: Substrate,
-        first_stage_runs: usize,
-    ) -> GaResult<Ipv> {
-        self.run_two_stage_single_checkpointed(ctx, substrate, first_stage_runs, None)
-    }
-
-    /// [`run_two_stage_single`](Ga::run_two_stage_single) with optional
-    /// crash-safe checkpointing: each stage-one island checkpoints under
-    /// `<label>-s1-<i>` and the seeded final stage under `<label>-final`,
-    /// so a crash anywhere in the multi-hour pipeline resumes at the
-    /// interrupted stage (completed stages short-circuit off their final
-    /// markers).
-    pub fn run_two_stage_single_checkpointed(
         &self,
         ctx: &FitnessContext,
         substrate: Substrate,
         first_stage_runs: usize,
         ckpt: Option<(&Checkpointing, &str)>,
     ) -> GaResult<Ipv> {
+        let stage = |suffix: String| ckpt.map(|(c, base)| (c, format!("{base}-{suffix}")));
         let winners: Vec<Ipv> = (0..first_stage_runs.max(1))
             .map(|i| {
                 let cfg = GaConfig {
                     seed: self.config.seed.wrapping_add(1 + i as u64),
                     ..self.config
                 };
-                let label = ckpt.map(|(_, base)| format!("{base}-s1-{i}"));
-                let stage = match (&ckpt, &label) {
-                    (Some((c, _)), Some(label)) => Some((*c, label.as_str())),
-                    _ => None,
-                };
+                let stage = stage(format!("s1-{i}"));
                 Ga::new(cfg)
-                    .run_single_checkpointed(ctx, substrate, stage)
+                    .run_single(
+                        ctx,
+                        substrate,
+                        stage.as_ref().map(|(c, l)| (*c, l.as_str())),
+                    )
                     .best
             })
             .collect();
-        let label = ckpt.map(|(_, base)| format!("{base}-final"));
-        let stage = match (&ckpt, &label) {
-            (Some((c, _)), Some(label)) => Some((*c, label.as_str())),
-            _ => None,
-        };
-        self.run_seeded_checkpointed(
+        let stage = stage("final".to_string());
+        self.run_seeded(
             ctx,
             winners,
             |c, g| c.fitness_single(g, substrate),
             Ipv::sample,
-            stage,
+            stage.as_ref().map(|(c, l)| (*c, l.as_str())),
         )
     }
 
-    /// The generic GA loop with injected seed genomes.
+    /// The GA with injected seed genomes, fitness `eval` and sampler
+    /// `sample`: one run of [`crate::island`]'s generation loop on the
+    /// full-only ladder, with no migration ring.
+    ///
+    /// When `ckpt` is set, the complete loop state (generation,
+    /// population, RNG state, history, fitness memo) is snapshotted
+    /// through `sim_core::persist::atomic_write` at the top of every
+    /// generation, and an existing snapshot for the same configuration and
+    /// stage label is resumed **bit-identically**: the result is
+    /// byte-for-byte the one an uninterrupted run produces (see
+    /// `tests/ga_golden.rs`). A completed stage writes a final marker that
+    /// short-circuits re-runs; an unusable snapshot restarts the stage with
+    /// a warning.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no genome of any generation gets a finite fitness.
     pub fn run_seeded<G, F, S>(
-        &self,
-        ctx: &FitnessContext,
-        seeds: Vec<G>,
-        eval: F,
-        sample: S,
-    ) -> GaResult<G>
-    where
-        G: Genome,
-        F: Fn(&FitnessContext, &G) -> f64 + Sync,
-        S: Fn(usize, &mut StdRng) -> G,
-    {
-        self.run_seeded_checkpointed(ctx, seeds, eval, sample, None)
-    }
-
-    /// [`run_seeded`](Ga::run_seeded) with optional crash-safe
-    /// checkpointing. When `ckpt` is set, the complete loop state
-    /// (generation, population, RNG state, history, fitness memo) is
-    /// snapshotted through `sim_core::persist::atomic_write` every
-    /// [`Checkpointing::every`] generations, and an existing snapshot for
-    /// the same configuration and stage label is resumed **bit-identically**:
-    /// the result is byte-for-byte the one an uninterrupted run produces
-    /// (see the differential test). A completed stage writes a final
-    /// marker that short-circuits re-runs; an unusable snapshot restarts
-    /// the stage with a warning.
-    pub fn run_seeded_checkpointed<G, F, S>(
         &self,
         ctx: &FitnessContext,
         seeds: Vec<G>,
@@ -420,135 +385,35 @@ impl Ga {
         F: Fn(&FitnessContext, &G) -> f64 + Sync,
         S: Fn(usize, &mut StdRng) -> G,
     {
-        let cfg = &self.config;
-        let assoc = ctx.geometry().ways();
-        let generations = cfg.generations.max(1);
-        let station = ckpt.map(|(c, label)| {
-            (
-                c.stage_path(label),
-                checkpoint::fingerprint(cfg, label),
-                c.every.max(1),
-            )
-        });
-
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut population: Vec<G> = seeds;
-        population.truncate(cfg.initial_population);
-        while population.len() < cfg.initial_population.max(2) {
-            population.push(sample(assoc, &mut rng));
-        }
-        let mut history = Vec::with_capacity(generations);
-        // Fitness memo keyed by genome encoding: elites (and any
-        // re-discovered genome) skip their replays on later generations,
-        // and a resumed run inherits the interrupted run's evaluations.
-        let mut memo: HashMap<Vec<u8>, f64> = HashMap::new();
-        let mut start_gen = 0;
-        if let Some((path, fp, _)) = &station {
-            match checkpoint::load::<G>(path, *fp, assoc) {
-                Loaded::Final(result) => return result,
-                Loaded::State(state) => {
-                    start_gen = state.generation.min(generations - 1);
-                    rng = state.rng;
-                    history = state.history;
-                    population = state.population;
-                    memo = state.memo;
-                }
-                Loaded::None => {}
-            }
-        }
-
-        let mut scored: Vec<(G, f64)> = Vec::new();
-        for gen in start_gen..generations {
-            if let Some((path, fp, every)) = &station {
-                if gen % every == 0 && gen != 0 {
-                    if let Err(e) =
-                        checkpoint::save_state(path, *fp, gen, &rng, &history, &population, &memo)
-                    {
-                        eprintln!(
-                            "evolve: failed to write checkpoint {}: {e} (continuing unprotected)",
-                            path.display()
-                        );
-                    }
-                }
-            }
-            // Static viability pruning: degenerate genomes are sunk to
-            // -inf without reaching `eval`, saving a full trace replay per
-            // pruned candidate. They still participate in selection (and
-            // lose every tournament to any finite-fitness rival).
-            let viable_eval = |c: &FitnessContext, g: &G| {
-                if g.is_viable() {
-                    eval(c, g)
-                } else {
-                    f64::NEG_INFINITY
-                }
-            };
-            let keys: Vec<Vec<u8>> = population.iter().map(Genome::encode).collect();
-            let fresh_idx: Vec<usize> = (0..population.len())
-                .filter(|&i| !memo.contains_key(&keys[i]))
-                .collect();
-            let fresh: Vec<G> = fresh_idx.iter().map(|&i| population[i].clone()).collect();
-            let fresh_fitness = ctx.fitness_many(&fresh, viable_eval);
-            for (&i, value) in fresh_idx.iter().zip(fresh_fitness) {
-                memo.insert(keys[i].clone(), value);
-            }
-            let fitness: Vec<f64> = keys.iter().map(|k| memo[k]).collect();
-            if memo.len() > MEMO_CAP {
-                let keep: std::collections::HashSet<&Vec<u8>> = keys.iter().collect();
-                memo.retain(|k, _| keep.contains(k));
-            }
-            scored = population.iter().cloned().zip(fitness).collect();
-            // Descending by fitness; NaN-safe (NaN sinks to the bottom).
-            scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-            history.push(scored[0].1);
-
-            let next_size = cfg.population.max(2);
-            let mut next: Vec<G> = scored
-                .iter()
-                .take(cfg.elitism.min(scored.len()))
-                .map(|(g, _)| g.clone())
-                .collect();
-            while next.len() < next_size {
-                let a = tournament_pick(&scored, cfg.tournament, &mut rng);
-                let b = tournament_pick(&scored, cfg.tournament, &mut rng);
-                let mut child = a.crossover(b, &mut rng);
-                child.mutate(cfg.mutation_rate, &mut rng);
-                next.push(child);
-            }
-            population = next;
-        }
-        let (best, best_fitness) = scored.swap_remove(0);
-        let result = GaResult {
-            best,
-            best_fitness,
-            history,
+        let run = Run {
+            ga: self.config,
+            ladder: LadderConfig::full_only(),
+            seeds,
+            station: ckpt.map(|(c, label)| {
+                (
+                    c.stage_path(label),
+                    checkpoint::fingerprint(&self.config, label),
+                )
+            }),
+            ring: None,
         };
-        if let Some((path, fp, _)) = &station {
-            if let Err(e) = checkpoint::save_final(path, *fp, &result) {
-                eprintln!(
-                    "evolve: failed to write final checkpoint {}: {e}",
-                    path.display()
-                );
-            }
-        }
-        result
+        island::evolve(ctx, run, cheap_tier, cheap_tier, eval, sample)
+            .expect("a run outside a migration ring does no mailbox I/O")
+            .result
     }
 }
 
-fn tournament_pick<'a, G, R: Rng>(scored: &'a [(G, f64)], size: usize, rng: &mut R) -> &'a G {
-    let mut best: &(G, f64) = &scored[rng.gen_range(0..scored.len())];
-    for _ in 1..size.max(1) {
-        let c = &scored[rng.gen_range(0..scored.len())];
-        if c.1 > best.1 {
-            best = c;
-        }
-    }
-    &best.0
+/// The profile and sampled tiers of a [`Ga`] run: the full-only ladder
+/// never calls them.
+fn cheap_tier<G>(_: &FitnessContext, _: &G) -> f64 {
+    unreachable!("the full-only ladder scores every genome at full fidelity")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fitness::FitnessScale;
+    use rand::SeedableRng;
     use traces::spec2006::Spec2006;
 
     fn ctx() -> FitnessContext {
@@ -602,6 +467,7 @@ mod tests {
                 -(g.insertion() as f64)
             },
             Ipv::sample,
+            None,
         );
 
         assert_eq!(
@@ -646,7 +512,7 @@ mod tests {
             generations: 5,
             ..GaConfig::quick(11)
         });
-        let result = ga.run_single(&ctx, Substrate::Plru);
+        let result = ga.run_single(&ctx, Substrate::Plru, None);
         assert!(
             result.best_fitness >= *result.history.first().unwrap(),
             "final {} < first {}",
@@ -661,7 +527,7 @@ mod tests {
     fn ga_history_is_monotone_with_elitism() {
         let ctx = ctx();
         let ga = Ga::new(GaConfig::quick(7));
-        let result = ga.run_single(&ctx, Substrate::Plru);
+        let result = ga.run_single(&ctx, Substrate::Plru, None);
         for w in result.history.windows(2) {
             assert!(
                 w[1] >= w[0] - 1e-12,
@@ -674,8 +540,8 @@ mod tests {
     #[test]
     fn ga_is_deterministic_per_seed() {
         let ctx = ctx();
-        let a = Ga::new(GaConfig::quick(42)).run_single(&ctx, Substrate::Plru);
-        let b = Ga::new(GaConfig::quick(42)).run_single(&ctx, Substrate::Plru);
+        let a = Ga::new(GaConfig::quick(42)).run_single(&ctx, Substrate::Plru, None);
+        let b = Ga::new(GaConfig::quick(42)).run_single(&ctx, Substrate::Plru, None);
         assert_eq!(a.best, b.best);
         assert_eq!(a.history, b.history);
     }
@@ -688,7 +554,7 @@ mod tests {
             ..GaConfig::quick(9)
         });
         let seeds = vec![VectorSet::new(gippr::vectors::wi_2dgippr().to_vec())];
-        let result = ga.run_set(&ctx, 2, seeds);
+        let result = ga.run_set(&ctx, 2, seeds, None);
         assert_eq!(result.best.len(), 2);
         assert!(result.best_fitness > 0.9);
     }
@@ -716,6 +582,7 @@ mod tests {
             vec![Ipv::lru_insertion(16)],
             |c, g| c.fitness_single(g, Substrate::Plru),
             Ipv::sample,
+            None,
         );
         assert!(result.best_fitness >= lip_fitness - 1e-12);
     }
@@ -735,10 +602,12 @@ mod tests {
                     seed: cfg.seed.wrapping_add(1 + i),
                     ..cfg
                 };
-                Ga::new(c).run_single(&ctx, Substrate::Plru).best_fitness
+                Ga::new(c)
+                    .run_single(&ctx, Substrate::Plru, None)
+                    .best_fitness
             })
             .fold(f64::MIN, f64::max);
-        let two_stage = ga.run_two_stage_single(&ctx, Substrate::Plru, 3);
+        let two_stage = ga.run_two_stage_single(&ctx, Substrate::Plru, 3, None);
         assert!(
             two_stage.best_fitness >= stage1_best - 1e-12,
             "seeding cannot lose fitness: {} vs {stage1_best}",
@@ -772,7 +641,6 @@ mod tests {
     /// same fitness bits, same per-generation history.
     #[test]
     fn checkpoint_resume_is_bit_identical_to_uninterrupted_run() {
-        use crate::checkpoint::Checkpointing;
         use std::panic::{catch_unwind, AssertUnwindSafe};
         use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -792,7 +660,7 @@ mod tests {
             let shape: f64 = g.entries().iter().map(|&e| e as f64).sum();
             g.insertion() as f64 - shape / 64.0
         };
-        let reference = Ga::new(cfg).run_seeded(&ctx, Vec::new(), synth, Ipv::sample);
+        let reference = Ga::new(cfg).run_seeded(&ctx, Vec::new(), synth, Ipv::sample, None);
 
         let dir = std::env::temp_dir().join(format!("ga-diff-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -803,7 +671,7 @@ mod tests {
         // panic after draining, exactly like a crashed experiment).
         let calls = AtomicUsize::new(0);
         let crashed = catch_unwind(AssertUnwindSafe(|| {
-            Ga::new(cfg).run_seeded_checkpointed(
+            Ga::new(cfg).run_seeded(
                 &ctx,
                 Vec::new(),
                 |c: &FitnessContext, g: &Ipv| {
@@ -823,13 +691,8 @@ mod tests {
         );
 
         // Resume with the healthy fitness function.
-        let resumed = Ga::new(cfg).run_seeded_checkpointed(
-            &ctx,
-            Vec::new(),
-            synth,
-            Ipv::sample,
-            Some((&ckpt, "diff")),
-        );
+        let resumed =
+            Ga::new(cfg).run_seeded(&ctx, Vec::new(), synth, Ipv::sample, Some((&ckpt, "diff")));
         assert_eq!(resumed.best, reference.best);
         assert_eq!(
             resumed.best_fitness.to_bits(),
@@ -839,7 +702,7 @@ mod tests {
 
         // A third run short-circuits on the final marker without a single
         // fitness evaluation.
-        let replayed = Ga::new(cfg).run_seeded_checkpointed(
+        let replayed = Ga::new(cfg).run_seeded(
             &ctx,
             Vec::new(),
             |_c: &FitnessContext, _g: &Ipv| panic!("a finished stage must not re-evaluate"),

@@ -1,12 +1,14 @@
-//! The island-model GA: process-parallel evolution with crash-safe
-//! migration (ROADMAP item 5, the paper's 200-CPU cluster shape on one
-//! box).
+//! The generation loop of every GA run, and the island model built on
+//! it: process-parallel evolution with crash-safe migration (the paper's
+//! 200-CPU cluster shape on one box).
 //!
-//! The population is sharded across `islands` independent workers, each
-//! running its own selection/crossover loop over a distinct RNG stream.
-//! Every [`IslandConfig::migration_every`] generations (an *epoch*), each
-//! island publishes its top [`IslandConfig::migrants`] full-fidelity
-//! elites to a **mailbox** file — written through
+//! `evolve` is the one loop. A [`crate::Ga`] run is its one-island,
+//! no-migration case on the full-only ladder; [`run_island`] runs one
+//! island of a ring. The population is sharded across `islands`
+//! independent workers, each running this loop over a distinct RNG
+//! stream. Every [`IslandConfig::migration_every`] generations (an
+//! *epoch*), each island publishes its top [`IslandConfig::migrants`]
+//! full-fidelity elites to a **mailbox** file — written through
 //! `sim_core::persist::atomic_write`, CRC-framed, fingerprinted by (run
 //! config, sender, epoch) — and, at the start of the next epoch, injects
 //! the previous epoch's migrants from its ring predecessor. Mailboxes are
@@ -16,26 +18,34 @@
 //! mailboxes.
 //!
 //! Determinism: every decision (promotion ranks, migrant choice, tie
-//! breaks) is a pure function of checkpointed state, so a worker killed at
+//! breaks) is a pure function of checkpointed state, so a run killed at
 //! *any* point — including mid-mailbox-write, the harshest case — resumes
 //! bit-identically (see `harness/tests/islands.rs` for the process-level
 //! proof under `sim-fault`).
 //!
 //! Fitness is evaluated through the multi-fidelity [`crate::ladder`]: the
-//! island's best genome and per-generation history are always tracked at
+//! run's best genome and per-generation history are always tracked at
 //! **full** fidelity, so cheap-tier estimates steer selection but never
 //! appear in reported results.
 
-use crate::checkpoint::{self, Checkpointing, IslandLoaded, IslandState, ResumeState};
+use crate::checkpoint::{self, Checkpointing, Loaded, Snapshot};
 use crate::fitness::{FitnessContext, Substrate};
 use crate::ga::{GaConfig, GaResult, Genome};
 use crate::ladder::{self, Fidelity, LadderConfig, LadderStats};
 use gippr::Ipv;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
+
+/// Fitness-memo size bound: above this the memo is pruned to the current
+/// population's keys, at every fidelity tag. Pruning changes which genomes
+/// are *recomputed*, never a (deterministic) memoized value, so a run on
+/// the full-only ladder — every [`crate::Ga`] run — returns the same
+/// result. On a laddered run a re-bred genome whose full score was pruned
+/// climbs the ladder again; no island preset's memo reaches the cap.
+const MEMO_CAP: usize = 1 << 17;
 
 /// Configuration of one island-model run, shared verbatim by the parent
 /// driver and every worker process (the fingerprint pins it).
@@ -74,27 +84,15 @@ impl IslandConfig {
     /// checkpoints and mailboxes from a different topology, ladder, or GA
     /// configuration are never resumed or read.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(&(self.islands as u64).to_le_bytes());
-        eat(&(self.migration_every as u64).to_le_bytes());
-        eat(&(self.migrants as u64).to_le_bytes());
-        eat(&self.ladder.sampled_frac.to_le_bytes());
-        eat(&self.ladder.full_frac.to_le_bytes());
-        eat(&(self.ladder.min_full as u64).to_le_bytes());
-        eat(&(self.ga.initial_population as u64).to_le_bytes());
-        eat(&(self.ga.population as u64).to_le_bytes());
-        eat(&(self.ga.generations as u64).to_le_bytes());
-        eat(&self.ga.mutation_rate.to_le_bytes());
-        eat(&(self.ga.elitism as u64).to_le_bytes());
-        eat(&(self.ga.tournament as u64).to_le_bytes());
-        eat(&self.ga.seed.to_le_bytes());
-        h
+        checkpoint::fnv1a(&[
+            &(self.islands as u64).to_le_bytes(),
+            &(self.migration_every as u64).to_le_bytes(),
+            &(self.migrants as u64).to_le_bytes(),
+            &self.ladder.sampled_frac.to_le_bytes(),
+            &self.ladder.full_frac.to_le_bytes(),
+            &(self.ladder.min_full as u64).to_le_bytes(),
+            &checkpoint::ga_bytes(&self.ga),
+        ])
     }
 
     /// The mailbox file name island `island` writes at the end of `epoch`.
@@ -115,7 +113,7 @@ impl IslandConfig {
     }
 }
 
-/// One island's completed run.
+/// One completed GA run.
 #[derive(Debug, Clone)]
 pub struct IslandOutcome<G> {
     /// The GA result. `history[g]` is the best **full-fidelity** fitness
@@ -146,6 +144,278 @@ fn await_mailbox(path: &Path, fp: u64, timeout: Duration) -> std::io::Result<Vec
         }
         std::thread::sleep(Duration::from_millis(25));
     }
+}
+
+/// What one run of [`evolve`] searches, and where it persists.
+pub(crate) struct Run<'a, G> {
+    /// The run's final GA parameters (an island's seed already derived).
+    pub ga: GaConfig,
+    /// Promotion thresholds; [`LadderConfig::full_only`] for a plain GA.
+    pub ladder: LadderConfig,
+    /// Known-good genomes placed first in the initial population.
+    pub seeds: Vec<G>,
+    /// The checkpoint file and the fingerprint sealing it.
+    pub station: Option<(PathBuf, u64)>,
+    /// The migration ring this run is one island of.
+    pub ring: Option<Ring<'a>>,
+}
+
+/// An island's place in its migration ring.
+pub(crate) struct Ring<'a> {
+    pub cfg: &'a IslandConfig,
+    pub island: usize,
+    pub mailbox_dir: &'a Path,
+}
+
+/// The generation loop of every GA run, generic over the genome and the
+/// three ladder-tier evaluators.
+///
+/// The initial population is `run.seeds` truncated to
+/// `initial_population`, then filled with `sample`. Each generation
+/// scores the population through [`ladder::evaluate`], tracks the best
+/// full-fidelity genome, and breeds the next population by elitism plus
+/// tournament selection, crossover and mutation. With `run.station`
+/// set, the loop state is snapshotted at the top of every generation and
+/// an existing snapshot or final marker for the same fingerprint is
+/// resumed **bit-identically**.
+///
+/// # Errors
+///
+/// Fails only inside a ring, if a mailbox read times out or a mailbox
+/// write fails; checkpoint write failures only degrade crash protection
+/// (with a warning).
+pub(crate) fn evolve<G, FP, FS, FF, S>(
+    ctx: &FitnessContext,
+    run: Run<'_, G>,
+    profile_score: FP,
+    sampled_fitness: FS,
+    full_fitness: FF,
+    sample: S,
+) -> std::io::Result<IslandOutcome<G>>
+where
+    G: Genome,
+    FP: Fn(&FitnessContext, &G) -> f64 + Sync,
+    FS: Fn(&FitnessContext, &G) -> f64 + Sync,
+    FF: Fn(&FitnessContext, &G) -> f64 + Sync,
+    S: Fn(usize, &mut StdRng) -> G,
+{
+    let Run {
+        ga,
+        ladder: mut lcfg,
+        seeds,
+        station,
+        ring,
+    } = run;
+    // Every generation must produce at least one full-fidelity score (the
+    // run's best and its migrants are full-fidelity by contract).
+    lcfg.min_full = lcfg.min_full.max(ga.elitism).max(1);
+    let assoc = ctx.geometry().ways();
+    let generations = ga.generations.max(1);
+
+    let mut rng = StdRng::seed_from_u64(ga.seed);
+    let mut population: Vec<G> = seeds;
+    population.truncate(ga.initial_population);
+    while population.len() < ga.initial_population.max(2) {
+        population.push(sample(assoc, &mut rng));
+    }
+    let mut history: Vec<f64> = Vec::with_capacity(generations);
+    // Fidelity-tagged fitness memo: elites (and any re-discovered genome)
+    // skip their replays on later generations, and a resumed run inherits
+    // the interrupted run's evaluations.
+    let mut memo: HashMap<Vec<u8>, f64> = HashMap::new();
+    let mut stats = LadderStats::default();
+    let mut best: Option<(G, f64)> = None;
+    let mut start_gen = 0;
+    if let Some((path, fp)) = &station {
+        match checkpoint::load::<G>(path, *fp, assoc) {
+            Loaded::Final(result, stats) => {
+                return Ok(IslandOutcome {
+                    result,
+                    stats,
+                    gen_wall_ms: Vec::new(),
+                })
+            }
+            Loaded::State(state) => {
+                start_gen = state.generation.min(generations - 1);
+                rng = state.rng;
+                history = state.history;
+                population = state.population;
+                memo = state.memo;
+                best = state.best;
+                stats = state.stats;
+            }
+            Loaded::None => {}
+        }
+    }
+
+    let ring = ring.filter(|r| r.cfg.islands > 1);
+    let migration_every = ring.as_ref().map_or(1, |r| r.cfg.migration_every.max(1));
+    let mut gen_wall_ms = Vec::new();
+    for gen in start_gen..generations {
+        let tick = Instant::now();
+        if let Some((path, fp)) = station.as_ref().filter(|_| gen != 0) {
+            let snapshot = Snapshot {
+                generation: gen,
+                rng: rng.clone(),
+                history: history.clone(),
+                population: population.clone(),
+                memo: memo.clone(),
+                best: best.clone(),
+                stats,
+            };
+            if let Err(e) = checkpoint::save_snapshot(path, *fp, &snapshot) {
+                eprintln!(
+                    "evolve: failed to write checkpoint {}: {e} (continuing unprotected)",
+                    path.display()
+                );
+            }
+        }
+
+        // Epoch start: inject the ring predecessor's previous-epoch
+        // elites over this island's weakest slots (the population tail is
+        // freshly bred offspring; elites live at the front).
+        if let Some(r) = ring
+            .as_ref()
+            .filter(|_| gen != 0 && gen % migration_every == 0)
+        {
+            let epoch = gen / migration_every - 1;
+            let neighbor = r.cfg.neighbor(r.island);
+            let mbx = r
+                .mailbox_dir
+                .join(IslandConfig::mailbox_name(neighbor, epoch));
+            let migrants = await_mailbox(
+                &mbx,
+                r.cfg.mailbox_fingerprint(neighbor, epoch),
+                r.cfg.mailbox_timeout,
+            )?;
+            let keep = ga.elitism.min(population.len());
+            let mut slot = population.len();
+            for (enc, _fitness) in &migrants {
+                if slot <= keep {
+                    break;
+                }
+                if let Some(g) = G::decode(enc, assoc) {
+                    slot -= 1;
+                    population[slot] = g;
+                }
+            }
+        }
+
+        let out = ladder::evaluate(
+            ctx,
+            &lcfg,
+            &population,
+            &mut memo,
+            &mut stats,
+            &profile_score,
+            &sampled_fitness,
+            &full_fitness,
+        );
+        if memo.len() > MEMO_CAP {
+            let keep: HashSet<Vec<u8>> = population.iter().map(Genome::encode).collect();
+            memo.retain(|key, _| keep.contains(&key[1..]));
+        }
+        // Track the best at full fidelity only; cheap-tier estimates
+        // steer selection but never become "the best genome".
+        for (i, (&score, &tier)) in out.scores.iter().zip(&out.tiers).enumerate() {
+            if tier == Fidelity::Full
+                && score.is_finite()
+                && best.as_ref().map_or(true, |(_, b)| score > *b)
+            {
+                best = Some((population[i].clone(), score));
+            }
+        }
+        history.push(best.as_ref().map_or(f64::NEG_INFINITY, |(_, f)| *f));
+
+        let mut scored: Vec<(G, f64)> = population
+            .iter()
+            .cloned()
+            .zip(out.scores.iter().copied())
+            .collect();
+        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+
+        // Epoch end: publish this island's migrants — the best-known
+        // genome plus the top full-fidelity genomes of this generation.
+        if let Some(r) = ring.as_ref().filter(|_| (gen + 1) % migration_every == 0) {
+            let epoch = gen / migration_every;
+            let mut migrants: Vec<(Vec<u8>, f64)> = Vec::with_capacity(r.cfg.migrants);
+            if let Some((g, f)) = &best {
+                migrants.push((g.encode(), *f));
+            }
+            let mut full: Vec<(Vec<u8>, f64)> = population
+                .iter()
+                .zip(&out.tiers)
+                .enumerate()
+                .filter(|(_, (_, &tier))| tier == Fidelity::Full)
+                .map(|(i, (g, _))| (g.encode(), out.scores[i]))
+                .collect();
+            full.sort_by(|a, b| {
+                b.1.partial_cmp(&a.1)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then_with(|| a.0.cmp(&b.0))
+            });
+            for (enc, f) in full {
+                if migrants.len() >= r.cfg.migrants.max(1) {
+                    break;
+                }
+                if f.is_finite() && !migrants.iter().any(|(e, _)| *e == enc) {
+                    migrants.push((enc, f));
+                }
+            }
+            let mbx = r
+                .mailbox_dir
+                .join(IslandConfig::mailbox_name(r.island, epoch));
+            checkpoint::save_mailbox(&mbx, r.cfg.mailbox_fingerprint(r.island, epoch), &migrants)?;
+        }
+
+        let next_size = ga.population.max(2);
+        let mut next: Vec<G> = scored
+            .iter()
+            .take(ga.elitism.min(scored.len()))
+            .map(|(g, _)| g.clone())
+            .collect();
+        while next.len() < next_size {
+            let a = tournament_pick(&scored, ga.tournament, &mut rng);
+            let b = tournament_pick(&scored, ga.tournament, &mut rng);
+            let mut child = a.crossover(b, &mut rng);
+            child.mutate(ga.mutation_rate, &mut rng);
+            next.push(child);
+        }
+        population = next;
+        gen_wall_ms.push(tick.elapsed().as_millis() as u64);
+    }
+
+    let (best_genome, best_fitness) =
+        best.expect("no genome of any generation had a finite full-fidelity fitness");
+    let result = GaResult {
+        best: best_genome,
+        best_fitness,
+        history,
+    };
+    if let Some((path, fp)) = &station {
+        if let Err(e) = checkpoint::save_result(path, *fp, &result, &stats) {
+            eprintln!(
+                "evolve: failed to write final checkpoint {}: {e}",
+                path.display()
+            );
+        }
+    }
+    Ok(IslandOutcome {
+        result,
+        stats,
+        gen_wall_ms,
+    })
+}
+
+fn tournament_pick<'a, G, R: Rng>(scored: &'a [(G, f64)], size: usize, rng: &mut R) -> &'a G {
+    let mut best: &(G, f64) = &scored[rng.gen_range(0..scored.len())];
+    for _ in 1..size.max(1) {
+        let c = &scored[rng.gen_range(0..scored.len())];
+        if c.1 > best.1 {
+            best = c;
+        }
+    }
+    &best.0
 }
 
 /// Runs island `island` of `cfg` to completion (or resumes it), generic
@@ -183,203 +453,28 @@ where
 {
     assert!(cfg.islands > 0, "at least one island");
     assert!(island < cfg.islands, "island {island} of {}", cfg.islands);
-    let ga_cfg = cfg.island_ga(island);
-    let mut lcfg = cfg.ladder;
-    // Every generation must produce at least one full-fidelity score (the
-    // island's best and its migrants are full-fidelity by contract).
-    lcfg.min_full = lcfg.min_full.max(ga_cfg.elitism).max(1);
+    let ga = cfg.island_ga(island);
     let label = format!("island-{island}");
-    let station = ckpt.stage_path(&label);
-    let fp = checkpoint::fingerprint(&ga_cfg, &format!("{label}-{:016x}", cfg.fingerprint()));
-    let assoc = ctx.geometry().ways();
-    let generations = ga_cfg.generations.max(1);
-    let migration_every = cfg.migration_every.max(1);
-    let every = ckpt.every.max(1);
-
-    let mut rng = StdRng::seed_from_u64(ga_cfg.seed);
-    let mut population: Vec<G> = Vec::new();
-    while population.len() < ga_cfg.initial_population.max(2) {
-        population.push(sample(assoc, &mut rng));
-    }
-    let mut history: Vec<f64> = Vec::with_capacity(generations);
-    let mut memo: HashMap<Vec<u8>, f64> = HashMap::new();
-    let mut stats = LadderStats::default();
-    let mut best: Option<(G, f64)> = None;
-    let mut start_gen = 0;
-    match checkpoint::load_island::<G>(&station, fp, assoc) {
-        IslandLoaded::Final(result, stats) => {
-            return Ok(IslandOutcome {
-                result,
-                stats,
-                gen_wall_ms: Vec::new(),
-            })
-        }
-        IslandLoaded::State(state) => {
-            start_gen = state.ga.generation.min(generations - 1);
-            rng = state.ga.rng;
-            history = state.ga.history;
-            population = state.ga.population;
-            memo = state.ga.memo;
-            best = state.best;
-            stats = state.stats;
-        }
-        IslandLoaded::None => {}
-    }
-
-    let mut gen_wall_ms = Vec::new();
-    for gen in start_gen..generations {
-        let tick = Instant::now();
-        if gen % every == 0 && gen != 0 {
-            let snapshot = IslandState {
-                ga: ResumeState {
-                    generation: gen,
-                    rng: rng.clone(),
-                    history: history.clone(),
-                    population: population.clone(),
-                    memo: memo.clone(),
-                },
-                best: best.clone(),
-                stats,
-            };
-            if let Err(e) = checkpoint::save_island_state(&station, fp, &snapshot) {
-                eprintln!(
-                    "evolve: failed to write island checkpoint {}: {e} (continuing unprotected)",
-                    station.display()
-                );
-            }
-        }
-
-        // Epoch start: inject the ring predecessor's previous-epoch
-        // elites over this island's weakest slots (the population tail is
-        // freshly bred offspring; elites live at the front).
-        if cfg.islands > 1 && gen != 0 && gen % migration_every == 0 {
-            let epoch = gen / migration_every - 1;
-            let neighbor = cfg.neighbor(island);
-            let mbx = mailbox_dir.join(IslandConfig::mailbox_name(neighbor, epoch));
-            let migrants = await_mailbox(
-                &mbx,
-                cfg.mailbox_fingerprint(neighbor, epoch),
-                cfg.mailbox_timeout,
-            )?;
-            let keep = ga_cfg.elitism.min(population.len());
-            let mut slot = population.len();
-            for (enc, _fitness) in &migrants {
-                if slot <= keep {
-                    break;
-                }
-                if let Some(g) = G::decode(enc, assoc) {
-                    slot -= 1;
-                    population[slot] = g;
-                }
-            }
-        }
-
-        let out = ladder::evaluate(
-            ctx,
-            &lcfg,
-            &population,
-            &mut memo,
-            &mut stats,
-            &profile_score,
-            &sampled_fitness,
-            &full_fitness,
-        );
-        // Track the best at full fidelity only; cheap-tier estimates
-        // steer selection but never become "the best genome".
-        for (i, (&score, &tier)) in out.scores.iter().zip(&out.tiers).enumerate() {
-            if tier == Fidelity::Full
-                && score.is_finite()
-                && best.as_ref().map_or(true, |(_, b)| score > *b)
-            {
-                best = Some((population[i].clone(), score));
-            }
-        }
-        history.push(best.as_ref().map_or(f64::NEG_INFINITY, |(_, f)| *f));
-
-        let mut scored: Vec<(G, f64)> = population
-            .iter()
-            .cloned()
-            .zip(out.scores.iter().copied())
-            .collect();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-
-        // Epoch end: publish this island's migrants — the best-known
-        // genome plus the top full-fidelity genomes of this generation.
-        if cfg.islands > 1 && (gen + 1) % migration_every == 0 {
-            let epoch = gen / migration_every;
-            let mut migrants: Vec<(Vec<u8>, f64)> = Vec::with_capacity(cfg.migrants);
-            if let Some((g, f)) = &best {
-                migrants.push((g.encode(), *f));
-            }
-            let mut full: Vec<(Vec<u8>, f64)> = population
-                .iter()
-                .zip(&out.tiers)
-                .enumerate()
-                .filter(|(_, (_, &tier))| tier == Fidelity::Full)
-                .map(|(i, (g, _))| (g.encode(), out.scores[i]))
-                .collect();
-            full.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.0.cmp(&b.0))
-            });
-            for (enc, f) in full {
-                if migrants.len() >= cfg.migrants.max(1) {
-                    break;
-                }
-                if f.is_finite() && !migrants.iter().any(|(e, _)| *e == enc) {
-                    migrants.push((enc, f));
-                }
-            }
-            let mbx = mailbox_dir.join(IslandConfig::mailbox_name(island, epoch));
-            checkpoint::save_mailbox(&mbx, cfg.mailbox_fingerprint(island, epoch), &migrants)?;
-        }
-
-        let next_size = ga_cfg.population.max(2);
-        let mut next: Vec<G> = scored
-            .iter()
-            .take(ga_cfg.elitism.min(scored.len()))
-            .map(|(g, _)| g.clone())
-            .collect();
-        while next.len() < next_size {
-            let a = tournament_pick(&scored, ga_cfg.tournament, &mut rng);
-            let b = tournament_pick(&scored, ga_cfg.tournament, &mut rng);
-            let mut child = a.crossover(b, &mut rng);
-            child.mutate(ga_cfg.mutation_rate, &mut rng);
-            next.push(child);
-        }
-        population = next;
-        gen_wall_ms.push(tick.elapsed().as_millis() as u64);
-    }
-
-    let (best_genome, best_fitness) = best.expect("min_full >= 1 full evaluation per generation");
-    let result = GaResult {
-        best: best_genome,
-        best_fitness,
-        history,
+    let fp = checkpoint::fingerprint(&ga, &format!("{label}-{:016x}", cfg.fingerprint()));
+    let run = Run {
+        ga,
+        ladder: cfg.ladder,
+        seeds: Vec::new(),
+        station: Some((ckpt.stage_path(&label), fp)),
+        ring: Some(Ring {
+            cfg,
+            island,
+            mailbox_dir,
+        }),
     };
-    if let Err(e) = checkpoint::save_island_final(&station, fp, &result, &stats) {
-        eprintln!(
-            "evolve: failed to write island final marker {}: {e}",
-            station.display()
-        );
-    }
-    Ok(IslandOutcome {
-        result,
-        stats,
-        gen_wall_ms,
-    })
-}
-
-fn tournament_pick<'a, G, R: Rng>(scored: &'a [(G, f64)], size: usize, rng: &mut R) -> &'a G {
-    let mut best: &(G, f64) = &scored[rng.gen_range(0..scored.len())];
-    for _ in 1..size.max(1) {
-        let c = &scored[rng.gen_range(0..scored.len())];
-        if c.1 > best.1 {
-            best = c;
-        }
-    }
-    &best.0
+    evolve(
+        ctx,
+        run,
+        profile_score,
+        sampled_fitness,
+        full_fitness,
+        sample,
+    )
 }
 
 /// [`run_island`] wired to single-IPV fitness on `substrate` through the

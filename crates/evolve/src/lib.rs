@@ -11,8 +11,10 @@
 //!   streams replayed under a candidate IPV, scored by the linear CPI
 //!   model's speedup over LRU (Section 4.3), weighted across workloads.
 //! * [`Ga`] — the genetic algorithm (Section 4.2): single-point crossover,
-//!   5 % element mutation, elitism, parallel fitness evaluation. Works over
-//!   single IPVs *or* dueling vector sets (for evolving 2-/4-DGIPPR).
+//!   5 % element mutation, elitism, parallel fitness evaluation,
+//!   crash-safe [`Checkpointing`]. Works over single IPVs *or* dueling
+//!   vector sets (for evolving 2-/4-DGIPPR). A `Ga` run is the one-island
+//!   case of [`island`]'s generation loop on the full-replay-only ladder.
 //! * [`random_search`] — uniform design-space sampling (Figure 1).
 //! * [`hillclimb`] — local refinement (Section 2.6's closing remark).
 //! * [`crossval`] — the WN1 workload-neutral protocol (Section 4.4): hold
@@ -20,9 +22,10 @@
 //! * [`ladder`] — the multi-fidelity evaluation ladder: viability →
 //!   zero-replay profile score → set-sampled replay → full replay, with
 //!   deterministic promotion and fidelity-tagged memoization.
-//! * [`island`] — the island-model GA: process-parallel populations in a
-//!   migration ring, exchanging full-fidelity elites through crash-safe
-//!   atomic mailbox files (the paper's cluster-scale search on one box).
+//! * [`island`] — the one generation loop, and the island-model GA built
+//!   on it: process-parallel populations in a migration ring, exchanging
+//!   full-fidelity elites through crash-safe atomic mailbox files (the
+//!   paper's cluster-scale search on one box).
 //!
 //! # Example
 //!
@@ -32,7 +35,7 @@
 //!
 //! let ctx = FitnessContext::for_benchmarks(
 //!     &Spec2006::all(), 3, 50_000, evolve::FitnessScale::default());
-//! let result = Ga::new(GaConfig::quick(1)).run_single(&ctx, Substrate::Plru);
+//! let result = Ga::new(GaConfig::quick(1)).run_single(&ctx, Substrate::Plru, None);
 //! println!("best vector {} at {:.3}x LRU", result.best, result.best_fitness);
 //! ```
 

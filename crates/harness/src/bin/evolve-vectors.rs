@@ -41,15 +41,14 @@ fn main() {
     let ga = Ga::new(scale.ga(0xE40));
 
     println!("stage 1 + 2: evolving a single GIPPR vector (two-stage GA)...");
-    let single =
-        ga.run_two_stage_single_checkpointed(&ctx, Substrate::Plru, 4, Some((&ckpt, "gippr")));
+    let single = ga.run_two_stage_single(&ctx, Substrate::Plru, 4, Some((&ckpt, "gippr")));
     println!(
         "  best: {}  fitness {:.4}",
         single.best, single.best_fitness
     );
 
     println!("evolving a 2-vector duel (seeded with the published pair)...");
-    let pair = ga.run_set_checkpointed(
+    let pair = ga.run_set(
         &ctx,
         2,
         vec![VectorSet::new(gippr::vectors::wi_2dgippr().to_vec())],
@@ -58,7 +57,7 @@ fn main() {
     println!("  fitness {:.4}\n{}", pair.best_fitness, pair.best);
 
     println!("evolving a 4-vector duel (seeded with the published quad)...");
-    let quad = ga.run_set_checkpointed(
+    let quad = ga.run_set(
         &ctx,
         4,
         vec![VectorSet::new(gippr::vectors::wi_4dgippr().to_vec())],

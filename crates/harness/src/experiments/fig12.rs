@@ -40,6 +40,7 @@ pub fn run(scale: Scale) -> Table {
             vec![gippr::vectors::wi_gippr()],
             |c, g| c.fitness_single(g, Substrate::Plru),
             <Ipv as evolve::Genome>::sample,
+            None,
         )
         .best;
     let wi_pair = ga
@@ -47,6 +48,7 @@ pub fn run(scale: Scale) -> Table {
             &ctx,
             2,
             vec![VectorSet::new(gippr::vectors::wi_2dgippr().to_vec())],
+            None,
         )
         .best
         .vectors()
@@ -56,6 +58,7 @@ pub fn run(scale: Scale) -> Table {
             &ctx,
             4,
             vec![VectorSet::new(gippr::vectors::wi_4dgippr().to_vec())],
+            None,
         )
         .best
         .vectors()
@@ -136,13 +139,4 @@ pub fn run(scale: Scale) -> Table {
             .collect(),
     );
     table
-}
-
-#[cfg(test)]
-mod tests {
-    // Figure 12 is GA-heavy even at quick scale; its machinery is covered
-    // by the evolve crate's tests and the binary is exercised in CI-style
-    // smoke runs. Here we only check the experiment compiles and its
-    // pieces are wired (construction of the vector maps is tested in
-    // experiments::tests via assign_vectors).
 }

@@ -429,27 +429,34 @@ fn lint_direct_writes(root: &Path) -> usize {
 
 /// Audit 5: crash-recovery state is crash-safe by construction.
 ///
-/// Two subsystems promise kill-anywhere, resume-bit-identically: the
-/// island fleet (GA checkpoints, migration mailboxes, worker results,
-/// the fleet manifest) and the serving daemon (per-tenant session
-/// snapshots, the published port file). Both rest on every durable
-/// write going through `sim_core::persist::atomic_write`. The negative
-/// direct-write audit above catches raw `fs::write` calls; this
-/// positive audit fails if those sources stop routing through the
-/// crash-safe helpers entirely (say, a refactor to a hand-rolled writer
-/// whose call shape the negative audit's pattern list misses).
+/// Two subsystems promise kill-anywhere, resume-bit-identically: the GA
+/// (the checkpoints of every stage — Fig 12, `evolve-vectors` and each
+/// island, all written by the one generation loop in `island.rs` — plus
+/// migration mailboxes, worker results and the fleet manifest) and the
+/// serving daemon (per-tenant session snapshots, the published port
+/// file). Both rest on every durable write going through
+/// `sim_core::persist::atomic_write`. The negative direct-write audit
+/// above catches raw `fs::write` calls; this positive audit fails if
+/// those sources stop routing through the crash-safe helpers entirely
+/// (say, a refactor to a hand-rolled writer whose call shape the
+/// negative audit's pattern list misses).
 fn lint_island_atomicity(root: &Path) -> usize {
     let checks: &[(&str, &[&str])] = &[
         (
             "crates/evolve/src/checkpoint.rs",
-            &["persist::atomic_write", "save_mailbox", "save_island_state"],
+            &[
+                "persist::atomic_write",
+                "save_mailbox",
+                "save_snapshot",
+                "save_result",
+            ],
         ),
         (
             "crates/evolve/src/island.rs",
             &[
                 "checkpoint::save_mailbox",
-                "save_island_state",
-                "save_island_final",
+                "checkpoint::save_snapshot",
+                "checkpoint::save_result",
             ],
         ),
         (
@@ -483,7 +490,7 @@ fn lint_island_atomicity(root: &Path) -> usize {
             if !source.contains(needle) {
                 eprintln!(
                     "lint(island-atomicity): {rel} no longer references `{needle}`; \
-                     island checkpoint/mailbox/manifest writes must stay on the \
+                     GA checkpoint/mailbox/manifest writes must stay on the \
                      sim_core::persist::atomic_write path"
                 );
                 failures += 1;

@@ -35,7 +35,7 @@ fn main() {
     );
 
     println!("running the genetic algorithm ({:?})...", scale.ga(42));
-    let result = Ga::new(scale.ga(42)).run_single(&ctx, Substrate::Plru);
+    let result = Ga::new(scale.ga(42)).run_single(&ctx, Substrate::Plru, None);
     println!("GA best vector: {}", result.best);
     println!(
         "GA fitness (mean speedup over LRU): {:.4}",
