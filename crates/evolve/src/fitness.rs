@@ -10,8 +10,8 @@
 use gippr::{DgipprPolicy, GiplrPolicy, GipprPolicy, Ipv};
 use mem_model::cpi::LinearCpiModel;
 use mem_model::{
-    capture_llc_stream_into, plan, replay_llc_mono, replay_llc_sharded, Engine, HierarchyConfig,
-    Replayer, WindowPerfModel,
+    capture_llc_stream_into, plan, replay_llc_sharded, Engine, HierarchyConfig, Replayer,
+    WindowPerfModel,
 };
 use sim_core::{
     Access, CacheGeometry, ReplacementPolicy, SampledStream, ShardedStream, StackDistanceProfile,
@@ -330,7 +330,9 @@ impl FitnessContext {
     /// `sampled`) the set-sampled sub-streams against their own LRU
     /// baselines. Generic over the concrete policy type so a mono replay
     /// monomorphizes per substrate instead of paying double virtual
-    /// dispatch through `Box<dyn>`; the engine is [`plan`]'s.
+    /// dispatch through `Box<dyn>`; the engine is [`plan`]'s. The linear
+    /// CPI model reads only misses, so every replay but the sharded one
+    /// runs [`Replayer::misses`] (the sliced kernel's miss-count mode).
     ///
     /// The full tier plans with the stream's routed shard count, so
     /// set-local policies without a usable kernel replay the pre-routed
@@ -360,13 +362,11 @@ impl FitnessContext {
                 )
             };
             let plan = plan(&probe, &self.geom, shards);
-            let run = match plan.engine {
-                Engine::Sharded => replay_llc_sharded(&ws.sharded, &make, &perf),
-                _ => Replayer::new(&plan, self.geom, &make, &perf).replay(stream, warmup),
+            let misses = match plan.engine {
+                Engine::Sharded => replay_llc_sharded(&ws.sharded, &make, &perf).stats.misses,
+                _ => Replayer::new(&plan, self.geom, &make, &perf).misses(stream, warmup),
             };
-            let speedup = self
-                .model
-                .speedup(instructions, lru_misses, run.stats.misses);
+            let speedup = self.model.speedup(instructions, lru_misses, misses);
             total += speedup * ws.weight;
             total_weight += ws.weight;
         }
@@ -486,30 +486,22 @@ impl FitnessContext {
     /// Per-workload speedups (not aggregated), for reporting.
     pub fn per_workload_single(&self, ipv: &Ipv, substrate: Substrate) -> Vec<(String, f64)> {
         let perf = WindowPerfModel::default();
+        let geom = self.geom;
         self.streams
             .iter()
             .map(|ws| {
-                let run = match substrate {
-                    Substrate::Plru => replay_llc_mono(
-                        &ws.stream,
-                        self.geom,
-                        GipprPolicy::new(&self.geom, ipv.clone()).expect("assoc matches"),
-                        ws.warmup,
-                        &perf,
-                    ),
-                    Substrate::Lru => replay_llc_mono(
-                        &ws.stream,
-                        self.geom,
-                        GiplrPolicy::new(&self.geom, ipv.clone()).expect("assoc matches"),
-                        ws.warmup,
-                        &perf,
-                    ),
+                let misses = match substrate {
+                    Substrate::Plru => {
+                        let p = GipprPolicy::new(&geom, ipv.clone()).expect("assoc matches");
+                        Replayer::whole(geom, p, &perf).misses(&ws.stream, ws.warmup)
+                    }
+                    Substrate::Lru => {
+                        let p = GiplrPolicy::new(&geom, ipv.clone()).expect("assoc matches");
+                        Replayer::whole(geom, p, &perf).misses(&ws.stream, ws.warmup)
+                    }
                 };
-                (
-                    ws.name.clone(),
-                    self.model
-                        .speedup(ws.instructions, ws.lru_misses, run.stats.misses),
-                )
+                let speedup = self.model.speedup(ws.instructions, ws.lru_misses, misses);
+                (ws.name.clone(), speedup)
             })
             .collect()
     }
@@ -529,6 +521,7 @@ impl FitnessContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mem_model::replay_llc_mono;
 
     fn tiny_ctx() -> FitnessContext {
         FitnessContext::for_benchmarks(

@@ -22,6 +22,14 @@
 //! [`reset_stats`](Replayer::reset_stats) at the warm-up boundary, then
 //! [`finish`](Replayer::finish). Batch replay, GA fitness and the serving
 //! daemon's sessions all run through it.
+//!
+//! It records in one of two modes. [`Replayer::replay`] and `feed` report
+//! everything: the statistics, instructions and the window/MLP cycle
+//! estimate. [`Replayer::misses`] reports only the miss count, which is
+//! all GA fitness reads: the paper's linear CPI model is a function of
+//! misses alone. On a sliced plan it runs the kernel's miss-count mode
+//! ([`SlicedCache::count_misses`]), the same replacement transitions
+//! without the dirty bits, counters and cycle sink.
 
 use crate::cpi::{PerfAccumulator, WindowPerfModel};
 use crate::llc::LlcRunResult;
@@ -202,6 +210,22 @@ impl<P: ReplacementPolicy> Replayer<P> {
         self.reset_stats();
         self.feed(measured);
         self.finish()
+    }
+
+    /// The misses of one whole-stream pass: the first `warmup` accesses
+    /// warm the cache, the rest are counted. Equal to
+    /// `self.replay(stream, warmup).stats.misses`. A sliced plan gets
+    /// there in the kernel's miss-count mode, which keeps no dirty bits,
+    /// other counters or cycle model; a mono plan runs that full replay.
+    pub fn misses(mut self, stream: &[Access], warmup: usize) -> u64 {
+        let (warm, measured) = stream.split_at(warmup.min(stream.len()));
+        match &mut self.core {
+            Core::Sliced(cache) => {
+                cache.count_misses(warm);
+                cache.count_misses(measured)
+            }
+            Core::Mono(_) => self.replay(stream, warmup).stats.misses,
+        }
     }
 
     /// True when the packed kernel engine runs this replay.

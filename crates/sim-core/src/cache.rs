@@ -19,27 +19,26 @@ pub(crate) const LINE_VALID: u64 = 1 << 62;
 pub(crate) const LINE_DIRTY: u64 = 1 << 63;
 pub(crate) const LINE_TAG_MASK: u64 = LINE_VALID - 1;
 
-/// One wide pass over a set: `(match_mask, valid_mask)` with bit `way`
-/// set iff that way matches `tag` / is valid.
+/// One branchless pass over a set's packed line words, the tag scan of
+/// both engines ([`SetAssocCache`] and the bit-sliced
+/// [`SlicedCache`](crate::SlicedCache)): `(match_mask, valid_mask)` with
+/// bit `way` set iff that way holds `tag` (whatever its dirty bit) / holds
+/// a valid line.
 ///
-/// This is the branchless OR-reduction form on purpose: with
-/// `-C target-cpu=native` LLVM lowers it to wide loads + wide packed
-/// compares + movemask — the same shape as the explicit
-/// [`U64x4`](crate::simd::U64x4) scan the bit-sliced kernel uses
-/// (`crate::simd::scan_masks`), which the tests below hold
-/// bit-equivalent. An A/B on the dev box measured the hand-chunked
-/// `U64x4` emulation 15–25% *slower* here (the runtime set length and
-/// `Line` wrapper indexing defeat the unroller), so the explicit wide
-/// code lives where it wins — the `slice` step loop over raw `u64`
-/// words with a const-dispatched way count — and the mono/dyn engines
-/// keep the autovectorized reduction.
+/// A plain OR-reduction with no early exit: with `-C target-cpu=native`
+/// LLVM lowers it to wide loads, packed compares and a movemask, and
+/// under the sliced engine's literal way count the loop unrolls
+/// completely. A hand-chunked 4-lane form measured within noise of this
+/// loop in the sliced step (PLRU, LRU, GIPPR, DGIPPR) and 15–25 % slower
+/// in the mono engine, so there is only this one.
 #[inline(always)]
-fn scan_set(lines: &[Line], tag: u64) -> (u64, u64) {
+pub(crate) fn scan_set(words: impl Iterator<Item = u64>, tag: u64) -> (u64, u64) {
+    let want = tag | LINE_VALID;
     let mut match_mask = 0u64;
     let mut valid_mask = 0u64;
-    for (way, &line) in lines.iter().enumerate() {
-        match_mask |= u64::from(line.matches(tag)) << way;
-        valid_mask |= u64::from(line.valid()) << way;
+    for (way, word) in words.enumerate() {
+        match_mask |= u64::from(word & !LINE_DIRTY == want) << way;
+        valid_mask |= u64::from(word & LINE_VALID != 0) << way;
     }
     (match_mask, valid_mask)
 }
@@ -66,8 +65,7 @@ impl Line {
         self.0 & LINE_TAG_MASK
     }
 
-    /// True iff valid with this tag — one AND and one compare, which lets
-    /// the set scan auto-vectorize.
+    /// True iff valid with this tag, whatever the dirty bit.
     #[inline]
     fn matches(self, tag: u64) -> bool {
         self.0 & !LINE_DIRTY == tag | LINE_VALID
@@ -226,7 +224,8 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
         let base = set * ways;
         self.stats.accesses += 1;
 
-        let (match_mask, valid_mask) = scan_set(&self.lines[base..base + ways], tag);
+        let (match_mask, valid_mask) =
+            scan_set(self.lines[base..base + ways].iter().map(|l| l.0), tag);
 
         if match_mask != 0 {
             let way = match_mask.trailing_zeros() as usize;
@@ -279,7 +278,8 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
         // mask (wide compares, no early exit); `trailing_zeros` then yields
         // the hit way and the first invalid way. Tags are unique within a
         // set, so at most one bit matches.
-        let (match_mask, valid_mask) = scan_set(&self.lines[base..base + ways], tag);
+        let (match_mask, valid_mask) =
+            scan_set(self.lines[base..base + ways].iter().map(|l| l.0), tag);
 
         if match_mask != 0 {
             let way = match_mask.trailing_zeros() as usize;
@@ -400,40 +400,46 @@ mod tests {
     use crate::access::Access;
     use crate::policy::fifo_like_fixture::AlwaysWayZero;
 
-    /// The mono engine's autovectorized reduction and the sliced kernel's
-    /// explicit `U64x4` scan are the same function: identical masks for
-    /// every mix of valid/dirty/matching lines at every associativity the
-    /// engines support (including tails the wide path handles scalar-ly).
+    /// The one tag scan against per-way reads of the line words, for
+    /// every mix of invalid, clean, dirty and other-tag lines at widths
+    /// from 1 to 64 ways (the mask width).
     #[test]
-    fn scan_set_matches_simd_scan_masks() {
+    fn scan_set_matches_per_way_reads() {
         let mut state = 0x1234_5678_9abc_def0u64;
-        for ways in [2usize, 3, 4, 7, 8, 16] {
+        for ways in [1usize, 2, 3, 4, 5, 7, 8, 12, 15, 16, 32, 64] {
             for _ in 0..200 {
-                let mut lines = Vec::with_capacity(ways);
-                let mut words = Vec::with_capacity(ways);
-                let tag = {
+                let mut next = || {
                     state ^= state << 13;
                     state ^= state >> 7;
                     state ^= state << 17;
-                    state & LINE_TAG_MASK & 0xff
+                    state
                 };
-                for _ in 0..ways {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    let word = match state % 4 {
-                        0 => 0,                             // invalid
-                        1 => tag | LINE_VALID,              // clean match
-                        2 => tag | LINE_VALID | LINE_DIRTY, // dirty match
-                        _ => (state & 0xff) | LINE_VALID,   // other tag
-                    };
-                    lines.push(Line(word));
-                    words.push(word);
+                let tag = next() & 0xff;
+                let lines: Vec<Line> = (0..ways)
+                    .map(|_| {
+                        let r = next();
+                        Line(match r % 5 {
+                            0 => 0,                             // invalid
+                            1 => tag | LINE_VALID,              // clean match
+                            2 => tag | LINE_VALID | LINE_DIRTY, // dirty match
+                            3 => tag | LINE_DIRTY,              // invalid, stale tag
+                            _ => (r >> 8 & 0xff) | LINE_VALID,  // other tag
+                        })
+                    })
+                    .collect();
+                let (m, v) = scan_set(lines.iter().map(|l| l.0), tag);
+                for (way, line) in lines.iter().enumerate() {
+                    let what = format!("ways {ways}, way {way}, line {:#x}", line.0);
+                    assert_eq!(m >> way & 1 == 1, line.matches(tag), "{what}");
+                    assert_eq!(v >> way & 1 == 1, line.valid(), "{what}");
                 }
-                let (m, v) = scan_set(&lines, tag);
-                let (sm, sv) =
-                    crate::simd::scan_masks(&words, tag | LINE_VALID, LINE_VALID, LINE_DIRTY);
-                assert_eq!((m, v), (sm, sv), "ways {ways}, tag {tag:#x}");
+                if ways < 64 {
+                    assert_eq!(
+                        (m >> ways, v >> ways),
+                        (0, 0),
+                        "ways {ways}: bits past the set"
+                    );
+                }
             }
         }
     }

@@ -240,7 +240,7 @@ impl LeaderMap {
 }
 
 /// The counter arrangement used by a duel.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Selector {
     /// A fixed winner; no counters (degenerate, used for single-policy runs).
     Static(usize),

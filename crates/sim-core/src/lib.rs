@@ -20,9 +20,9 @@
 //! * [`dueling`] — the set-dueling framework (leader-set maps, PSEL
 //!   counters, two-way and tournament selection) shared by DIP, DRRIP, and
 //!   DGIPPR.
-//! * [`slice`] / [`simd`] — the bit-sliced replay kernel (4 PLRU sets per
-//!   `u64`, SWAR recency stacks and RRPV arrays) and the stable-Rust wide
-//!   tag-scan primitives backing both it and [`SetAssocCache`].
+//! * [`slice`] — the bit-sliced replay kernel (4 PLRU sets per `u64`,
+//!   SWAR recency stacks and RRPV arrays), with a full mode for batch
+//!   replay, capture and the daemon and a miss-count mode for GA fitness.
 //! * [`mattson`] — single-pass stack-distance profiling: one stream pass
 //!   yields exact LRU hit/miss counts at every associativity for
 //!   inclusion-preserving policies.
@@ -64,7 +64,6 @@ pub mod policy;
 pub mod pool;
 pub mod sample;
 pub mod shard;
-pub mod simd;
 pub mod slice;
 pub mod stats;
 

@@ -19,6 +19,15 @@
 //! accounting — so final stats are bit-identical to a monomorphized
 //! sequential replay (proven roster-wide by `sim-verify`).
 //!
+//! The one per-access `step` records in one of two modes, fixed at
+//! compile time. The full mode ([`SlicedCache::feed`],
+//! [`SlicedCache::access_block`]) is that exact protocol and serves batch
+//! replay, the serving daemon and the L1/L2 capture. The miss-count mode
+//! ([`SlicedCache::count_misses`]) serves GA fitness, whose linear CPI
+//! model reads nothing but misses: it runs the same replacement
+//! transitions and keeps no dirty bits, no other counters and no cycle
+//! sink.
+//!
 //! Set-dueling policies (DGIPPR, DIP, DRRIP) describe themselves as a
 //! [`SliceKernel::Duel`]: 2 or 4 per-side tables of one family over the
 //! *same* packed words, plus three pieces of duel state the engine keeps
@@ -45,15 +54,16 @@
 //! `(way, position)` lane write is checked as well as every hit and fill,
 //! and sibling lanes hold a poison pattern whose integrity (with the pad
 //! bit) is asserted after every operation, so any cross-lane
-//! contamination is caught immediately.
+//! contamination is caught immediately. It also drives the miss-count
+//! mode against a full-mode twin, comparing the hit and the packed state
+//! after every access.
 
 #![forbid(unsafe_code)]
 
 use crate::access::{Access, AccessKind};
-use crate::cache::{Evicted, LINE_DIRTY, LINE_TAG_MASK, LINE_VALID};
+use crate::cache::{scan_set, Evicted, LINE_DIRTY, LINE_TAG_MASK, LINE_VALID};
 use crate::dueling::{LeaderMap, Selector, SetRole};
 use crate::geometry::CacheGeometry;
-use crate::simd::scan_masks;
 use crate::stats::CacheStats;
 use sim_lint::{MirrorTree, PlruState};
 
@@ -700,6 +710,11 @@ pub struct KernelSweepReport {
     /// cache, each checked against a [`SlicedCache::feed`] twin and a
     /// residency model of the displaced lines.
     pub accesses: u64,
+    /// Accesses driven through [`SlicedCache::count_misses`] on a small
+    /// cache, each checked against a [`SlicedCache::feed`] twin: the same
+    /// hit, the same packed replacement words and duel state, and the
+    /// same tags.
+    pub count_accesses: u64,
     /// Whether the start states covered the entire state space. True for
     /// every PLRU sweep and for nibble kernels up to 8 ways; the 16-way
     /// nibble spaces (`16!` stack orders, `4^16` RRPV maps) are driven by
@@ -734,6 +749,11 @@ enum SweepDefect {
 /// tick through the family sweep, against a scalar model read straight
 /// from that side's kernel. The leader layout is the replayed geometry's
 /// business ([`SliceKernel::supports`]) and is not checked here.
+///
+/// On a small cache of the kernel's shape the sweep then drives
+/// [`SlicedCache::access_block`] against `feed`, and the miss-count mode
+/// ([`SlicedCache::count_misses`]) against a full-mode twin, comparing
+/// the hit, the packed words and the duel state after every access.
 ///
 /// # Errors
 ///
@@ -786,7 +806,85 @@ fn sweep(
         SliceKernel::Duel { .. } => unreachable!("supports_ways rejects nested duels"),
     };
     report.accesses = sweep_access_entry(kernel, ways)?;
+    report.count_accesses = sweep_count_mode(kernel, ways)?;
     Ok(report)
+}
+
+/// The smallest sweep geometry at `ways` whose leader layout a duel
+/// accepts.
+fn sweep_geometry(kernel: &SliceKernel, ways: usize) -> Result<CacheGeometry, String> {
+    [8usize, 64, 1024, 4096]
+        .iter()
+        .filter_map(|&sets| CacheGeometry::from_sets(sets, ways, 64).ok())
+        .find(|g| kernel.supports(g))
+        .ok_or_else(|| format!("kernel {kernel:?} supports no {ways}-way sweep geometry"))
+}
+
+/// Deterministic sweep traffic over `pool` blocks: `(block, is_write)`,
+/// about a third of them stores.
+fn sweep_traffic(pool: u64, n: u64) -> impl Iterator<Item = (u64, bool)> {
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    (0..n).map(move |_| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % pool, x >> 60 < 5)
+    })
+}
+
+/// An access to `block` as the stream paths see it.
+fn block_access(block: u64, is_write: bool) -> Access {
+    Access {
+        addr: block << 6,
+        pc: 0,
+        kind: if is_write {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        },
+        icount_delta: 1,
+    }
+}
+
+/// Checks the miss-count mode against a full-mode twin access by access:
+/// the same hit, then the same packed replacement words, duel state
+/// (selector, winner, bimodal tick) and tags, dirty bits aside. Every
+/// third run of 97 accesses goes through `feed` on the count-mode side
+/// too, so the switch back (which clears the dirty bits) is checked as
+/// well. Returns the number of count-mode accesses checked.
+fn sweep_count_mode(kernel: &SliceKernel, ways: usize) -> Result<u64, String> {
+    let geom = sweep_geometry(kernel, ways)?;
+    let mut count = SlicedCache::new(&geom, kernel).expect("supports() checked");
+    let mut twin = SlicedCache::new(&geom, kernel).expect("supports() checked");
+    let pool = (2 * geom.sets() * ways) as u64;
+    let mut checked = 0u64;
+    for (i, (block, is_write)) in sweep_traffic(pool, 64 * pool).enumerate() {
+        let a = [block_access(block, is_write)];
+        let mut want = None;
+        twin.feed(&a, |_, h| want = Some(h));
+        let got = if (i / 97) % 3 == 2 {
+            let mut h = None;
+            count.feed(&a, |_, hit| h = Some(hit));
+            h
+        } else {
+            checked += 1;
+            Some(count.count_misses(&a) == 0)
+        };
+        let fault = |what: String| {
+            format!("{kernel:?} {ways}-way count mode, access {i} (block {block}): {what}")
+        };
+        if got != want {
+            return Err(fault(format!("hit {got:?}, full mode says {want:?}")));
+        }
+        if count.state.snapshot() != twin.state.snapshot() {
+            return Err(fault("replacement state differs from full mode".into()));
+        }
+        let tags = |c: &SlicedCache| c.lines.iter().map(|l| l & !LINE_DIRTY).collect::<Vec<_>>();
+        if tags(&count) != tags(&twin) {
+            return Err(fault("tag array differs from full mode".into()));
+        }
+    }
+    Ok(checked)
 }
 
 /// Checks [`SlicedCache::access_block`] access by access: its hit flag
@@ -796,36 +894,16 @@ fn sweep(
 /// gave it, reported only when the set was full). Returns the number of
 /// accesses checked.
 fn sweep_access_entry(kernel: &SliceKernel, ways: usize) -> Result<u64, String> {
-    // The smallest set count whose leader layout a duel accepts.
-    let geom = [8usize, 64, 1024, 4096]
-        .iter()
-        .filter_map(|&sets| CacheGeometry::from_sets(sets, ways, 64).ok())
-        .find(|g| kernel.supports(g))
-        .ok_or_else(|| format!("kernel {kernel:?} supports no {ways}-way sweep geometry"))?;
+    let geom = sweep_geometry(kernel, ways)?;
     let mut cache = SlicedCache::new(&geom, kernel).expect("supports() checked");
     let mut twin = SlicedCache::new(&geom, kernel).expect("supports() checked");
     // Per set: resident blocks and their dirty bits.
     let mut resident: Vec<Vec<(u64, bool)>> = vec![Vec::new(); geom.sets()];
     // Two blocks per way of every set: frequent hits and evictions alike.
     let pool = (2 * geom.sets() * ways) as u64;
-    let mut x = 0x9e37_79b9_7f4a_7c15u64;
     let accesses = 64 * pool;
-    for i in 0..accesses {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        let block = x % pool;
-        let is_write = x >> 60 < 5;
-        let a = Access {
-            addr: block << 6,
-            pc: 0,
-            kind: if is_write {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            },
-            icount_delta: 1,
-        };
+    for (i, (block, is_write)) in sweep_traffic(pool, accesses).enumerate() {
+        let a = block_access(block, is_write);
         let (hit, evicted) = cache.access_block(block, is_write);
         let mut twin_hit = None;
         twin.feed(std::slice::from_ref(&a), |_, h| twin_hit = Some(h));
@@ -913,6 +991,7 @@ fn sweep_with<W: Words>(
         transitions: 0,
         exhaustive: true,
         accesses: 0,
+        count_accesses: 0,
     };
     for side in 0..sides.len() {
         for leader in [true, false] {
@@ -1158,6 +1237,7 @@ fn sweep_plru<S: ReplState>(
         transitions,
         exhaustive: true,
         accesses: 0,
+        count_accesses: 0,
     })
 }
 
@@ -1291,6 +1371,7 @@ fn sweep_stack<S: ReplState>(
         transitions,
         exhaustive,
         accesses: 0,
+        count_accesses: 0,
     })
 }
 
@@ -1406,6 +1487,7 @@ fn sweep_rrip<S: ReplState>(
         transitions,
         exhaustive,
         accesses: 0,
+        count_accesses: 0,
     })
 }
 
@@ -1414,16 +1496,28 @@ fn sweep_rrip<S: ReplState>(
 // ---------------------------------------------------------------------------
 
 /// One access to `block` against the packed tag array + replacement
-/// state, with the exact statistics protocol and callback order of
-/// `SetAssocCache::access_tagged`. Qualifying kernels use the default
-/// `should_bypass` and `on_evict` (never / no-op), so those callbacks are
-/// elided rather than emulated.
+/// state, in one of two recording modes chosen at compile time.
+///
+/// With `FULL`, this is the exact statistics protocol and callback order
+/// of `SetAssocCache::access_tagged`: dirty bits, and the accesses, hits,
+/// misses, evictions and writebacks counters. Qualifying kernels use the
+/// default `should_bypass` and `on_evict` (never / no-op), so those
+/// callbacks are elided rather than emulated.
+///
+/// Without `FULL` (the miss-count mode) it runs the same replacement
+/// transitions — the scan, fill-invalid-first, `victim`, the duel's
+/// `on_miss`, `on_hit` and `on_fill` — but sets no dirty bit and counts
+/// only `stats.misses`. With no dirty bit in the array, a hit is an exact
+/// `tag | VALID` compare and the valid mask is needed only on a miss. The
+/// hit/miss sequence and the packed state are those of a full-mode replay
+/// of the same stream with every store read as a load, whose misses are
+/// the same.
 ///
 /// Returns whether the access hit, and the packed line word the fill
 /// displaced (0 when it hit or filled an invalid way). [`run`] drops the
-/// word, so the stream path pays nothing for it.
+/// word, so the stream paths pay nothing for it.
 #[inline(always)]
-fn step<P: ReplState>(
+fn step<P: ReplState, const FULL: bool>(
     ways: usize,
     geom: &CacheGeometry,
     lines: &mut [u64],
@@ -1435,27 +1529,41 @@ fn step<P: ReplState>(
     let set = geom.set_of_block(block);
     let tag = geom.tag_of_block(block);
     let base = set * ways;
-    stats.accesses += 1;
+    let is_write = FULL && is_write;
+    if FULL {
+        stats.accesses += 1;
+    }
 
-    let (match_mask, valid_mask) = scan_masks(
-        &lines[base..base + ways],
-        tag | LINE_VALID,
-        LINE_VALID,
-        LINE_DIRTY,
-    );
+    // The miss-count mode runs on clean lines only (`count_misses` makes
+    // sure of it), so an exact compare finds the hit, and the valid mask
+    // waits for a miss.
+    let (match_mask, valid_mask) = if FULL {
+        scan_set(lines[base..base + ways].iter().copied(), tag)
+    } else {
+        let want = tag | LINE_VALID;
+        let words = lines[base..base + ways].iter().enumerate();
+        (words.fold(0, |m, (w, &x)| m | u64::from(x == want) << w), 0)
+    };
 
     if match_mask != 0 {
         let way = match_mask.trailing_zeros() as usize;
         if is_write {
             lines[base + way] |= LINE_DIRTY;
         }
-        stats.hits += 1;
+        if FULL {
+            stats.hits += 1;
+        }
         state.on_hit(ways, set, way);
         return (true, 0);
     }
 
     stats.misses += 1;
     state.on_miss(set);
+    let valid_mask = if FULL {
+        valid_mask
+    } else {
+        scan_set(lines[base..base + ways].iter().copied(), tag).1
+    };
     let first_invalid = (!valid_mask).trailing_zeros() as usize;
     let (fill_way, displaced) = if first_invalid < ways {
         (first_invalid, 0)
@@ -1463,8 +1571,10 @@ fn step<P: ReplState>(
         let w = state.victim(ways, set);
         debug_assert!(w < ways, "sliced victim out of range");
         let old = lines[base + w];
-        stats.evictions += 1;
-        stats.writebacks += u64::from(old & LINE_DIRTY != 0);
+        if FULL {
+            stats.evictions += 1;
+            stats.writebacks += u64::from(old & LINE_DIRTY != 0);
+        }
         (w, old)
     };
     lines[base + fill_way] = tag | LINE_VALID | if is_write { LINE_DIRTY } else { 0 };
@@ -1483,6 +1593,31 @@ enum Packed {
     DuelRrip(Box<Duel<RripNibbles>>),
 }
 
+/// Everything a [`Packed`] state holds, for the count-mode sweep: the
+/// packed words, and a duel's selector, winner and bimodal countdown.
+type Snapshot = (Vec<u64>, Option<(Selector, u8, Option<u64>)>);
+
+impl Packed {
+    fn snapshot(&mut self) -> Snapshot {
+        fn duel<W: Words>(d: &mut Duel<W>) -> Snapshot {
+            let rest = (
+                d.selector.clone(),
+                d.winner,
+                d.bimodal.as_ref().map(|b| b.left),
+            );
+            (d.words().to_vec(), Some(rest))
+        }
+        match self {
+            Packed::Plru(st) => (st.words().to_vec(), None),
+            Packed::Stack(st) => (st.words().to_vec(), None),
+            Packed::Rrip(st) => (st.words().to_vec(), None),
+            Packed::DuelPlru(d) => duel(d),
+            Packed::DuelStack(d) => duel(d),
+            Packed::DuelRrip(d) => duel(d),
+        }
+    }
+}
+
 /// The bit-sliced engine as streaming state: the packed tag array and
 /// replacement state persist across [`SlicedCache::feed`] calls, so
 /// feeding a stream in any chunking reproduces a whole-stream replay
@@ -1492,6 +1627,9 @@ pub struct SlicedCache {
     lines: Vec<u64>,
     state: Packed,
     stats: CacheStats,
+    /// No line holds a dirty bit: true on a cold cache and after
+    /// [`SlicedCache::count_misses`], false once full mode may have set one.
+    clean: bool,
     /// [`SlicedCache::access_block`]'s `step`, monomorphized for this
     /// cache's state variant and associativity and chosen once in `new`:
     /// a predicted call through it costs less than matching both per
@@ -1522,7 +1660,7 @@ fn step_fn(state: &Packed, ways: usize) -> StepFn {
                 let Packed::$variant(st) = state else {
                     unreachable!("step_fn matched the state variant")
                 };
-                step($w, geom, lines, $($deref)* st, stats, block, is_write)
+                step::<_, true>($w, geom, lines, $($deref)* st, stats, block, is_write)
             }
         };
     }
@@ -1577,13 +1715,44 @@ impl SlicedCache {
             step_one: step_fn(&state, ways),
             state,
             stats: CacheStats::new(),
+            clean: true,
         })
     }
 
     /// Runs `accesses` through the cache with the exact per-access
     /// protocol of `SetAssocCache::access_tagged`; `sink` receives each
     /// access's `(icount_delta, hit)` in stream order.
-    pub fn feed<S: FnMut(u32, bool)>(&mut self, accesses: &[Access], mut sink: S) {
+    pub fn feed<S: FnMut(u32, bool)>(&mut self, accesses: &[Access], sink: S) {
+        self.clean = false;
+        self.drive::<true, S>(accesses, sink);
+    }
+
+    /// Runs `accesses` through the cache in the miss-count mode and
+    /// returns their misses: the replacement transitions of
+    /// [`feed`](Self::feed), without its dirty bits, statistics or sink.
+    /// [`stats`](Self::stats) is left as it was.
+    ///
+    /// The mode compares tags exactly, so it first clears any dirty bit a
+    /// full-mode access left, and the lines it fills or hits stay clean.
+    /// A later `feed` therefore reports the writebacks of a stream whose
+    /// accesses up to the last `count_misses` were all loads; its hits,
+    /// misses and evictions are those of an all-`feed` replay.
+    pub fn count_misses(&mut self, accesses: &[Access]) -> u64 {
+        if !self.clean {
+            for line in &mut self.lines {
+                *line &= !LINE_DIRTY;
+            }
+            self.clean = true;
+        }
+        self.drive::<false, _>(accesses, |_, _| {})
+    }
+
+    /// The one stream loop of both modes; returns the misses it counted.
+    fn drive<const FULL: bool, S: FnMut(u32, bool)>(
+        &mut self,
+        accesses: &[Access],
+        mut sink: S,
+    ) -> u64 {
         let SlicedCache {
             geom,
             lines,
@@ -1591,16 +1760,19 @@ impl SlicedCache {
             stats,
             ..
         } = self;
+        let mut tally = CacheStats::new();
+        let stats = if FULL { stats } else { &mut tally };
+        let before = stats.misses;
         // Dispatch on the (validated) associativity with literal arguments
         // so each arm monomorphizes `run` with a constant `ways`: the lane
         // walks unroll and the `64/ways` lane math folds to shifts.
         macro_rules! run_ways {
             ($st:expr) => {
                 match geom.ways() {
-                    2 => run(2, geom, lines, $st, stats, accesses, &mut sink),
-                    4 => run(4, geom, lines, $st, stats, accesses, &mut sink),
-                    8 => run(8, geom, lines, $st, stats, accesses, &mut sink),
-                    16 => run(16, geom, lines, $st, stats, accesses, &mut sink),
+                    2 => run::<_, _, FULL>(2, geom, lines, $st, stats, accesses, &mut sink),
+                    4 => run::<_, _, FULL>(4, geom, lines, $st, stats, accesses, &mut sink),
+                    8 => run::<_, _, FULL>(8, geom, lines, $st, stats, accesses, &mut sink),
+                    16 => run::<_, _, FULL>(16, geom, lines, $st, stats, accesses, &mut sink),
                     _ => unreachable!("supports() admitted ways {}", geom.ways()),
                 }
             };
@@ -1613,6 +1785,7 @@ impl SlicedCache {
             Packed::DuelStack(st) => run_ways!(&mut **st),
             Packed::DuelRrip(st) => run_ways!(&mut **st),
         }
+        stats.misses - before
     }
 
     /// One access to `block` with the per-access protocol of
@@ -1623,6 +1796,7 @@ impl SlicedCache {
     /// LRU (the all-zero [`SliceKernel::StackIpv`]) on the packed state.
     #[inline(always)]
     pub fn access_block(&mut self, block: u64, is_write: bool) -> (bool, Option<Evicted>) {
+        self.clean = false;
         let (hit, displaced) = (self.step_one)(self, block, is_write);
         let geom = &self.geom;
         let evicted = (displaced & LINE_VALID != 0).then(|| Evicted {
@@ -1645,7 +1819,7 @@ impl SlicedCache {
 }
 
 #[inline(always)]
-fn run<P: ReplState, S: FnMut(u32, bool)>(
+fn run<P: ReplState, S: FnMut(u32, bool), const FULL: bool>(
     ways: usize,
     geom: &CacheGeometry,
     lines: &mut [u64],
@@ -1657,7 +1831,7 @@ fn run<P: ReplState, S: FnMut(u32, bool)>(
     // A local copy keeps the counters in registers across the loop.
     let mut local = *stats;
     for a in accesses {
-        let (hit, _) = step(
+        let (hit, _) = step::<P, FULL>(
             ways,
             geom,
             lines,
@@ -2016,6 +2190,30 @@ mod tests {
     }
 
     #[test]
+    fn count_mode_counts_the_misses_of_feed() {
+        for ways in [2usize, 4, 8, 16] {
+            let geom = CacheGeometry::from_sets(32, ways, 64).unwrap();
+            let stream = mixed_stream(12_000, 32 * ways as u64 * 3);
+            let (warm, measured) = stream.split_at(3_000);
+            for kernel in kernels(ways) {
+                let mut full = SlicedCache::new(&geom, &kernel).unwrap();
+                full.feed(warm, |_, _| {});
+                full.reset_stats();
+                full.feed(measured, |_, _| {});
+                let mut count = SlicedCache::new(&geom, &kernel).unwrap();
+                count.count_misses(warm);
+                let misses = count.count_misses(measured);
+                assert_eq!(misses, full.stats().misses, "ways={ways} kernel={kernel:?}");
+                assert_eq!(
+                    *count.stats(),
+                    CacheStats::new(),
+                    "count mode keeps no stats"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn unsupported_geometry_falls_back() {
         let geom = CacheGeometry::from_sets(4, 32, 64).unwrap(); // 32-way
         let kernel = SliceKernel::PlruIpv { ipv: vec![0; 33] };
@@ -2092,6 +2290,7 @@ mod tests {
                 assert!(r.exhaustive, "ways={ways} kernel={kernel:?}");
                 assert!(r.transitions > 0);
                 assert!(r.accesses > 0, "the single-access entry is swept");
+                assert!(r.count_accesses > 0, "the miss-count mode is swept");
             }
         }
         // 16-way nibble kernels fall back to the deterministic walk; the

@@ -234,13 +234,29 @@ fn build_policies(
         .collect()
 }
 
+/// The most cache lines (`size_bytes / line_bytes`) one session may
+/// simulate: 2^20, a 64 MiB LLC at 64-byte lines, sixteen times the
+/// paper's 4 MB. A session allocates an 8-byte tag word per line for each
+/// roster policy, plus the policy's own state, and a failed allocation
+/// aborts the whole process, every tenant with it. So a larger geometry,
+/// which a client's `Hello` or a snapshot's metadata may name, is refused
+/// as [`SessionError::BadGeometry`] before any engine is built.
+pub const MAX_SESSION_LINES: u64 = 1 << 20;
+
 fn geometry_of(spec: &GeometrySpec) -> Result<CacheGeometry, SessionError> {
-    CacheGeometry::new(
+    let geom = CacheGeometry::new(
         spec.size_bytes,
         spec.ways as usize,
         u64::from(spec.line_bytes),
     )
-    .map_err(|e| SessionError::BadGeometry(e.to_string()))
+    .map_err(|e| SessionError::BadGeometry(e.to_string()))?;
+    let lines = spec.size_bytes / u64::from(spec.line_bytes);
+    if lines > MAX_SESSION_LINES {
+        return Err(SessionError::BadGeometry(format!(
+            "{lines} lines exceed the session cap of {MAX_SESSION_LINES}"
+        )));
+    }
+    Ok(geom)
 }
 
 impl Session {
@@ -656,6 +672,45 @@ mod tests {
         };
         let err = Session::new("t", bad, false, 100, &[], &reg).err().unwrap();
         assert!(matches!(err, SessionError::BadGeometry(_)), "{err}");
+    }
+
+    #[test]
+    fn geometry_over_the_line_cap_is_refused_before_any_engine() {
+        let reg = default_roster();
+        let lines = |size_bytes, line_bytes| GeometrySpec {
+            size_bytes,
+            ways: 16,
+            line_bytes,
+        };
+        // Exactly at the cap: opens (one policy keeps the test small).
+        let at_cap = lines(MAX_SESSION_LINES * 64, 64);
+        assert!(Session::new("t", at_cap, false, 100, &names(&["LRU"]), &reg).is_ok());
+        // The next geometry up, by size or by a narrower line, and an
+        // absurd one: refused as a bad geometry, whatever the roster.
+        for over in [
+            lines(MAX_SESSION_LINES * 128, 64),
+            lines(MAX_SESSION_LINES * 64, 32),
+            lines(1 << 62, 64),
+        ] {
+            let err = Session::new("t", over, false, 100, &[], &reg)
+                .err()
+                .unwrap();
+            assert!(matches!(err, SessionError::BadGeometry(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn snapshot_naming_a_geometry_over_the_cap_is_typed() {
+        let reg = default_roster();
+        let mut s = Session::new("t", spec(), false, 64, &names(&["LRU"]), &reg).unwrap();
+        s.ingest(&stream(10, 3));
+        // A CRC-valid snapshot whose metadata names a 2^40-byte LLC.
+        s.config.geometry.size_bytes = 1 << 40;
+        let snap = s.snapshot_bytes();
+        assert!(matches!(
+            Session::restore(&snap, &reg),
+            Err(SnapshotError::Session(SessionError::BadGeometry(_)))
+        ));
     }
 
     #[test]

@@ -287,6 +287,55 @@ fn bad_hello_and_busy_sessions_are_typed() {
 }
 
 #[test]
+fn hello_over_the_geometry_cap_is_refused_and_other_tenants_keep_going() {
+    use sim_serve::session::MAX_SESSION_LINES;
+    let server = serve(ServerConfig::default());
+    let mut a = Client::connect(&server);
+    assert!(matches!(
+        a.hello("tenant-before", false, false, 1000),
+        ServerFrame::HelloAck { .. }
+    ));
+
+    // Twice the cap, and a 2^40-byte LLC: each would have the daemon
+    // allocate tag arrays for every roster policy.
+    for size_bytes in [2 * MAX_SESSION_LINES * 64, 1 << 40] {
+        let mut hostile = Client::connect(&server);
+        hostile
+            .send(&ClientFrame::Hello(Hello {
+                version: PROTOCOL_VERSION,
+                tenant: "hostile".into(),
+                resume: false,
+                kv_mode: false,
+                geometry: GeometrySpec {
+                    size_bytes,
+                    ..spec()
+                },
+                roster: Vec::new(),
+                delta_every: 0,
+            }))
+            .unwrap();
+        match hostile.recv() {
+            ServerFrame::Error { code, .. } => assert_eq!(code, ErrorCode::BadHello),
+            other => panic!("expected BadHello, got {other:?}"),
+        }
+    }
+
+    // The tenant attached before, and one opened after, are both served.
+    let mut b = Client::connect(&server);
+    assert!(matches!(
+        b.hello("tenant-after", false, false, 1000),
+        ServerFrame::HelloAck { .. }
+    ));
+    for c in [&mut a, &mut b] {
+        c.send(&ClientFrame::Accesses(stream(50, 3))).unwrap();
+        c.send(&ClientFrame::Finish).unwrap();
+        let (_, _, _, fin) = c.drain_to_final();
+        assert!(matches!(fin, ServerFrame::Final { .. }));
+    }
+    server.shutdown();
+}
+
+#[test]
 fn daemon_restart_resumes_sessions_bit_identically() {
     let dir = std::env::temp_dir().join(format!("sim-serve-e2e-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

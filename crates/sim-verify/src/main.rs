@@ -10,10 +10,13 @@
 //! and exits nonzero if any access diverges between the optimized simulator
 //! and the naive reference models. `--mattson` checks the stack-distance
 //! profile against per-associativity replay instead, `--min` the
-//! optimized Belady MIN against its naive reference, and `--capture` the
-//! packed-kernel L1/L2 capture against the reference capture loop.
+//! optimized Belady MIN against its naive reference, `--capture` the
+//! packed-kernel L1/L2 capture against the reference capture loop, and
+//! `--misses` the sliced kernel's miss-count mode against the reference
+//! models' miss counts.
 
 use sim_verify::diff::{diff_replay, oracle_geometry, roster};
+use sim_verify::refcache::RefCache;
 use sim_verify::refmodels::{ref_capture_llc_stream, ref_min_misses};
 use sim_verify::workloads::workloads;
 use std::process::ExitCode;
@@ -205,6 +208,63 @@ fn capture_check(seed: u64, accesses: usize) -> ExitCode {
     }
 }
 
+/// The `--misses` mode: for every roster policy that runs on a slice
+/// kernel, [`mem_model::Replayer::misses`] — the kernel's miss-count mode,
+/// as GA fitness runs it — must count exactly the measured misses of the
+/// naive reference cache driving the reference policy, per workload, after
+/// `default_warmup` accesses.
+fn misses_check(seed: u64, accesses: usize) -> ExitCode {
+    let geom = oracle_geometry();
+    let perf = mem_model::WindowPerfModel::default();
+    let pairs: Vec<_> = roster("all")
+        .into_iter()
+        .filter(|p| (p.optimized)(&geom).slice_kernel().is_some())
+        .collect();
+    let streams = workloads(seed, accesses);
+    println!(
+        "sim-verify --misses: {} kernel policies x {} workload(s) x {} accesses (seed {})",
+        pairs.len(),
+        streams.len(),
+        accesses,
+        seed
+    );
+    let mut failures = 0u32;
+    for pair in &pairs {
+        for (wname, stream) in &streams {
+            let warmup = mem_model::default_warmup(stream.len());
+            let replayer = mem_model::Replayer::whole(geom, (pair.optimized)(&geom), &perf);
+            let sliced = replayer.is_sliced();
+            let counted = replayer.misses(stream, warmup);
+            let mut reference = RefCache::new(geom, (pair.reference)(&geom));
+            for a in &stream[..warmup] {
+                reference.access(a);
+            }
+            let before = reference.stats().misses;
+            for a in &stream[warmup..] {
+                reference.access(a);
+            }
+            let want = reference.stats().misses - before;
+            if sliced && counted == want {
+                println!("  ok   {:<16} {wname:<14} {counted} misses", pair.name);
+            } else {
+                failures += 1;
+                println!(
+                    "  FAIL {:<16} {wname:<14} count mode {counted} misses (sliced: {sliced}), \
+                     reference {want}",
+                    pair.name
+                );
+            }
+        }
+    }
+    if failures > 0 {
+        eprintln!("sim-verify --misses: {failures} disagreement(s)");
+        ExitCode::FAILURE
+    } else {
+        println!("sim-verify --misses: count mode and reference models agree everywhere");
+        ExitCode::SUCCESS
+    }
+}
+
 struct Args {
     policy: String,
     accesses: usize,
@@ -212,6 +272,7 @@ struct Args {
     mattson: bool,
     min: bool,
     capture: bool,
+    misses: bool,
 }
 
 fn parse_count(s: &str) -> Result<usize, String> {
@@ -234,6 +295,7 @@ fn parse_args() -> Result<Args, String> {
         mattson: false,
         min: false,
         capture: false,
+        misses: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -247,8 +309,9 @@ fn parse_args() -> Result<Args, String> {
             "--mattson" => args.mattson = true,
             "--min" => args.min = true,
             "--capture" => args.capture = true,
+            "--misses" => args.misses = true,
             "--help" | "-h" => return Err(
-                "usage: sim-verify [--policy NAME|all] [--accesses N[k|M]] [--seed N] [--mattson] [--min] [--capture]"
+                "usage: sim-verify [--policy NAME|all] [--accesses N[k|M]] [--seed N] [--mattson] [--min] [--capture] [--misses]"
                     .to_string(),
             ),
             other => return Err(format!("unknown flag {other:?}")),
@@ -273,6 +336,9 @@ fn main() -> ExitCode {
     }
     if args.capture {
         return capture_check(args.seed, args.accesses);
+    }
+    if args.misses {
+        return misses_check(args.seed, args.accesses);
     }
     let pairs = roster(&args.policy);
     if pairs.is_empty() {

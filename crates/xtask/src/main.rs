@@ -25,9 +25,11 @@
 //!   4. the slice-kernel equivalence sweep: every kernel the roster
 //!      advertises (plus the published paper vectors) checked lane-by-lane
 //!      against the scalar interpreters, the packed PLRU lanes against the
-//!      naive mirror at every lane write, and the single-access entry
+//!      naive mirror at every lane write, the single-access entry
 //!      (`SlicedCache::access_block`) against `feed` and a residency model
-//!      of the lines it reports displaced;
+//!      of the lines it reports displaced, and the miss-count mode
+//!      (`SlicedCache::count_misses`, the "counted" column) against a
+//!      full-mode twin: hit, packed words and duel state after each access;
 //!   5. the Mattson qualification audit plus seeded-defect self-tests
 //!      (drifting PLRU hit orbit, poisoned ARC `p` update, fake-`SetLocal`
 //!      fixture, poisoned lane transitions) proving each checker catches
@@ -153,9 +155,9 @@ fn rust_sources_under(dir: &Path, out: &mut Vec<PathBuf>) {
 ///   `#![deny(unsafe_op_in_unsafe_fn)]`.
 /// * `sim-core/src/pool.rs` is the only file using the keyword, with
 ///   exactly four sites, each annotated `// SAFETY:`.
-/// * The bit-sliced kernel modules (`sim-core/src/slice.rs`,
-///   `sim-core/src/simd.rs`) opt back up to `forbid` inside sim-core's
-///   `deny` root: packed-word tricks must stay entirely safe code.
+/// * The bit-sliced kernel module (`sim-core/src/slice.rs`) opts back up
+///   to `forbid` inside sim-core's `deny` root: packed-word tricks must
+///   stay entirely safe code.
 fn lint_unsafe_hygiene(root: &Path) -> usize {
     let mut failures = 0;
     let mut fail = |msg: String| {
@@ -194,13 +196,12 @@ fn lint_unsafe_hygiene(root: &Path) -> usize {
     }
 
     // High-risk modules must carry their own inner `forbid`: the
-    // bit-sliced kernels sit inside sim-core's (merely `deny`) root, and
+    // bit-sliced kernel sits inside sim-core's (merely `deny`) root, and
     // the related-work baselines with intricate invariant-carrying state
     // (ARC's lists, AWRP's clocks, EHC's tables) are pinned the same way
     // so none can quietly gain an `allow` escape hatch.
     for module in [
         "crates/sim-core/src/slice.rs",
-        "crates/sim-core/src/simd.rs",
         "crates/baselines/src/arc.rs",
         "crates/baselines/src/awrp.rs",
         "crates/baselines/src/ehc.rs",
@@ -800,8 +801,8 @@ fn kernel_sweep_pass(
 
     println!("\nslice-kernel equivalence sweep (packed lanes vs scalar policy):");
     println!(
-        "{:<22} {:>5} {:>6} {:>10} {:>12} {:>9}  verdict",
-        "kernel", "ways", "lanes", "states", "transitions", "accesses"
+        "{:<22} {:>5} {:>6} {:>10} {:>12} {:>9} {:>9}  verdict",
+        "kernel", "ways", "lanes", "states", "transitions", "accesses", "counted"
     );
     let mut failures = 0;
     for ways in [2usize, 4, 8, 16] {
@@ -887,13 +888,14 @@ fn kernel_sweep_pass(
             }
             match sim_core::kernel_soundness_sweep(&kernel, ways) {
                 Ok(r) => println!(
-                    "{:<22} {:>5} {:>6} {:>10} {:>12} {:>9}  ok{}",
+                    "{:<22} {:>5} {:>6} {:>10} {:>12} {:>9} {:>9}  ok{}",
                     label,
                     ways,
                     r.lanes,
                     r.states,
                     r.transitions,
                     r.accesses,
+                    r.count_accesses,
                     if r.exhaustive { "" } else { " (sampled walk)" }
                 ),
                 Err(e) => {
