@@ -76,4 +76,12 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert!(t.to_string().contains("462.libquantum + 447.dealII"));
     }
+
+    /// The micro table's CSV, recorded before the private levels'
+    /// walk was shared with the L1/L2 capture.
+    #[test]
+    fn micro_table_csv_is_pinned() {
+        let csv = run(Scale::Micro).to_csv_string();
+        assert_eq!(crate::manifest::digest(csv.as_bytes()), "f1506688", "{csv}");
+    }
 }
