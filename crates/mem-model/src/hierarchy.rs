@@ -3,7 +3,7 @@
 use baselines::TrueLru;
 use sim_core::{
     Access, AccessContext, AccessKind, CacheGeometry, CacheStats, Evicted, GeometryError,
-    PolicyFactory, ReplacementPolicy, SetAssocCache, SlicedCache,
+    ReplacementPolicy, SetAssocCache, SlicedCache,
 };
 
 /// Which level serviced a demand access.
@@ -110,26 +110,16 @@ impl std::fmt::Display for LineSizeMismatch {
 
 impl std::error::Error for LineSizeMismatch {}
 
-/// Inclusion policy of the LLC relative to the private levels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Inclusion {
-    /// Non-inclusive (default, as in the CMP$im championship model): LLC
-    /// evictions leave L1/L2 copies alone.
-    #[default]
-    NonInclusive,
-    /// Inclusive: evicting a block from the LLC back-invalidates any copy
-    /// in L1/L2 (the constraint the paper cites when noting that
-    /// PDP-with-bypass "necessarily violates inclusion").
-    Inclusive,
-}
-
 /// A three-level hierarchy: LRU-managed L1 and L2 above an LLC whose
 /// replacement policy is the experiment variable.
 ///
-/// Dirty evictions propagate as writebacks to the next level (a writeback
-/// hierarchy, non-inclusive by default as in the CMP$im championship
-/// infrastructure; see [`Hierarchy::set_inclusion`]). Demand misses are
-/// filled at every level they traverse.
+/// Dirty evictions propagate as writebacks to the next level (a
+/// non-inclusive writeback hierarchy, as in the CMP$im championship
+/// infrastructure). Demand misses are filled at every level they
+/// traverse. L1 and L2 take the same walk as the capture;
+/// the LLC applies both the demand misses and the L2 writebacks it hands
+/// down, so its statistics equal a replay of
+/// [`capture_llc_stream_config`]`(.., true)`.
 ///
 /// # Example
 ///
@@ -144,28 +134,17 @@ pub enum Inclusion {
 /// assert_eq!(h.instructions(), 1);
 /// ```
 pub struct Hierarchy {
-    // L1/L2 are always LRU (the paper holds them fixed), so they are
-    // monomorphized: their per-access policy callbacks inline instead of
-    // going through virtual dispatch. Only the LLC — the experiment
-    // variable — stays dynamically dispatched.
-    l1: SetAssocCache<TrueLru>,
-    l2: SetAssocCache<TrueLru>,
+    private: PrivateLevels,
     llc: SetAssocCache,
-    /// `log2` of the line size all three levels share.
-    line_shift: u32,
     instructions: u64,
-    prefetcher: Option<crate::prefetch::StridePrefetcher>,
-    prefetch_fills: u64,
-    inclusion: Inclusion,
-    back_invalidations: u64,
 }
 
 impl std::fmt::Debug for Hierarchy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Hierarchy")
             .field("instructions", &self.instructions)
-            .field("l1", self.l1.stats())
-            .field("l2", self.l2.stats())
+            .field("l1", self.l1_stats())
+            .field("l2", self.l2_stats())
             .field("llc", self.llc.stats())
             .finish()
     }
@@ -180,151 +159,16 @@ impl Hierarchy {
     /// disagree on line size.
     pub fn new(config: HierarchyConfig, llc_policy: Box<dyn ReplacementPolicy>) -> Self {
         Hierarchy {
-            line_shift: config.shared_line_shift(),
-            l1: SetAssocCache::with_policy(config.l1, TrueLru::new(&config.l1)),
-            l2: SetAssocCache::with_policy(config.l2, TrueLru::new(&config.l2)),
+            private: PrivateLevels::new(&config),
             llc: SetAssocCache::new(config.llc, llc_policy),
             instructions: 0,
-            prefetcher: None,
-            prefetch_fills: 0,
-            inclusion: Inclusion::NonInclusive,
-            back_invalidations: 0,
         }
-    }
-
-    /// Switches the LLC to inclusive mode: LLC evictions back-invalidate
-    /// L1/L2 copies, maintaining the inclusion invariant (every block in a
-    /// private level is also in the LLC).
-    pub fn set_inclusion(&mut self, inclusion: Inclusion) {
-        self.inclusion = inclusion;
-    }
-
-    /// Back-invalidations performed so far (inclusive mode only).
-    pub fn back_invalidations(&self) -> u64 {
-        self.back_invalidations
-    }
-
-    fn handle_llc_eviction(&mut self, evicted_block: u64) {
-        if self.inclusion == Inclusion::Inclusive {
-            // The LLC block address space is shared with L1/L2 (same line
-            // size), so the block address maps directly.
-            if self.l1.invalidate(evicted_block).is_some() {
-                self.back_invalidations += 1;
-            }
-            if self.l2.invalidate(evicted_block).is_some() {
-                self.back_invalidations += 1;
-            }
-        }
-    }
-
-    /// Enables a PC-indexed stride prefetcher that observes L1 misses and
-    /// fills predicted blocks into L2 (and the LLC beneath it). Prefetch
-    /// traffic shares the level statistics with demand traffic, as on real
-    /// hardware; [`Hierarchy::prefetch_fills`] counts the fills issued.
-    pub fn enable_stride_prefetcher(&mut self, cfg: crate::prefetch::PrefetchConfig) {
-        self.prefetcher = Some(crate::prefetch::StridePrefetcher::new(cfg));
-    }
-
-    /// Prefetch fills issued into L2 so far (0 when no prefetcher is
-    /// enabled).
-    pub fn prefetch_fills(&self) -> u64 {
-        self.prefetch_fills
     }
 
     /// Issues one demand access and returns the level that serviced it.
     pub fn access(&mut self, access: &Access) -> ServiceLevel {
         self.instructions += u64::from(access.icount_delta);
-        let ctx = access.context();
-
-        let l1_out = self.l1.access(access);
-        if let Some(ev) = l1_out.evicted {
-            if ev.dirty {
-                self.writeback_to_l2(ev.block_addr, access.pc);
-            }
-        }
-        if l1_out.hit {
-            return ServiceLevel::L1;
-        }
-
-        // Train the prefetcher on L1 misses and issue its predictions.
-        if let Some(pf) = &mut self.prefetcher {
-            let block = self.l2.geometry().block_of(access.addr);
-            let candidates = pf.observe(access.pc, block);
-            for candidate in candidates {
-                if !self.l2.probe(candidate) {
-                    let pf_ctx = AccessContext {
-                        pc: access.pc,
-                        addr: candidate << self.line_shift,
-                        is_write: false,
-                    };
-                    let out = self.l2.access_block(candidate, &pf_ctx);
-                    if let Some(ev) = out.evicted {
-                        if ev.dirty {
-                            self.writeback_to_llc(ev.block_addr, access.pc);
-                        }
-                    }
-                    if !out.hit {
-                        let llc_out = self.llc.access_block(candidate, &pf_ctx);
-                        if let Some(ev) = llc_out.evicted {
-                            self.handle_llc_eviction(ev.block_addr);
-                        }
-                    }
-                    self.prefetch_fills += 1;
-                }
-            }
-        }
-
-        let l2_out = self
-            .l2
-            .access_block(self.l2.geometry().block_of(access.addr), &ctx);
-        if let Some(ev) = l2_out.evicted {
-            if ev.dirty {
-                self.writeback_to_llc(ev.block_addr, access.pc);
-            }
-        }
-        if l2_out.hit {
-            return ServiceLevel::L2;
-        }
-
-        let llc_out = self
-            .llc
-            .access_block(self.llc.geometry().block_of(access.addr), &ctx);
-        // LLC dirty evictions drain to memory (counted in stats); in
-        // inclusive mode the evicted block is also recalled from L1/L2.
-        if let Some(ev) = llc_out.evicted {
-            self.handle_llc_eviction(ev.block_addr);
-        }
-        if llc_out.hit {
-            ServiceLevel::Llc
-        } else {
-            ServiceLevel::Memory
-        }
-    }
-
-    fn writeback_to_l2(&mut self, block_addr: u64, pc: u64) {
-        let ctx = AccessContext {
-            pc,
-            addr: block_addr << self.line_shift,
-            is_write: true,
-        };
-        let out = self.l2.access_block(block_addr, &ctx);
-        if let Some(ev) = out.evicted {
-            if ev.dirty {
-                self.writeback_to_llc(ev.block_addr, pc);
-            }
-        }
-    }
-
-    fn writeback_to_llc(&mut self, block_addr: u64, pc: u64) {
-        let ctx = AccessContext {
-            pc,
-            addr: block_addr << self.line_shift,
-            is_write: true,
-        };
-        let out = self.llc.access_block(block_addr, &ctx);
-        if let Some(ev) = out.evicted {
-            self.handle_llc_eviction(ev.block_addr);
-        }
+        self.private.step(access, &mut self.llc)
     }
 
     /// Runs every access from `iter` through the hierarchy.
@@ -341,12 +185,12 @@ impl Hierarchy {
 
     /// L1 statistics.
     pub fn l1_stats(&self) -> &CacheStats {
-        self.l1.stats()
+        self.private.l1.stats()
     }
 
     /// L2 statistics.
     pub fn l2_stats(&self) -> &CacheStats {
-        self.l2.stats()
+        self.private.l2.stats()
     }
 
     /// LLC statistics.
@@ -359,21 +203,10 @@ impl Hierarchy {
         &self.llc
     }
 
-    /// The L1 cache object (for invariant checks and diagnostics).
-    pub fn l1(&self) -> &SetAssocCache<TrueLru> {
-        &self.l1
-    }
-
-    /// The L2 cache object (for invariant checks and diagnostics).
-    pub fn l2(&self) -> &SetAssocCache<TrueLru> {
-        &self.l2
-    }
-
     /// Resets statistics at every level (cache contents retained) — the
     /// warm-up/measure boundary.
     pub fn reset_stats(&mut self) {
-        self.l1.reset_stats();
-        self.l2.reset_stats();
+        self.private.reset_stats();
         self.llc.reset_stats();
         self.instructions = 0;
     }
@@ -460,8 +293,10 @@ where
         out,
     };
     let iter = iter.into_iter();
-    // The packed kernel where it supports the geometry (every paper-shaped
-    // L1/L2), the scalar cache elsewhere; one loop serves every pairing.
+    // The same per-level choice as `LruLevel::new`, made once here so
+    // each pairing runs its own monomorphized loop with no per-access
+    // match on the level type: the capture is the walk on every figure's
+    // path.
     match (packed_lru(&config.l1), packed_lru(&config.l2)) {
         (Some(l1), Some(l2)) => capture_with(l1, l2, iter, llc),
         (Some(l1), None) => capture_with(l1, scalar_lru(&config.l2), iter, llc),
@@ -481,16 +316,26 @@ fn scalar_lru(geom: &CacheGeometry) -> SetAssocCache<TrueLru> {
     SetAssocCache::with_policy(*geom, TrueLru::new(geom))
 }
 
-/// An LRU private level as capture drives it: one block access, reporting
-/// the hit and the displaced line.
-trait PrivateLevel {
+/// An LRU private level as the walk drives it: one block access,
+/// reporting the hit and the displaced line, plus the level's statistics.
+pub(crate) trait PrivateLevel {
     fn access(&mut self, block: u64, ctx: &AccessContext) -> (bool, Option<Evicted>);
+    fn stats(&self) -> &CacheStats;
+    fn reset_stats(&mut self);
 }
 
 impl PrivateLevel for SlicedCache {
     #[inline(always)]
     fn access(&mut self, block: u64, ctx: &AccessContext) -> (bool, Option<Evicted>) {
         self.access_block(block, ctx.is_write)
+    }
+
+    fn stats(&self) -> &CacheStats {
+        SlicedCache::stats(self)
+    }
+
+    fn reset_stats(&mut self) {
+        SlicedCache::reset_stats(self);
     }
 }
 
@@ -500,35 +345,182 @@ impl PrivateLevel for SetAssocCache<TrueLru> {
         let out = self.access_block(block, ctx);
         (out.hit, out.evicted)
     }
+
+    fn stats(&self) -> &CacheStats {
+        SetAssocCache::stats(self)
+    }
+
+    fn reset_stats(&mut self) {
+        SetAssocCache::reset_stats(self);
+    }
+}
+
+/// An LRU private level on the packed kernel where [`packed_lru`] accepts
+/// the geometry and on a `SetAssocCache<TrueLru>` otherwise, chosen at
+/// run time: the level type of [`Hierarchy`] and
+/// [`MulticoreHierarchy`](crate::MulticoreHierarchy).
+pub(crate) enum LruLevel {
+    Packed(SlicedCache),
+    Scalar(SetAssocCache<TrueLru>),
+}
+
+impl LruLevel {
+    fn new(geom: &CacheGeometry) -> Self {
+        packed_lru(geom).map_or_else(|| LruLevel::Scalar(scalar_lru(geom)), LruLevel::Packed)
+    }
+}
+
+impl PrivateLevel for LruLevel {
+    #[inline(always)]
+    fn access(&mut self, block: u64, ctx: &AccessContext) -> (bool, Option<Evicted>) {
+        match self {
+            LruLevel::Packed(c) => c.access(block, ctx),
+            LruLevel::Scalar(c) => PrivateLevel::access(c, block, ctx),
+        }
+    }
+
+    fn stats(&self) -> &CacheStats {
+        match self {
+            LruLevel::Packed(c) => c.stats(),
+            LruLevel::Scalar(c) => c.stats(),
+        }
+    }
+
+    fn reset_stats(&mut self) {
+        match self {
+            LruLevel::Packed(c) => c.reset_stats(),
+            LruLevel::Scalar(c) => c.reset_stats(),
+        }
+    }
+}
+
+/// Where [`PrivateLevels::step`] hands the traffic bound for the LLC.
+pub(crate) trait LlcSink {
+    /// An L2 demand miss of `access`, for `block`: returns whether the LLC
+    /// hit.
+    fn demand(&mut self, block: u64, access: &Access) -> bool;
+
+    /// An L2 dirty eviction of `block`; `ctx` is the write that carries
+    /// it (the displacing reference's PC, the block's byte address).
+    fn writeback(&mut self, block: u64, ctx: &AccessContext);
+}
+
+/// The hierarchy's LLC applies demand misses and writebacks alike.
+impl<P: ReplacementPolicy> LlcSink for SetAssocCache<P> {
+    #[inline(always)]
+    fn demand(&mut self, block: u64, access: &Access) -> bool {
+        self.access_block(block, &access.context()).hit
+    }
+
+    #[inline(always)]
+    fn writeback(&mut self, block: u64, ctx: &AccessContext) {
+        self.access_block(block, ctx);
+    }
+}
+
+/// One core's L1 and L2: the one walk of a reference through the private
+/// levels, shared by the capture, [`Hierarchy`] and
+/// [`MulticoreHierarchy`](crate::MulticoreHierarchy).
+pub(crate) struct PrivateLevels<A = LruLevel, B = LruLevel> {
+    pub(crate) l1: A,
+    pub(crate) l2: B,
+    /// `log2` of the line size all three levels share.
+    shift: u32,
+}
+
+impl PrivateLevels {
+    /// Cold L1 and L2 of `config`'s geometries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the levels of `config` disagree on line size.
+    pub(crate) fn new(config: &HierarchyConfig) -> Self {
+        PrivateLevels {
+            l1: LruLevel::new(&config.l1),
+            l2: LruLevel::new(&config.l2),
+            shift: config.shared_line_shift(),
+        }
+    }
+}
+
+impl<A: PrivateLevel, B: PrivateLevel> PrivateLevels<A, B> {
+    /// Walks one reference through L1 and L2 and hands `llc` what
+    /// reaches it, in order: for an L1 dirty eviction, the writeback into
+    /// L2 and any L2 dirty eviction it causes; then, on an L1 miss, the L2
+    /// demand access, its L2 dirty eviction and, on an L2 miss, the
+    /// demand itself. Returns the level that serviced the reference,
+    /// the LLC's hit deciding between [`ServiceLevel::Llc`] and
+    /// [`ServiceLevel::Memory`].
+    #[inline(always)]
+    pub(crate) fn step<S: LlcSink>(&mut self, access: &Access, llc: &mut S) -> ServiceLevel {
+        let block = access.addr >> self.shift;
+        let ctx = access.context();
+        let (l1_hit, l1_evicted) = self.l1.access(block, &ctx);
+        if let Some(ev) = l1_evicted.filter(|ev| ev.dirty) {
+            let wb = self.write_of(ev.block_addr, access.pc);
+            let (_, l2_evicted) = self.l2.access(ev.block_addr, &wb);
+            self.drain(l2_evicted, access.pc, llc);
+        }
+        if l1_hit {
+            return ServiceLevel::L1;
+        }
+        let (l2_hit, l2_evicted) = self.l2.access(block, &ctx);
+        self.drain(l2_evicted, access.pc, llc);
+        if l2_hit {
+            ServiceLevel::L2
+        } else if llc.demand(block, access) {
+            ServiceLevel::Llc
+        } else {
+            ServiceLevel::Memory
+        }
+    }
+
+    /// Hands an L2 dirty eviction to the LLC.
+    #[inline(always)]
+    fn drain<S: LlcSink>(&self, evicted: Option<Evicted>, pc: u64, llc: &mut S) {
+        if let Some(ev) = evicted.filter(|ev| ev.dirty) {
+            llc.writeback(ev.block_addr, &self.write_of(ev.block_addr, pc));
+        }
+    }
+
+    /// The write that carries `block` to the next level.
+    #[inline(always)]
+    fn write_of(&self, block: u64, pc: u64) -> AccessContext {
+        AccessContext {
+            pc,
+            addr: block << self.shift,
+            is_write: true,
+        }
+    }
+
+    fn reset_stats(&mut self) {
+        self.l1.reset_stats();
+        self.l2.reset_stats();
+    }
 }
 
 /// The capture loop over one pairing of L1 and L2 implementations.
-fn capture_with<A, B, I>(mut l1: A, mut l2: B, iter: I, mut llc: LlcRecorder) -> u64
+fn capture_with<A, B, I>(l1: A, l2: B, iter: I, mut llc: LlcRecorder) -> u64
 where
     A: PrivateLevel,
     B: PrivateLevel,
     I: Iterator<Item = Access>,
 {
+    let mut levels = PrivateLevels {
+        l1,
+        l2,
+        shift: llc.shift,
+    };
     let mut total_instructions = 0u64;
     for access in iter {
         total_instructions += u64::from(access.icount_delta);
         llc.pending_icount += u64::from(access.icount_delta);
-        let block = access.addr >> llc.shift;
-        let (l1_hit, l1_evicted) = l1.access(block, &access.context());
-        // L2 traffic, in order: the L1 dirty eviction's writeback, then
-        // the demand miss itself.
-        if let Some(ev) = l1_evicted.filter(|ev| ev.dirty) {
-            llc.l2_access(&mut l2, ev.block_addr, AccessKind::Writeback, access.pc);
-        }
-        if !l1_hit {
-            llc.l2_access(&mut l2, block, access.kind, access.pc);
-        }
+        levels.step(&access, &mut llc);
     }
     total_instructions
 }
 
-/// The LLC side of the capture loop: issues L2 accesses and appends the
-/// traffic that reaches the LLC to `out`.
+/// The capture's LLC: appends the traffic that reaches it to `out`.
 struct LlcRecorder<'a> {
     /// `log2` of the line size.
     shift: u32,
@@ -538,28 +530,28 @@ struct LlcRecorder<'a> {
     out: &'a mut Vec<Access>,
 }
 
-impl LlcRecorder<'_> {
+impl LlcSink for LlcRecorder<'_> {
+    /// Records the demand (a reference that is itself a writeback is not
+    /// one). The recorder has no contents, so it reports a miss.
     #[inline(always)]
-    fn l2_access<B: PrivateLevel>(&mut self, l2: &mut B, block: u64, kind: AccessKind, pc: u64) {
-        let ctx = AccessContext {
-            pc,
-            addr: block << self.shift,
-            is_write: kind != AccessKind::Read,
-        };
-        let (hit, evicted) = l2.access(block, &ctx);
-        // L2 dirty evictions drain to the LLC's data array; by default
-        // they are not recorded (writebacks do not update LLC replacement
-        // state).
-        if let Some(ev) = evicted {
-            if self.include_writebacks && ev.dirty {
-                self.record(ev.block_addr, pc, AccessKind::Writeback);
-            }
+    fn demand(&mut self, block: u64, access: &Access) -> bool {
+        if access.kind != AccessKind::Writeback {
+            self.record(block, access.pc, access.kind);
         }
-        if !hit && kind != AccessKind::Writeback {
-            self.record(block, pc, kind);
-        }
+        false
     }
 
+    /// L2 dirty evictions drain to the LLC's data array; by default they
+    /// are not recorded (writebacks do not update LLC replacement state).
+    #[inline(always)]
+    fn writeback(&mut self, block: u64, ctx: &AccessContext) {
+        if self.include_writebacks {
+            self.record(block, ctx.pc, AccessKind::Writeback);
+        }
+    }
+}
+
+impl LlcRecorder<'_> {
     #[inline(always)]
     fn record(&mut self, block: u64, pc: u64, kind: AccessKind) {
         self.out.push(Access {
@@ -570,11 +562,6 @@ impl LlcRecorder<'_> {
         });
         self.pending_icount = 0;
     }
-}
-
-/// Convenience: a [`PolicyFactory`]-driven hierarchy constructor.
-pub fn hierarchy_with(config: HierarchyConfig, factory: &PolicyFactory) -> Hierarchy {
-    Hierarchy::new(config, factory(&config.llc))
 }
 
 #[cfg(test)]
@@ -676,123 +663,6 @@ mod tests {
         }
         assert_eq!(replay.stats().accesses, live.llc_stats().accesses);
         assert_eq!(replay.stats().misses, live.llc_stats().misses);
-    }
-
-    #[test]
-    fn inclusive_mode_maintains_inclusion_invariant() {
-        let cfg = tiny();
-        let mut h = Hierarchy::new(cfg, Box::new(PlruPolicy::new(&cfg.llc)));
-        h.set_inclusion(Inclusion::Inclusive);
-        // Traffic with more footprint than the LLC, so LLC evictions and
-        // back-invalidations actually happen.
-        let mut x = 2463534242u64;
-        for _ in 0..20_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            h.access(&Access::read((x % (1 << 16)) & !63, 0));
-        }
-        assert!(
-            h.back_invalidations() > 0,
-            "eviction pressure reached L1/L2"
-        );
-        // Invariant: every block resident in L1 or L2 is also in the LLC.
-        for set in 0..h.l1().geometry().sets() {
-            for blk in h.l1().resident_blocks(set) {
-                assert!(
-                    h.llc().probe(blk),
-                    "L1 block {blk:#x} missing from inclusive LLC"
-                );
-            }
-        }
-        for set in 0..h.l2().geometry().sets() {
-            for blk in h.l2().resident_blocks(set) {
-                assert!(
-                    h.llc().probe(blk),
-                    "L2 block {blk:#x} missing from inclusive LLC"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn non_inclusive_mode_never_back_invalidates() {
-        let cfg = tiny();
-        let mut h = Hierarchy::new(cfg, Box::new(PlruPolicy::new(&cfg.llc)));
-        for i in 0..20_000u64 {
-            h.access(&Access::read((i * 64) % (1 << 16), 0));
-        }
-        assert_eq!(h.back_invalidations(), 0);
-    }
-
-    #[test]
-    fn inclusive_mode_costs_misses() {
-        // Back-invalidation recalls hot private-cache blocks, so an
-        // inclusive hierarchy can only do worse (or equal) at L1.
-        let cfg = tiny();
-        let run = |inclusive: bool| {
-            let mut h = Hierarchy::new(cfg, Box::new(PlruPolicy::new(&cfg.llc)));
-            if inclusive {
-                h.set_inclusion(Inclusion::Inclusive);
-            }
-            let mut x = 88172645463325252u64;
-            for _ in 0..30_000 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                h.access(&Access::read((x % (1 << 16)) & !63, 0));
-            }
-            h.l1_stats().hits
-        };
-        assert!(run(true) <= run(false));
-    }
-
-    #[test]
-    fn stride_prefetcher_converts_memory_hits_to_l2_hits() {
-        let cfg = tiny();
-        let run = |prefetch: bool| -> (u64, u64) {
-            let mut h = Hierarchy::new(cfg, Box::new(PlruPolicy::new(&cfg.llc)));
-            if prefetch {
-                h.enable_stride_prefetcher(crate::prefetch::PrefetchConfig::default());
-            }
-            let mut l2_hits = 0u64;
-            let mut mem = 0u64;
-            // A pure unit-stride stream from one PC.
-            for i in 0..4000u64 {
-                match h.access(&Access::read(i * 64, 0x400)) {
-                    ServiceLevel::L2 => l2_hits += 1,
-                    ServiceLevel::Memory => mem += 1,
-                    _ => {}
-                }
-            }
-            assert_eq!(h.prefetch_fills() > 0, prefetch);
-            (l2_hits, mem)
-        };
-        let (hits_off, mem_off) = run(false);
-        let (hits_on, mem_on) = run(true);
-        assert!(
-            hits_on > hits_off,
-            "prefetching creates L2 hits: {hits_on} vs {hits_off}"
-        );
-        assert!(
-            mem_on < mem_off,
-            "and removes memory services: {mem_on} vs {mem_off}"
-        );
-    }
-
-    #[test]
-    fn prefetcher_is_harmless_on_random_traffic() {
-        let cfg = tiny();
-        let mut h = Hierarchy::new(cfg, Box::new(PlruPolicy::new(&cfg.llc)));
-        h.enable_stride_prefetcher(crate::prefetch::PrefetchConfig::default());
-        let mut x = 987654321u64;
-        for _ in 0..2000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            h.access(&Access::read((x % (1 << 20)) & !63, 0x400));
-        }
-        assert_eq!(h.prefetch_fills(), 0, "no stable stride, no prefetches");
     }
 
     fn with_line(line: u64) -> HierarchyConfig {

@@ -4,17 +4,11 @@
 //! with core-tagged physical addresses (separate address spaces, no
 //! sharing), the standard methodology for replacement studies.
 
-use crate::hierarchy::{HierarchyConfig, ServiceLevel};
-use baselines::TrueLru;
-use sim_core::{Access, CacheStats, ReplacementPolicy, SetAssocCache};
+use crate::hierarchy::{HierarchyConfig, LlcSink, PrivateLevels, ServiceLevel};
+use sim_core::{Access, AccessContext, CacheStats, ReplacementPolicy, SetAssocCache};
 
 /// Bits reserved at the top of the address for the core id.
 const CORE_SHIFT: u32 = 56;
-
-struct PrivateCaches {
-    l1: SetAssocCache,
-    l2: SetAssocCache,
-}
 
 /// N cores with private L1/L2 sharing one LLC.
 ///
@@ -33,10 +27,8 @@ struct PrivateCaches {
 /// assert_eq!(mc.llc_stats(1).misses, 1, "no constructive sharing across cores");
 /// ```
 pub struct MulticoreHierarchy {
-    cores: Vec<PrivateCaches>,
+    cores: Vec<PrivateLevels>,
     llc: SetAssocCache,
-    /// `log2` of the line size all three levels share.
-    line_shift: u32,
     llc_by_core: Vec<CacheStats>,
     instructions: Vec<u64>,
 }
@@ -68,14 +60,8 @@ impl MulticoreHierarchy {
             "1..=255 cores supported, got {n_cores}"
         );
         MulticoreHierarchy {
-            cores: (0..n_cores)
-                .map(|_| PrivateCaches {
-                    l1: SetAssocCache::new(config.l1, Box::new(TrueLru::new(&config.l1))),
-                    l2: SetAssocCache::new(config.l2, Box::new(TrueLru::new(&config.l2))),
-                })
-                .collect(),
+            cores: (0..n_cores).map(|_| PrivateLevels::new(&config)).collect(),
             llc: SetAssocCache::new(config.llc, llc_policy),
-            line_shift: config.shared_line_shift(),
             llc_by_core: vec![CacheStats::new(); n_cores],
             instructions: vec![0; n_cores],
         }
@@ -98,51 +84,11 @@ impl MulticoreHierarchy {
             ..*access
         };
         self.instructions[core] += u64::from(access.icount_delta);
-        let ctx = tagged.context();
-        let pc = &mut self.cores[core];
-
-        let l1_out = pc.l1.access(&tagged);
-        // Private-cache writebacks drain to L2 only; per the workspace
-        // convention, writebacks never update LLC replacement state.
-        if let Some(ev) = l1_out.evicted {
-            if ev.dirty {
-                let wb_ctx = sim_core::AccessContext {
-                    pc: ctx.pc,
-                    addr: ev.block_addr << self.line_shift,
-                    is_write: true,
-                };
-                let _ = pc.l2.access_block(ev.block_addr, &wb_ctx);
-            }
-        }
-        if l1_out.hit {
-            return ServiceLevel::L1;
-        }
-        let l2_out = pc
-            .l2
-            .access_block(pc.l2.geometry().block_of(tagged.addr), &ctx);
-        if l2_out.hit {
-            return ServiceLevel::L2;
-        }
-        // Shared LLC access, attributed to the issuing core.
-        let before = *self.llc.stats();
-        let out = self
-            .llc
-            .access_block(self.llc.geometry().block_of(tagged.addr), &ctx);
-        let after = *self.llc.stats();
-        let delta = CacheStats {
-            accesses: after.accesses - before.accesses,
-            hits: after.hits - before.hits,
-            misses: after.misses - before.misses,
-            evictions: after.evictions - before.evictions,
-            writebacks: after.writebacks - before.writebacks,
-            bypasses: after.bypasses - before.bypasses,
+        let mut llc = SharedLlc {
+            llc: &mut self.llc,
+            core_stats: &mut self.llc_by_core[core],
         };
-        self.llc_by_core[core] += delta;
-        if out.hit {
-            ServiceLevel::Llc
-        } else {
-            ServiceLevel::Memory
-        }
+        self.cores[core].step(&tagged, &mut llc)
     }
 
     /// Runs `per_core` accesses from each stream, interleaved round-robin
@@ -175,6 +121,34 @@ impl MulticoreHierarchy {
     pub fn instructions(&self, core: usize) -> u64 {
         self.instructions[core]
     }
+}
+
+/// The shared LLC as one core's walk sees it: it applies the core's
+/// demand misses, attributing their statistics to the core, and drops the
+/// core's L2 writebacks (per the workspace convention, writebacks never
+/// update LLC replacement state).
+struct SharedLlc<'a> {
+    llc: &'a mut SetAssocCache,
+    core_stats: &'a mut CacheStats,
+}
+
+impl LlcSink for SharedLlc<'_> {
+    fn demand(&mut self, block: u64, access: &Access) -> bool {
+        let before = *self.llc.stats();
+        let hit = self.llc.access_block(block, &access.context()).hit;
+        let after = *self.llc.stats();
+        *self.core_stats += CacheStats {
+            accesses: after.accesses - before.accesses,
+            hits: after.hits - before.hits,
+            misses: after.misses - before.misses,
+            evictions: after.evictions - before.evictions,
+            writebacks: after.writebacks - before.writebacks,
+            bypasses: after.bypasses - before.bypasses,
+        };
+        hit
+    }
+
+    fn writeback(&mut self, _block: u64, _ctx: &AccessContext) {}
 }
 
 /// Weighted speedup of a shared run against per-core baselines:

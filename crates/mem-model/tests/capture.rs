@@ -11,10 +11,20 @@
 //! two implementations is pinned. Streams are stitched from hot loops,
 //! scans and one-shot blocks with stores mixed in, so dirty L1 and L2
 //! victims (and their writebacks) are frequent.
+//!
+//! The same shapes pin the seams of the other two users of the private
+//! levels' walk: [`Hierarchy`]'s LLC sees exactly the writeback-inclusive
+//! capture, and a one-core [`MulticoreHierarchy`]'s shared LLC exactly
+//! the demand-only capture, whole [`CacheStats`] and instruction totals
+//! alike, under LLC policies that do (SHiP, SDBP) and do not (PLRU) read
+//! the access's PC.
 
-use mem_model::{capture_llc_stream_into, HierarchyConfig};
+use baselines::{SdbpPolicy, ShipPolicy};
+use gippr::PlruPolicy;
+use mem_model::hierarchy::capture_llc_stream_config;
+use mem_model::{capture_llc_stream_into, Hierarchy, HierarchyConfig, MulticoreHierarchy};
 use proptest::prelude::*;
-use sim_core::{Access, AccessKind, CacheGeometry};
+use sim_core::{Access, AccessKind, CacheGeometry, CacheStats, ReplacementPolicy, SetAssocCache};
 use sim_verify::refmodels::ref_capture_llc_stream;
 
 /// One piece of a stream: `(kind, a, b)`, expanded by [`stream_of`].
@@ -82,6 +92,24 @@ fn config(l1: (u32, u32), l2: (u32, u32)) -> HierarchyConfig {
     }
 }
 
+/// LLC policy `which` of PLRU, SHiP and SDBP.
+fn llc_policy(which: u8, geom: &CacheGeometry) -> Box<dyn ReplacementPolicy> {
+    match which {
+        0 => Box::new(PlruPolicy::new(geom)),
+        1 => Box::new(ShipPolicy::new(geom)),
+        _ => Box::new(SdbpPolicy::new(geom)),
+    }
+}
+
+/// `stream` replayed through a standalone LLC under policy `which`.
+fn replay(cfg: &HierarchyConfig, which: u8, stream: &[Access]) -> CacheStats {
+    let mut llc = SetAssocCache::new(cfg.llc, llc_policy(which, &cfg.llc));
+    for a in stream {
+        llc.access(a);
+    }
+    *llc.stats()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
@@ -115,6 +143,57 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `Hierarchy`'s LLC applies demands and writebacks: its statistics
+    /// are the writeback-inclusive capture's, replayed.
+    #[test]
+    fn hierarchy_llc_equals_the_writeback_inclusive_capture_replayed(
+        l1 in (0u32..7, 0u32..6),
+        l2 in (0u32..7, 0u32..6),
+        segments in proptest::collection::vec((0u8..4, 0u64..64, 1u64..48), 1..24),
+        write_every in 1u64..6,
+        which in 0u8..3,
+    ) {
+        let cfg = config(l1, l2);
+        let refs = stream_of(&segments, write_every);
+        let mut h = Hierarchy::new(cfg, llc_policy(which, &cfg.llc));
+        h.run(refs.iter().copied());
+        let (stream, instructions) = capture_llc_stream_config(cfg, refs.iter().copied(), true);
+        prop_assert_eq!(h.instructions(), instructions);
+        prop_assert_eq!(
+            *h.llc_stats(), replay(&cfg, which, &stream),
+            "L1 {}, L2 {}, policy {}", cfg.l1, cfg.l2, which
+        );
+    }
+
+    /// A one-core `MulticoreHierarchy`'s shared LLC applies demands only:
+    /// its statistics, total and attributed, are the demand-only
+    /// capture's, replayed.
+    #[test]
+    fn one_core_multicore_llc_equals_the_demand_capture_replayed(
+        l1 in (0u32..7, 0u32..6),
+        l2 in (0u32..7, 0u32..6),
+        segments in proptest::collection::vec((0u8..4, 0u64..64, 1u64..48), 1..24),
+        write_every in 1u64..6,
+        which in 0u8..3,
+    ) {
+        let cfg = config(l1, l2);
+        let refs = stream_of(&segments, write_every);
+        let mut mc = MulticoreHierarchy::new(1, cfg, llc_policy(which, &cfg.llc));
+        mc.run_interleaved(vec![refs.iter().copied()], refs.len());
+        let (stream, instructions) = mem_model::capture_llc_stream(cfg, refs.iter().copied());
+        let want = replay(&cfg, which, &stream);
+        prop_assert_eq!(mc.instructions(0), instructions);
+        prop_assert_eq!(
+            *mc.llc_total(), want,
+            "L1 {}, L2 {}, policy {}", cfg.l1, cfg.l2, which
+        );
+        prop_assert_eq!(*mc.llc_stats(0), want);
+    }
+}
+
 /// The paper-shaped hierarchy (8-way L1/L2, packed path) on real workload
 /// models, both conventions.
 #[test]
@@ -132,11 +211,8 @@ fn paper_scaled_capture_matches_reference_on_spec_models() {
             .take(60_000)
             .collect();
         for include_writebacks in [false, true] {
-            let (stream, instructions) = mem_model::hierarchy::capture_llc_stream_config(
-                cfg,
-                refs.iter().copied(),
-                include_writebacks,
-            );
+            let (stream, instructions) =
+                capture_llc_stream_config(cfg, refs.iter().copied(), include_writebacks);
             let (want, want_instructions) = ref_capture_llc_stream(cfg, &refs, include_writebacks);
             assert_eq!(instructions, want_instructions, "{}", bench.name());
             assert!(

@@ -3,8 +3,7 @@
 use pseudolru_ipv::baselines::{RripIpvPolicy, SdbpPolicy};
 use pseudolru_ipv::gippr::{vectors, DgipprPolicy, Ipv};
 use pseudolru_ipv::model::multicore::MulticoreHierarchy;
-use pseudolru_ipv::model::prefetch::PrefetchConfig;
-use pseudolru_ipv::model::{Hierarchy, HierarchyConfig, Inclusion};
+use pseudolru_ipv::model::{Hierarchy, HierarchyConfig};
 use pseudolru_ipv::sim::{Access, AccessContext, CacheGeometry, SetAssocCache};
 use pseudolru_ipv::traces::spec2006::Spec2006;
 
@@ -86,29 +85,6 @@ fn sdbp_learns_across_a_full_hierarchy_run() {
     let spec = Spec2006::Libquantum.workload().scaled_down(5);
     h.run(spec.generator(0).take(60_000));
     assert!(h.llc_stats().accesses > 0);
-}
-
-#[test]
-fn prefetcher_and_inclusion_compose() {
-    let cfg = HierarchyConfig::paper_scaled(5).unwrap();
-    let mut h = Hierarchy::new(
-        cfg,
-        Box::new(pseudolru_ipv::gippr::PlruPolicy::new(&cfg.llc)),
-    );
-    h.enable_stride_prefetcher(PrefetchConfig::default());
-    h.set_inclusion(Inclusion::Inclusive);
-    let spec = Spec2006::Milc.workload().scaled_down(5);
-    h.run(spec.generator(0).take(60_000));
-    assert!(
-        h.prefetch_fills() > 0,
-        "streaming milc triggers the prefetcher"
-    );
-    // Inclusion invariant holds even with prefetch fills in flight.
-    for set in 0..h.l2().geometry().sets() {
-        for blk in h.l2().resident_blocks(set) {
-            assert!(h.llc().probe(blk), "inclusion violated for {blk:#x}");
-        }
-    }
 }
 
 #[test]
