@@ -172,11 +172,6 @@ impl PdpPolicy {
         policy
     }
 
-    /// The protecting distance currently in force.
-    pub fn protecting_distance(&self) -> usize {
-        self.pd
-    }
-
     /// The reuse-distance histogram accumulated so far (diagnostic aid).
     pub fn histogram(&self) -> &[u64] {
         &self.hist

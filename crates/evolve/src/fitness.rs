@@ -377,18 +377,6 @@ impl FitnessContext {
         }
     }
 
-    /// Rebuilds every workload's sampled sub-stream with an explicit
-    /// sampling period and residue class (tests and experiments; the
-    /// default is `set % DEFAULT_SAMPLE_EVERY == 0`).
-    pub fn with_sampling(mut self, every: usize, offset: usize) -> Self {
-        for ws in &mut self.streams {
-            ws.sampled = Arc::new(SampledWorkload::build(
-                &ws.stream, &self.geom, ws.warmup, every, offset,
-            ));
-        }
-        self
-    }
-
     /// Set-sampled mean speedup of a single vector (ladder fidelity 2):
     /// an exact per-set replay of one in
     /// [`SampledStream::every`](sim_core::SampledStream::every) sets.

@@ -187,11 +187,6 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
         &self.policy
     }
 
-    /// Mutable access to the policy (e.g. to inspect dueling winners).
-    pub fn policy_mut(&mut self) -> &mut P {
-        &mut self.policy
-    }
-
     /// Looks up a byte-addressed access, filling on miss.
     #[inline]
     pub fn access(&mut self, access: &crate::access::Access) -> AccessOutcome {

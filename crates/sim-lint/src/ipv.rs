@@ -369,12 +369,6 @@ impl IpvAnalysis {
         usize::from(self.entries[self.assoc])
     }
 
-    /// Bitmask of positions a block can ever occupy (bit `p` set iff
-    /// position `p` is reachable from the insertion position).
-    pub fn reachable_mask(&self) -> u64 {
-        self.reachable
-    }
-
     /// Reachable positions, ascending.
     pub fn reachable_positions(&self) -> Vec<usize> {
         (0..self.assoc)
