@@ -33,8 +33,8 @@ fn main() -> ExitCode {
 
     // Captured workloads spill to disk so repeated runs skip the L1/L2
     // simulation entirely; workload_cache() resolves the directory
-    // (SIM_CACHE_DIR, then PLRU_CACHE_DIR, then results/cache/) and
-    // prunes stale spill files once at initialization.
+    // (SIM_CACHE_DIR, else results/cache/) and prunes stale spill files
+    // once at initialization.
     let cache = harness::workload_cache();
 
     let experiments = vec![

@@ -20,9 +20,9 @@
 //! # On-disk spill
 //!
 //! When a spill directory is configured ([`WorkloadCache::set_disk_dir`];
-//! the global cache resolves `SIM_CACHE_DIR`, then the legacy
-//! `PLRU_CACHE_DIR`, then defaults to `results/cache/` — setting either
-//! variable to an empty string disables spilling), captured workloads are
+//! the global cache reads `SIM_CACHE_DIR`, defaulting to
+//! `results/cache/` — setting it to an empty string disables spilling),
+//! captured workloads are
 //! also persisted as one `<scale>-<bench>.wlc` file each, and later runs
 //! load them instead of re-capturing. At global-cache initialization,
 //! stale spill files whose `<scale>-<bench>` stem no longer names a known
@@ -216,8 +216,8 @@ impl WorkloadCache {
 /// The process-global cache used by
 /// [`prepare_workloads`](crate::runner::prepare_workloads) and the
 /// experiment drivers. The spill directory comes from `SIM_CACHE_DIR`,
-/// falling back to the legacy `PLRU_CACHE_DIR`, then to `results/cache/`;
-/// setting either variable to an empty string disables spilling. Stale
+/// falling back to `results/cache/`; setting the variable to an empty
+/// string disables spilling. Stale
 /// spill files are pruned once, here at initialization.
 pub fn workload_cache() -> &'static WorkloadCache {
     static GLOBAL: OnceLock<WorkloadCache> = OnceLock::new();
@@ -238,17 +238,14 @@ pub fn workload_cache() -> &'static WorkloadCache {
 }
 
 /// Resolves the global cache's spill directory from an environment
-/// lookup: `SIM_CACHE_DIR` wins, then the legacy `PLRU_CACHE_DIR`, then
-/// the `results/cache/` default. A variable that is set but empty
-/// returns `None` (spill disabled) — the escape hatch for fully
-/// stateless runs.
+/// lookup: `SIM_CACHE_DIR`, else the `results/cache/` default. A
+/// variable that is set but empty returns `None` (spill disabled) — the
+/// escape hatch for fully stateless runs.
 fn spill_dir_from(lookup: impl Fn(&str) -> Option<std::ffi::OsString>) -> Option<PathBuf> {
-    for var in ["SIM_CACHE_DIR", "PLRU_CACHE_DIR"] {
-        if let Some(dir) = lookup(var) {
-            return (!dir.is_empty()).then(|| PathBuf::from(dir));
-        }
+    match lookup("SIM_CACHE_DIR") {
+        Some(dir) => (!dir.is_empty()).then(|| PathBuf::from(dir)),
+        None => Some(PathBuf::from("results/cache")),
     }
-    Some(PathBuf::from("results/cache"))
 }
 
 /// Deletes stale spill files in `dir`: any `*.wlc` whose
@@ -680,7 +677,7 @@ mod tests {
     }
 
     #[test]
-    fn spill_dir_resolution_prefers_sim_cache_dir() {
+    fn spill_dir_resolution_reads_sim_cache_dir() {
         use std::ffi::OsString;
         let env = |pairs: &'static [(&'static str, &'static str)]| {
             move |var: &str| -> Option<OsString> {
@@ -690,15 +687,14 @@ mod tests {
                     .map(|(_, v)| OsString::from(v))
             }
         };
-        // SIM_CACHE_DIR beats the legacy variable.
         assert_eq!(
-            spill_dir_from(env(&[("SIM_CACHE_DIR", "/a"), ("PLRU_CACHE_DIR", "/b")])),
+            spill_dir_from(env(&[("SIM_CACHE_DIR", "/a")])),
             Some(PathBuf::from("/a"))
         );
-        // The legacy variable still works alone.
+        // The retired `PLRU_CACHE_DIR` alias is not read.
         assert_eq!(
             spill_dir_from(env(&[("PLRU_CACHE_DIR", "/b")])),
-            Some(PathBuf::from("/b"))
+            Some(PathBuf::from("results/cache"))
         );
         // Nothing set: the default directory.
         assert_eq!(
@@ -707,7 +703,6 @@ mod tests {
         );
         // Set-but-empty disables spilling entirely.
         assert_eq!(spill_dir_from(env(&[("SIM_CACHE_DIR", "")])), None);
-        assert_eq!(spill_dir_from(env(&[("PLRU_CACHE_DIR", "")])), None);
     }
 
     #[test]
