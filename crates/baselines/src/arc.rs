@@ -10,7 +10,7 @@
 //! while it exceeds `p` ways, from T2 otherwise. The original operates
 //! on a fully-associative store; this baseline scopes the lists per set
 //! (capacity = associativity) and keeps `p` cache-global, which is what
-//! makes it [`ShardAffinity::Global`]: ghost hits in any set move the
+//! makes it [`ShardAffinity::Global`](sim_core::ShardAffinity::Global): ghost hits in any set move the
 //! target every other set duels against.
 
 #![forbid(unsafe_code)]

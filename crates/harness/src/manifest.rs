@@ -13,7 +13,7 @@
 //! * on failure (after retries) it is marked `failed` with the error.
 //!
 //! The file is JSON written and parsed by the tiny self-contained
-//! implementation in [`json`] — the container has no serde, and the
+//! implementation in the private `json` module — the container has no serde, and the
 //! schema is small enough that hand-rolling stays honest.
 
 use std::fmt::Write as _;

@@ -4,7 +4,7 @@
 //! needs: each experiment runs under `catch_unwind` with a bounded-backoff
 //! retry budget, a failure is recorded and the run *continues* with the
 //! remaining experiments (fail-soft), and every state transition is
-//! persisted to the [`Manifest`](crate::manifest::Manifest) so an
+//! persisted to the [`Manifest`] so an
 //! interrupted run — crash, SIGKILL, injected fault — resumes with
 //! `--resume`, skipping experiments whose artifacts are already on disk
 //! and verified against their recorded digests.

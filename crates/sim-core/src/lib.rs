@@ -20,7 +20,7 @@
 //! * [`dueling`] — the set-dueling framework (leader-set maps, PSEL
 //!   counters, two-way and tournament selection) shared by DIP, DRRIP, and
 //!   DGIPPR.
-//! * [`slice`] — the bit-sliced replay kernel (4 PLRU sets per `u64`,
+//! * [`slice`](mod@slice) — the bit-sliced replay kernel (4 PLRU sets per `u64`,
 //!   SWAR recency stacks and RRPV arrays), with a full mode for batch
 //!   replay, capture and the daemon and a miss-count mode for GA fitness.
 //! * [`mattson`] — single-pass stack-distance profiling: one stream pass

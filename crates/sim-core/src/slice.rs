@@ -33,7 +33,7 @@
 //! *same* packed words, plus three pieces of duel state the engine keeps
 //! beside them — a per-set role byte precomputed from
 //! [`LeaderMap::role`](crate::dueling::LeaderMap::role), the
-//! [`Selector`](crate::dueling::Selector) counters fed by leader-set
+//! [`Selector`] counters fed by leader-set
 //! misses, and an optional bimodal fill tick (BIP's and BRRIP's ε).
 //!
 //! Lane layout for the PLRU family (16-way shown; `k`-way uses

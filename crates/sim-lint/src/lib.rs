@@ -24,13 +24,13 @@
 //!   convergence under a promotion rule, and names the offending tree
 //!   state on failure. Generic over [`PlruState`], so the *production*
 //!   `gippr::PlruTree` is what gets checked, not a model of it.
-//! * [`mirror`] — [`MirrorTree`](mirror::MirrorTree), an independently
+//! * [`mirror`] — [`MirrorTree`], an independently
 //!   coded naive tree substrate used to self-test the checker, to
 //!   cross-check `gippr::PlruTree` over the complete state space, and as
 //!   the scalar reference `sim-core`'s kernel soundness sweep checks the
 //!   packed PLRU lanes against.
 //! * [`bounded`] — the roster-wide *bounded* model checker: breadth-first
-//!   search with state hashing over any [`PolicyState`](bounded::PolicyState)
+//!   search with state hashing over any [`PolicyState`]
 //!   — an opaque, resettable state machine with a finite input alphabet and
 //!   self-checked invariants. Used by `sim-verify` to sweep every roster
 //!   policy (EHC, ARC, AWRP, …) whose state space is too large or unbounded

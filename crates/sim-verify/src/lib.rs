@@ -11,12 +11,12 @@
 //! differential driver that replays the same access stream through both and
 //! reports the first access where they disagree, with a minimized repro.
 //!
-//! * [`refcache`] — [`RefCache`](refcache::RefCache), a Vec-of-structs tag
+//! * [`refcache`] — [`RefCache`], a Vec-of-structs tag
 //!   store with no packing, mirroring the [`sim_core::SetAssocCache`]
 //!   callback protocol line by line.
 //! * [`refmodels`] — naive counterparts of the replacement state machines:
-//!   [`RefPlru`](refmodels::RefPlru), a `Vec<bool>` PLRU tree;
-//!   [`RefRecencyStack`](refmodels::RefRecencyStack), an MRU-ordered list;
+//!   [`RefPlru`], a `Vec<bool>` PLRU tree;
+//!   [`RefRecencyStack`], an MRU-ordered list;
 //!   plus reference policies for LRU, FIFO, SRRIP, PDP, AWRP, EHC, ARC,
 //!   PLRU, GIPPR, and GIPLR.
 //! * [`diff`] — the differential driver: three models per access

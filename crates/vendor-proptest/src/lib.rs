@@ -84,7 +84,7 @@ pub mod strategy {
         }
     }
 
-    /// Uniform choice between same-typed strategies (backs [`prop_oneof!`]).
+    /// Uniform choice between same-typed strategies (backs [`prop_oneof!`](crate::prop_oneof)).
     #[derive(Debug, Clone)]
     pub struct Union<S> {
         options: Vec<S>,
@@ -218,7 +218,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S, L> {
         element: S,
