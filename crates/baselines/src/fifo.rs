@@ -1,6 +1,6 @@
 //! First-in-first-out replacement.
 
-use sim_core::{AccessContext, CacheGeometry, ReplacementPolicy, ShardAffinity};
+use sim_core::{AccessContext, CacheGeometry, ReplacementPolicy, ShardAffinity, SliceKernel};
 
 /// FIFO: evict the block that was *filled* longest ago, ignoring hits.
 ///
@@ -8,6 +8,9 @@ use sim_core::{AccessContext, CacheGeometry, ReplacementPolicy, ShardAffinity};
 /// an ablation baseline to separate the value of recency tracking (LRU vs.
 /// FIFO) from the value of insertion/promotion flexibility (GIPPR vs.
 /// PLRU). Cost: a `log2 k`-bit round-robin pointer per set.
+///
+/// The packed replay engine runs it as a recency stack that ignores hits
+/// (see [`FifoPolicy::slice_kernel`](ReplacementPolicy::slice_kernel)).
 #[derive(Debug, Clone)]
 pub struct FifoPolicy {
     ways: usize,
@@ -51,6 +54,20 @@ impl ReplacementPolicy for FifoPolicy {
     // All state is the per-set `next` pointer.
     fn shard_affinity(&self) -> ShardAffinity {
         ShardAffinity::SetLocal
+    }
+
+    /// A stack IPV that leaves a hit where it is (`V[p] = p`) and inserts
+    /// at the top (`V[k] = 0`), so stack order is fill order and the
+    /// victim at the bottom is the oldest fill. That is the round-robin
+    /// pointer exactly: the kernel starts each set at the identity stack
+    /// (way `p` at position `p`) and the cache fills the first invalid
+    /// way, so cold fills land in way order and leave way 0 at the bottom
+    /// of a full set, where the pointer has wrapped back to 0.
+    fn slice_kernel(&self) -> Option<SliceKernel> {
+        let hold = (0..self.ways).map(|p| p as u8);
+        Some(SliceKernel::StackIpv {
+            ipv: hold.chain([0]).collect(),
+        })
     }
 
     fn audit_set_digest(&self, set: usize) -> Option<Vec<u8>> {

@@ -328,9 +328,11 @@ impl FitnessContext {
     /// The GA inner loop: the workload-weighted mean speedup of a fresh
     /// policy from `make` over every stream, on the full streams or (with
     /// `sampled`) the set-sampled sub-streams against their own LRU
-    /// baselines. Generic over the concrete policy type so a mono replay
-    /// monomorphizes per substrate instead of paying double virtual
-    /// dispatch through `Box<dyn>`; the engine is [`plan`]'s. The linear
+    /// baselines. Generic over the concrete policy type so the sharded
+    /// engine monomorphizes per substrate; the mono engine reaches the
+    /// same concrete type through the boxed policy's
+    /// [`into_mono_engine`](sim_core::IntoMonoEngine::into_mono_engine).
+    /// The engine is [`plan`]'s. The linear
     /// CPI model reads only misses, so every replay but the sharded one
     /// runs [`Replayer::misses`] (the sliced kernel's miss-count mode).
     ///
@@ -341,7 +343,11 @@ impl FitnessContext {
     /// independence, proven by the shard-affinity model check) — only the
     /// *aggregation* over a subset of sets makes it an estimate of the
     /// full-stream fitness — and it is bit-identical across shard counts.
-    fn weighted_speedup<P: ReplacementPolicy, F: Fn() -> P>(&self, make: F, sampled: bool) -> f64 {
+    fn weighted_speedup<P: ReplacementPolicy + 'static, F: Fn() -> P>(
+        &self,
+        make: F,
+        sampled: bool,
+    ) -> f64 {
         let perf = WindowPerfModel::default();
         let probe = make();
         let mut total_weight = 0.0;
@@ -364,7 +370,8 @@ impl FitnessContext {
             let plan = plan(&probe, &self.geom, shards);
             let misses = match plan.engine {
                 Engine::Sharded => replay_llc_sharded(&ws.sharded, &make, &perf).stats.misses,
-                _ => Replayer::new(&plan, self.geom, &make, &perf).misses(stream, warmup),
+                _ => Replayer::new(&plan, self.geom, || Box::new(make()), &perf)
+                    .misses(stream, warmup),
             };
             let speedup = self.model.speedup(instructions, lru_misses, misses);
             total += speedup * ws.weight;
@@ -481,11 +488,11 @@ impl FitnessContext {
                 let misses = match substrate {
                     Substrate::Plru => {
                         let p = GipprPolicy::new(&geom, ipv.clone()).expect("assoc matches");
-                        Replayer::whole(geom, p, &perf).misses(&ws.stream, ws.warmup)
+                        Replayer::whole(geom, Box::new(p), &perf).misses(&ws.stream, ws.warmup)
                     }
                     Substrate::Lru => {
                         let p = GiplrPolicy::new(&geom, ipv.clone()).expect("assoc matches");
-                        Replayer::whole(geom, p, &perf).misses(&ws.stream, ws.warmup)
+                        Replayer::whole(geom, Box::new(p), &perf).misses(&ws.stream, ws.warmup)
                     }
                 };
                 let speedup = self.model.speedup(ws.instructions, ws.lru_misses, misses);

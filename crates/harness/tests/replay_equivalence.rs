@@ -101,7 +101,13 @@ fn replay_llc_mono_matches_dyn_for_each_policy() {
 
     for ((name, mono), factory) in checks.iter().zip(&dyn_factories) {
         let mono_run = mono();
-        let dyn_run = replay_llc(&stream, geom, factory(&geom), warmup, &perf);
+        // A `Box<dyn ReplacementPolicy>` as `P`: the boxed callbacks.
+        let dyn_run = replay_llc_mono(&stream, geom, factory(&geom), warmup, &perf);
+        assert_eq!(
+            replay_llc(&stream, geom, factory(&geom), warmup, &perf),
+            dyn_run,
+            "{name}: replay_llc and the boxed callbacks must be identical"
+        );
         assert_eq!(
             mono_run, dyn_run,
             "{name}: mono and dyn replay must be identical"
@@ -112,7 +118,7 @@ fn replay_llc_mono_matches_dyn_for_each_policy() {
 
 /// `measure_policy` recomputed through the monomorphized path, for
 /// comparison against the `PolicyFactory` (boxed) path.
-fn measure_mono<P: ReplacementPolicy, F: Fn(&CacheGeometry) -> P>(
+fn measure_mono<P: ReplacementPolicy + 'static, F: Fn(&CacheGeometry) -> P>(
     workload: &WorkloadData,
     make: F,
     geom: CacheGeometry,

@@ -86,7 +86,7 @@ pub fn replay_many_sharded(
         .collect();
     let runs = pool::global().run(units.len(), usize::MAX, |u| {
         let (i, s) = units[u];
-        sharded.replay_shard(s, factories[i](&geom))
+        sharded.replay_shard_on(s, &mut *factories[i](&geom).into_mono_engine(geom))
     });
     let mut shard_runs: Vec<Vec<ShardRun>> = factories.iter().map(|_| Vec::new()).collect();
     for (&(i, _), run) in units.iter().zip(runs) {
@@ -147,7 +147,7 @@ fn merge_shard_runs(
 mod tests {
     use super::*;
     use crate::llc::{replay_llc, replay_llc_mono};
-    use baselines::{DrripPolicy, FifoPolicy, ShipPolicy, TrueLru};
+    use baselines::{AwrpPolicy, DrripPolicy, ShipPolicy, TrueLru};
     use gippr::{DgipprPolicy, GipprPolicy};
     use sim_core::policy::factory;
 
@@ -187,15 +187,15 @@ mod tests {
         let lru = factory(|g| Box::new(TrueLru::new(g)));
         let gippr = factory(|g| Box::new(GipprPolicy::new(g, gippr::vectors::wi_gippr()).unwrap()));
         let drrip = factory(|g| Box::new(DrripPolicy::new(g).unwrap()));
-        // FIFO is set-local with no kernel: the one member the planner
+        // AWRP is set-local with no kernel: the one member the planner
         // shards on a multi-shard routing.
-        let fifo = factory(|g| Box::new(FifoPolicy::new(g)));
+        let awrp = factory(|g| Box::new(AwrpPolicy::new(g)));
         let ship = factory(|g| Box::new(ShipPolicy::new(g)));
         let dgippr = factory(|g| {
             let quad = gippr::vectors::wi_4dgippr().to_vec();
             Box::new(DgipprPolicy::with_config(g, quad, 4, "WI-4-DGIPPR").unwrap())
         });
-        let mixed = [&lru, &gippr, &drrip, &fifo];
+        let mixed = [&lru, &gippr, &drrip, &awrp];
         let all_global = [&drrip, &ship, &dgippr];
 
         for roster in [&mixed[..], &all_global[..]] {

@@ -17,8 +17,9 @@
 //! * [`llc`] — the fast LLC-only replayer with warm-up/measure split
 //!   (paper: first third warms the cache, the rest is measured).
 //! * [`engine`] — the engine planner ([`engine::plan`], in the order
-//!   sliced, sharded, mono) and the streaming [`engine::Replayer`] that
-//!   batch replay, GA fitness and serving sessions all drive; every
+//!   sliced, sharded, mono) and the one streaming [`engine::Replayer`]
+//!   that batch replay, GA fitness and serving sessions share; its mono
+//!   engine is monomorphized for each policy's concrete type, and every
 //!   engine is bit-identical to [`replay_llc`].
 //! * [`batch`] — multi-policy replay on the worker pool: whole-stream
 //!   planned replayers, or (policy × shard) units over a pre-routed

@@ -32,7 +32,9 @@ impl LlcRunResult {
 
 /// Replays `stream` (a captured LLC access stream) into an LLC of `geom`
 /// managed by `policy`. The first `warmup` accesses only warm the cache;
-/// statistics, instructions, and cycles cover the remainder.
+/// statistics, instructions, and cycles cover the remainder. Always the
+/// mono engine, whatever kernel the policy describes: a cache
+/// monomorphized for the boxed policy's concrete type (see [`Replayer`]).
 ///
 /// # Example
 ///
@@ -57,24 +59,24 @@ pub fn replay_llc(
     warmup: usize,
     perf: &WindowPerfModel,
 ) -> LlcRunResult {
-    replay_llc_mono(stream, geom, policy, warmup, perf)
+    Replayer::mono(geom, policy, perf).replay(stream, warmup)
 }
 
-/// Monomorphized replay: identical semantics to [`replay_llc`], but generic
-/// over the policy type so the per-access dispatch, tag scan, and stats
-/// update inline into one loop: with a concrete `P` (e.g. `GipprPolicy`,
-/// `TrueLru`) there is no virtual call per access; passing a
-/// `Box<dyn ReplacementPolicy>` recovers the dynamic behaviour exactly (it
-/// is how [`replay_llc`] is implemented). A whole-stream pass of the mono
-/// [`Replayer`].
-pub fn replay_llc_mono<P: ReplacementPolicy>(
+/// [`replay_llc`] for a policy passed by its own type: identical
+/// semantics, on the same mono engine, a `SetAssocCache<P>` whose
+/// per-access dispatch, tag scan and stats update inline into one loop.
+/// With a concrete `P` (e.g. `GipprPolicy`, `TrueLru`) no callback is a
+/// virtual call. Passing a `Box<dyn ReplacementPolicy>` as `P` steps the
+/// boxed callbacks, one virtual call each: the dynamic-dispatch path,
+/// kept as an independent check of the concrete one.
+pub fn replay_llc_mono<P: ReplacementPolicy + 'static>(
     stream: &[Access],
     geom: CacheGeometry,
     policy: P,
     warmup: usize,
     perf: &WindowPerfModel,
 ) -> LlcRunResult {
-    Replayer::mono(geom, policy, perf).replay(stream, warmup)
+    Replayer::mono(geom, Box::new(policy), perf).replay(stream, warmup)
 }
 
 /// The conventional warm-up split used across the harness: the paper warms

@@ -106,9 +106,11 @@ pub struct AccessOutcome {
 ///
 /// The policy type parameter defaults to `Box<dyn ReplacementPolicy>`, so
 /// `SetAssocCache` written without parameters is the dynamically-dispatched
-/// cache used by factory-driven sweeps. Hot paths (the GA fitness loop)
-/// instead instantiate [`SetAssocCache::with_policy`] at a concrete policy
-/// type, monomorphizing every callback into the replay loop.
+/// cache, one virtual call per policy callback. Hot paths instantiate
+/// [`SetAssocCache::with_policy`] at a concrete policy type instead,
+/// monomorphizing every callback into the replay loop; the replay engines
+/// reach that type even from a boxed policy, through
+/// [`IntoMonoEngine`](crate::IntoMonoEngine).
 ///
 /// # Example
 ///
@@ -209,10 +211,8 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
     }
 
     /// [`SetAssocCache::access_fast`] with the set/tag arithmetic already
-    /// done. The sharded replay engine pre-routes each access to its set
-    /// once per *stream* and then drives every policy from the packed
-    /// buckets, so the hot loop must accept pre-split coordinates instead
-    /// of re-deriving them per policy.
+    /// done: the lookup, fill and callback protocol that every replay
+    /// engine reproduces.
     #[inline]
     pub fn access_tagged(&mut self, set: usize, tag: u64, ctx: &AccessContext) -> bool {
         let ways = self.geom.ways();
@@ -386,6 +386,51 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
     /// Total replacement-metadata bits (per-set plus global) for this cache.
     pub fn replacement_bits(&self) -> u64 {
         self.policy.bits_per_set() * self.geom.sets() as u64 + self.policy.global_bits()
+    }
+}
+
+/// The most accesses one [`MonoEngine::feed_chunk`] call takes: one bit
+/// of the returned hit mask each.
+pub const MONO_CHUNK: usize = 64;
+
+/// A [`SetAssocCache`] behind one virtual call per chunk of accesses,
+/// not per policy callback.
+///
+/// [`IntoMonoEngine::into_mono_engine`](crate::IntoMonoEngine::into_mono_engine)
+/// builds one for the policy's
+/// concrete type, so a factory-built `Box<dyn ReplacementPolicy>` still
+/// replays with every callback inlined into
+/// [`access_fast`](SetAssocCache::access_fast)'s loop.
+pub trait MonoEngine: Send {
+    /// Runs `accesses` (at most [`MONO_CHUNK`] of them) through the
+    /// cache, in order. Bit `i` of the result is set iff `accesses[i]`
+    /// hit.
+    fn feed_chunk(&mut self, accesses: &[crate::access::Access]) -> u64;
+
+    /// Statistics accumulated so far.
+    fn stats(&self) -> &CacheStats;
+
+    /// Zeroes the statistics; contents and policy state stay warm.
+    fn reset_stats(&mut self);
+}
+
+impl<P: ReplacementPolicy> MonoEngine for SetAssocCache<P> {
+    #[inline]
+    fn feed_chunk(&mut self, accesses: &[crate::access::Access]) -> u64 {
+        debug_assert!(accesses.len() <= MONO_CHUNK, "chunk of {}", accesses.len());
+        let mut hits = 0u64;
+        for (i, a) in accesses.iter().enumerate() {
+            hits |= u64::from(self.access_fast(a)) << i;
+        }
+        hits
+    }
+
+    fn stats(&self) -> &CacheStats {
+        &self.stats
+    }
+
+    fn reset_stats(&mut self) {
+        SetAssocCache::reset_stats(self);
     }
 }
 

@@ -16,7 +16,9 @@
 //!   DGIPPR, DRRIP, PDP, …) implement. Policies manage only *way indices*;
 //!   the cache owns tags and validity.
 //! * [`SetAssocCache`] — a set-associative cache that drives a policy and
-//!   collects [`CacheStats`].
+//!   collects [`CacheStats`]. Behind [`MonoEngine`] it takes a chunk of
+//!   accesses per call, and [`IntoMonoEngine`] builds one for a boxed
+//!   policy's concrete type.
 //! * [`dueling`] — the set-dueling framework (leader-set maps, PSEL
 //!   counters, two-way and tournament selection) shared by DIP, DRRIP, and
 //!   DGIPPR.
@@ -68,13 +70,13 @@ pub mod slice;
 pub mod stats;
 
 pub use access::{Access, AccessContext, AccessKind};
-pub use cache::{AccessOutcome, Evicted, SetAssocCache};
+pub use cache::{AccessOutcome, Evicted, MonoEngine, SetAssocCache, MONO_CHUNK};
 pub use dueling::{DuelController, LeaderMap, Psel, Selector, SetRole};
 pub use geometry::{CacheGeometry, GeometryError};
 pub use mattson::StackDistanceProfile;
 pub use overhead::OverheadReport;
 pub use persist::{atomic_write, atomic_write_with};
-pub use policy::{PolicyFactory, ReplacementPolicy, ShardAffinity};
+pub use policy::{IntoMonoEngine, PolicyFactory, ReplacementPolicy, ShardAffinity};
 pub use sample::SampledStream;
 pub use shard::{ShardRun, ShardedStream};
 pub use slice::{kernel_soundness_sweep, Bimodal, KernelSweepReport, SliceKernel, SlicedCache};

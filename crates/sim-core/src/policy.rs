@@ -1,6 +1,7 @@
 //! The replacement-policy interface.
 
 use crate::access::AccessContext;
+use crate::cache::{MonoEngine, SetAssocCache};
 use crate::geometry::CacheGeometry;
 
 /// How a policy's state decomposes across cache sets, which determines
@@ -48,8 +49,9 @@ pub enum ShardAffinity {
 /// `Send` is a supertrait so long-lived engines (e.g. the serving
 /// daemon's per-tenant sessions) can be handed between worker-pool
 /// threads; every policy is a plain data structure, so this costs
-/// implementors nothing.
-pub trait ReplacementPolicy: Send {
+/// implementors nothing. [`IntoMonoEngine`] is a supertrait with a
+/// blanket impl, so every `'static` policy gets it for free.
+pub trait ReplacementPolicy: Send + IntoMonoEngine {
     /// A short human-readable policy name (e.g. `"WN1-4-DGIPPR"`).
     fn name(&self) -> &str;
 
@@ -144,11 +146,35 @@ pub trait ReplacementPolicy: Send {
     }
 }
 
+/// Turns a boxed policy into a [`MonoEngine`] for its concrete type.
+///
+/// The blanket impl covers every `'static` [`ReplacementPolicy`], and as
+/// a supertrait this method sits in the trait object's vtable: called on
+/// a `Box<dyn ReplacementPolicy>`, it reaches the concrete policy's impl
+/// and returns a `SetAssocCache<ConcretePolicy>`, whose per-access loop
+/// inlines every callback. The caller pays one virtual call per chunk
+/// of accesses instead of one per callback, and no factory changes.
+///
+/// Box a concrete policy *once* before calling it: on a
+/// `Box<Box<dyn ReplacementPolicy>>` the blanket impl sees the outer box
+/// as the policy, and the engine steps the boxed callbacks.
+pub trait IntoMonoEngine {
+    /// A cold [`SetAssocCache`] of `geom` driving
+    /// this policy, behind the chunk interface.
+    fn into_mono_engine(self: Box<Self>, geom: CacheGeometry) -> Box<dyn MonoEngine>;
+}
+
+impl<P: ReplacementPolicy + 'static> IntoMonoEngine for P {
+    fn into_mono_engine(self: Box<Self>, geom: CacheGeometry) -> Box<dyn MonoEngine> {
+        Box::new(SetAssocCache::with_policy(geom, *self))
+    }
+}
+
 /// Boxed policies are policies too: this keeps `Box<dyn ReplacementPolicy>`
 /// usable as the default policy parameter of
-/// [`SetAssocCache`](crate::SetAssocCache) while concrete types take the
+/// [`SetAssocCache`] while concrete types take the
 /// monomorphized fast path.
-impl<P: ReplacementPolicy + ?Sized> ReplacementPolicy for Box<P> {
+impl<P: ReplacementPolicy + ?Sized + 'static> ReplacementPolicy for Box<P> {
     #[inline]
     fn name(&self) -> &str {
         (**self).name()

@@ -24,8 +24,8 @@
 //! [`ShardedStream::icount`] let a merge pass replay those bits in exact
 //! global order with one cursor per shard.
 
-use crate::access::{Access, AccessContext};
-use crate::cache::SetAssocCache;
+use crate::access::{Access, AccessKind};
+use crate::cache::{MonoEngine, SetAssocCache, MONO_CHUNK};
 use crate::geometry::CacheGeometry;
 use crate::policy::ReplacementPolicy;
 use crate::stats::CacheStats;
@@ -210,24 +210,37 @@ impl ShardedStream {
     /// warm prefix runs first, statistics reset, then the measured
     /// entries replay while their hit bits are recorded.
     pub fn replay_shard<P: ReplacementPolicy>(&self, shard: usize, policy: P) -> ShardRun {
+        self.replay_shard_on(shard, &mut SetAssocCache::with_policy(self.geom, policy))
+    }
+
+    /// [`replay_shard`](Self::replay_shard) on a cold mono engine of this
+    /// stream's geometry, such as the one a boxed policy builds for its
+    /// concrete type with
+    /// [`into_mono_engine`](crate::IntoMonoEngine::into_mono_engine).
+    /// Entries run in chunks of [`MONO_CHUNK`], the measured ones aligned
+    /// so that each chunk's hit mask is one word of the bitmap.
+    pub fn replay_shard_on(&self, shard: usize, engine: &mut dyn MonoEngine) -> ShardRun {
         let b = &self.buckets[shard];
-        let mut cache = SetAssocCache::with_policy(self.geom, policy);
         let line_shift = self.geom.line_bytes().trailing_zeros();
-
-        for i in 0..b.warm {
-            let (set, tag, ctx) = self.unpack(b, i, line_shift);
-            cache.access_tagged(set, tag, &ctx);
+        let mut chunk = [Access::read(0, 0); MONO_CHUNK];
+        let mut feed = |engine: &mut dyn MonoEngine, from: usize, to: usize| {
+            let n = to - from;
+            for (slot, i) in chunk.iter_mut().zip(from..to) {
+                *slot = self.unpack(b, i, line_shift);
+            }
+            engine.feed_chunk(&chunk[..n])
+        };
+        for from in (0..b.warm).step_by(MONO_CHUNK) {
+            feed(engine, from, (from + MONO_CHUNK).min(b.warm));
         }
-        cache.reset_stats();
-
-        let mut hits = vec![0u64; self.measured_in(shard).div_ceil(64)];
-        for (j, i) in (b.warm..b.blk.len()).enumerate() {
-            let (set, tag, ctx) = self.unpack(b, i, line_shift);
-            hits[j >> 6] |= u64::from(cache.access_tagged(set, tag, &ctx)) << (j & 63);
-        }
-
+        engine.reset_stats();
+        let end = b.blk.len();
+        let hits = (b.warm..end)
+            .step_by(MONO_CHUNK)
+            .map(|from| feed(engine, from, (from + MONO_CHUNK).min(end)))
+            .collect();
         ShardRun {
-            stats: *cache.stats(),
+            stats: *engine.stats(),
             hits,
         }
     }
@@ -246,21 +259,24 @@ impl ShardedStream {
         total
     }
 
+    /// Bucket entry `i` as an access whose context is the one a
+    /// sequential replay passes the policy.
     #[inline]
-    fn unpack(&self, b: &Bucket, i: usize, line_shift: u32) -> (usize, u64, AccessContext) {
+    fn unpack(&self, b: &Bucket, i: usize, line_shift: u32) -> Access {
         let word = b.blk[i];
-        let block = word & !WRITE_FLAG;
-        let set = self.geom.set_of_block(block);
-        let tag = self.geom.tag_of_block(block);
-        let ctx = AccessContext {
-            pc: b.pc[i],
+        Access {
             // Reconstructed from the block address: sub-line bits are
             // gone. Part of the `SetLocal` contract (policies must not
             // read them); `Global` policies never take this path.
-            addr: block << line_shift,
-            is_write: word & WRITE_FLAG != 0,
-        };
-        (set, tag, ctx)
+            addr: (word & !WRITE_FLAG) << line_shift,
+            pc: b.pc[i],
+            kind: if word & WRITE_FLAG != 0 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            },
+            icount_delta: 0,
+        }
     }
 
     /// Iterates a shard's measured hit bits in bucket order (test aid and

@@ -11,10 +11,14 @@
 //!   drained, and TCP pushes back on the client: explicit end-to-end
 //!   backpressure with O(bound) memory;
 //! * a **replayer** that owns the tenant's [`Session`], fans batches
-//!   across the worker pool, cuts deltas into the bounded
-//!   [`SharedOutbox`], and writes periodic snapshots. When it falls
+//!   over its share of the worker pool, cuts deltas into the bounded
+//!   [`SharedOutbox`], and writes periodic snapshots. The share is the
+//!   pool's executor budget divided among the replayers inside a replay
+//!   step right now, rounded up: a lone tenant uses every core, and with
+//!   as many busy tenants as cores each feeds its engines on its own
+//!   thread, with no pool job or straggler wait. When it falls
 //!   behind, it merges the frames already queued into one ingest (one
-//!   pool fan-out): **ingest batching**, which stops at a change of frame
+//!   fan-out): **ingest batching**, which stops at a change of frame
 //!   kind and at the next delta or snapshot boundary, so every delta and
 //!   snapshot is cut exactly where frame-by-frame replay would cut it;
 //! * a **writer** that drains the outbox onto the socket. A slow client
@@ -48,7 +52,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -276,6 +280,9 @@ struct Shared {
     next_session: AtomicU64,
     shutdown: AtomicBool,
     started: Instant,
+    /// Replay loops inside a replay step right now: each step fans its
+    /// session over [`fan_width`] of the pool for this count.
+    busy: AtomicUsize,
 }
 
 impl Shared {
@@ -453,6 +460,7 @@ impl Server {
             next_session: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
+            busy: AtomicUsize::new(0),
         });
 
         let accept = {
@@ -851,7 +859,7 @@ fn open_session(
 }
 
 /// Ingest batching: merges the frames already waiting in `rx` into
-/// `first`, so one [`Session::ingest`] (one worker-pool fan-out) replays
+/// `first`, so one [`Session::ingest`] (one fan-out) replays
 /// them all. Merging stops at a change of frame kind, never takes a
 /// `Finish` or a `KvBatch` bound for an address session (each of those is
 /// handled alone), and stops at the frame that reaches `room` accesses,
@@ -906,9 +914,19 @@ fn replay_loop(
         }
         let (msg, next) = batch_ingest(first, &rx, room, session.config().kv_mode);
         held = next;
+        let busy = shared.busy.fetch_add(1, Ordering::SeqCst) + 1;
+        let width = fan_width(sim_core::pool::global().cap(), busy);
         let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            replay_step(&mut session, msg, &outbox, &shared, &mut last_snapshot_at)
+            replay_step(
+                &mut session,
+                msg,
+                &outbox,
+                &shared,
+                &mut last_snapshot_at,
+                width,
+            )
         }));
+        shared.busy.fetch_sub(1, Ordering::SeqCst);
         if step.is_err() {
             panicked = true;
             break;
@@ -925,15 +943,26 @@ fn replay_loop(
     outbox.close();
 }
 
+/// The fan-out width of one replay step while `busy` sessions (this one
+/// included) are inside a step: an even share of the pool's `cap`
+/// executor slots, rounded up, and at least 1. One busy session fans over
+/// the whole pool; `cap` or more each replay on their own thread.
+fn fan_width(cap: usize, busy: usize) -> usize {
+    cap.div_ceil(busy.max(1)).max(1)
+}
+
+/// One merged ingest message: replays it over `width` threads, cuts
+/// the delta it owes and writes a periodic snapshot when one is due.
 fn replay_step(
     session: &mut Session,
     msg: Ingest,
     outbox: &SharedOutbox,
     shared: &Shared,
     last_snapshot_at: &mut u64,
+    width: usize,
 ) {
     let delta = match msg {
-        Ingest::Batch(batch) => session.ingest(&batch),
+        Ingest::Batch(batch) => session.ingest_at(&batch, width),
         Ingest::Kv(ops) => {
             if !session.config().kv_mode {
                 outbox.push_control(ServerFrame::Error {
@@ -942,7 +971,7 @@ fn replay_step(
                 });
                 return;
             }
-            session.ingest_kv(&ops)
+            session.ingest_kv_at(&ops, width)
         }
         Ingest::Finish => {
             let delta = session.cut_delta();
@@ -1019,6 +1048,22 @@ mod tests {
             Ingest::Kv(ops) => Some(ops.len()),
             Ingest::Finish => None,
         }
+    }
+
+    #[test]
+    fn a_busy_session_fans_over_its_share_of_the_pool() {
+        for cap in [1usize, 2, 3, 8] {
+            // Alone, a session fans over the whole pool ...
+            assert_eq!(fan_width(cap, 1), cap);
+            // ... and with `cap` or more sessions busy, each replays on
+            // its own thread.
+            for busy in cap..cap + 3 {
+                assert_eq!(fan_width(cap, busy), 1, "cap {cap}, busy {busy}");
+            }
+        }
+        // In between, an even share rounded up.
+        assert_eq!(fan_width(8, 3), 3);
+        assert_eq!(fan_width(8, 2), 4);
     }
 
     #[test]

@@ -3,10 +3,14 @@
 //!
 //! A session owns one streaming [`Replayer`] per roster policy, on the
 //! engine [`mem_model::plan`] picks for a whole-stream pass (the packed
-//! kernels for LRU, PseudoLRU and SRRIP), and feeds every ingested batch
-//! through all of them, fanned across the global worker pool (each policy
-//! is an independent deterministic machine, so parallel fan-out is
-//! bit-identical to a sequential loop). Cumulative stats are cut into
+//! kernels for LRU, PseudoLRU, FIFO, SRRIP and the duels; a mono engine
+//! monomorphized for the policy's type otherwise), and feeds every
+//! ingested batch through all of them. [`Session::ingest`] fans them
+//! across the global worker pool; the server gives each busy session its
+//! share of the pool, and at a share of one thread the engines run in a
+//! plain loop on the session's own thread, with no pool job. Each policy
+//! is an independent deterministic machine, so any fan-out is
+//! bit-identical to a sequential loop. Cumulative stats are cut into
 //! [`Delta`]s every `delta_every` accesses.
 //!
 //! # Snapshot model: journal replay
@@ -42,7 +46,7 @@
 //!
 //! [`Session::ingest`] takes a batch of any length and cuts at most one
 //! delta, at its end. The server merges queued frames into one call (one
-//! pool fan-out), stopping at the frame that reaches
+//! fan-out), stopping at the frame that reaches
 //! [`Session::until_delta`], so the cuts land where frame-by-frame
 //! ingest would put them.
 
@@ -336,15 +340,28 @@ impl Session {
         (self.last_delta_at + self.config.delta_every).saturating_sub(self.ingested())
     }
 
-    /// Runs `batch` through every engine and appends it to the journal.
-    fn apply(&mut self, batch: &[Access]) {
+    /// Runs `batch` through every engine and appends it to the journal,
+    /// on at most `width` threads. At width 1 (or on a one-slot pool) the
+    /// engines run in a plain loop on this thread; otherwise they fan
+    /// across the worker pool as one labeled batch.
+    fn apply(&mut self, batch: &[Access], width: usize) {
         if batch.is_empty() {
             return;
         }
         self.instructions += batch.iter().map(|a| u64::from(a.icount_delta)).sum::<u64>();
         self.journal.extend_from_slice(batch);
+        let pool = pool::global();
+        if width.min(pool.cap()) <= 1 {
+            for engine in &mut self.engines {
+                engine
+                    .get_mut()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .feed(batch);
+            }
+            return;
+        }
         let engines = &self.engines;
-        pool::global().run_labeled(engines.len(), engines.len(), "serve", |i| {
+        pool.run_labeled(engines.len(), width, "serve", |i| {
             engines[i]
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
@@ -353,9 +370,15 @@ impl Session {
     }
 
     /// Ingests a batch of raw accesses; returns a delta when the
-    /// `delta_every` boundary was crossed.
+    /// `delta_every` boundary was crossed. The engines fan across the
+    /// whole worker pool.
     pub fn ingest(&mut self, batch: &[Access]) -> Option<Delta> {
-        self.apply(batch);
+        self.ingest_at(batch, usize::MAX)
+    }
+
+    /// [`Session::ingest`] on at most `width` threads.
+    pub(crate) fn ingest_at(&mut self, batch: &[Access], width: usize) -> Option<Delta> {
+        self.apply(batch, width);
         if self.ingested() - self.last_delta_at >= self.config.delta_every {
             Some(self.cut_delta())
         } else {
@@ -365,9 +388,14 @@ impl Session {
 
     /// Ingests a KV-mode batch (keys lowered to line addresses).
     pub fn ingest_kv(&mut self, ops: &[KvOp]) -> Option<Delta> {
+        self.ingest_kv_at(ops, usize::MAX)
+    }
+
+    /// [`Session::ingest_kv`] on at most `width` threads.
+    pub(crate) fn ingest_kv_at(&mut self, ops: &[KvOp], width: usize) -> Option<Delta> {
         let line = u64::from(self.config.geometry.line_bytes);
         let batch: Vec<Access> = ops.iter().map(|op| kv::op_to_access(op, line)).collect();
-        self.ingest(&batch)
+        self.ingest_at(&batch, width)
     }
 
     /// The cumulative stats as they stand, without cutting a delta.
@@ -507,7 +535,7 @@ impl Session {
 
         let mut session = Session::new(&tenant, spec, kv_mode, delta_every, &roster, registry)
             .map_err(SnapshotError::Session)?;
-        session.apply(&journal);
+        session.apply(&journal, usize::MAX);
         // The resumed session owes no delta for the replayed prefix; the
         // next delta covers post-resume traffic and continues the stored
         // sequence numbering.
@@ -729,31 +757,69 @@ mod tests {
         assert!(matches!(err, SessionError::PolicyConstruction(_)), "{err}");
     }
 
+    /// `accesses` as KV operations, one key per line address.
+    fn kv_ops(accesses: &[Access]) -> Vec<KvOp> {
+        accesses
+            .iter()
+            .map(|a| KvOp {
+                write: a.kind == AccessKind::Write,
+                key: format!("k{}", a.addr / 64),
+            })
+            .collect()
+    }
+
+    /// Feeds `accesses` in 50-access frames at fan-out `width`, on an
+    /// address or a KV session; returns every delta, the final cut last.
+    fn deltas_at(width: usize, kv_mode: bool, accesses: &[Access]) -> Vec<Delta> {
+        let reg = default_roster();
+        let mut s = Session::new("t", spec(), kv_mode, 100, &[], &reg).unwrap();
+        let ops = kv_ops(accesses);
+        let mut deltas = Vec::new();
+        for (chunk, ops) in accesses.chunks(50).zip(ops.chunks(50)) {
+            deltas.extend(if kv_mode {
+                s.ingest_kv_at(ops, width)
+            } else {
+                s.ingest_at(chunk, width)
+            });
+        }
+        deltas.push(s.cut_delta());
+        deltas
+    }
+
     #[test]
     fn deltas_cut_on_boundary_and_match_reference() {
         let reg = default_roster();
-        let mut s = Session::new("t", spec(), false, 100, &[], &reg).unwrap();
         let accesses = stream(250, 7);
-        let mut deltas = Vec::new();
-        for chunk in accesses.chunks(50) {
-            if let Some(d) = s.ingest(chunk) {
-                deltas.push(d);
-            }
-        }
-        // 250 accesses at delta_every=100: deltas after 100 and 200.
-        assert_eq!(deltas.len(), 2);
-        assert_eq!(deltas[0].seq, 0);
-        assert_eq!((deltas[0].covered_from, deltas[0].covered_to), (0, 100));
-        assert_eq!((deltas[1].covered_from, deltas[1].covered_to), (100, 200));
+        for kv_mode in [false, true] {
+            // Width 1 is the per-session loop, full width the pool fan-out.
+            let deltas = deltas_at(usize::MAX, kv_mode, &accesses);
+            assert_eq!(
+                deltas,
+                deltas_at(1, kv_mode, &accesses),
+                "kv {kv_mode}: width 1 and full width must cut identical deltas"
+            );
+            // 250 accesses at delta_every=100: deltas after 100 and 200,
+            // then the final cut.
+            assert_eq!(deltas.len(), 3);
+            assert_eq!(deltas[0].seq, 0);
+            assert_eq!((deltas[0].covered_from, deltas[0].covered_to), (0, 100));
+            assert_eq!((deltas[1].covered_from, deltas[1].covered_to), (100, 200));
+            assert_eq!(deltas[2].covered_to, 250);
 
-        let final_delta = s.cut_delta();
-        assert_eq!(final_delta.covered_to, 250);
-        let reference = reference_delta(&accesses, &[], &reg, spec()).unwrap();
-        assert_eq!(
-            canonical_stats(&final_delta),
-            canonical_stats(&reference),
-            "pooled fan-out must equal the sequential reference"
-        );
+            let line = u64::from(spec().line_bytes);
+            let lowered: Vec<Access> = if kv_mode {
+                let ops = kv_ops(&accesses);
+                ops.iter().map(|op| kv::op_to_access(op, line)).collect()
+            } else {
+                accesses.clone()
+            };
+            let reference = reference_delta(&lowered, &[], &reg, spec()).unwrap();
+            assert_eq!(
+                canonical_stats(&deltas[2]),
+                canonical_stats(&reference),
+                "kv {kv_mode}: the fan-out must equal the sequential reference"
+            );
+        }
     }
 
     #[test]
@@ -761,9 +827,8 @@ mod tests {
         let reg = default_roster();
         let s = Session::new("t", spec(), false, 100, &[], &reg).unwrap();
         for (name, eng) in s.config().roster.iter().zip(&s.engines) {
-            let sliced = eng.lock().unwrap().is_sliced();
-            // FIFO is the one member without a slice kernel.
-            assert_eq!(sliced, name != "FIFO", "{name}");
+            // Every default-roster member, FIFO included, has a kernel.
+            assert!(eng.lock().unwrap().is_sliced(), "{name}");
         }
     }
 

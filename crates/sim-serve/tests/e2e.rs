@@ -410,11 +410,30 @@ fn idle_connection_expires_but_session_survives() {
     let died = c.try_recv().is_err();
     assert!(died, "idle connection should be shut down by the server");
 
-    // The tenant is not lost: a resume picks the session back up.
-    let mut c = Client::connect(&server);
-    match c.hello("tenant-idle", true, false, 0) {
-        ServerFrame::HelloAck { resumed, .. } => assert_eq!(resumed, 40),
-        other => panic!("{other:?}"),
+    // The tenant is not lost: a resume picks the session back up. The
+    // client can see the severed socket before the server has parked the
+    // session, so a resume may meet `SessionBusy` first; retry until the
+    // server releases it.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let mut c = Client::connect(&server);
+        match c.hello("tenant-idle", true, false, 0) {
+            ServerFrame::HelloAck { resumed, .. } => {
+                assert_eq!(resumed, 40);
+                break;
+            }
+            ServerFrame::Error {
+                code: ErrorCode::SessionBusy,
+                ..
+            } => {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "session never detached"
+                );
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            other => panic!("{other:?}"),
+        }
     }
     server.shutdown();
 }

@@ -5,7 +5,11 @@
 //! an address session must still get its own `Protocol` error.
 //!
 //! This is its own test binary: the stall targets the pool label that
-//! every session fan-out shares, so it must not slow unrelated tests.
+//! every session fan-out shares, so it must not slow unrelated tests. A
+//! lone session fans over the whole pool, so the stall fires on any host
+//! with at least two cores; on one core the session feeds its engines on
+//! its own thread, nothing stalls, and the test checks only the cuts and
+//! the final stats.
 
 use sim_core::{Access, AccessKind};
 use sim_serve::protocol::{

@@ -33,7 +33,7 @@ fn sliced_replay_matches_mono_for_qualifying_roster() {
         .into_iter()
         .filter(|p| (p.optimized)(&geom).slice_kernel().is_some())
         .collect();
-    // LRU, PseudoLRU, SRRIP, GIPPR, GIPLR, RRIP-IPV, plus the duel
+    // LRU, FIFO, PseudoLRU, SRRIP, GIPPR, GIPLR, RRIP-IPV, plus the duel
     // kernels of DIP, DRRIP, 2-DGIPPR and 4-DGIPPR.
     let names: Vec<&str> = qualifying.iter().map(|p| p.name).collect();
     for duel in ["dip", "drrip", "dgippr2", "dgippr4"] {
@@ -42,8 +42,9 @@ fn sliced_replay_matches_mono_for_qualifying_roster() {
             "{duel} must run on a duel kernel: {names:?}"
         );
     }
+    assert!(names.contains(&"fifo"), "FIFO runs on a stack kernel");
     assert!(
-        qualifying.len() >= 10,
+        qualifying.len() >= 11,
         "expected the set-local and duel kernel roster, got {names:?}"
     );
 

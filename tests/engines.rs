@@ -87,7 +87,7 @@ fn planner_sends_each_roster_member_to_its_engine() {
             for (name, f) in harness_roster() {
                 let p = plan(&*f(&geom), &geom, shards);
                 let (engine_ok, reason) = match name {
-                    "LRU" | "PseudoLRU" | "SRRIP" | "WI-GIPPR" => (
+                    "LRU" | "PseudoLRU" | "FIFO" | "SRRIP" | "WI-GIPPR" => (
                         matches!(p.engine, Engine::Sliced(_)),
                         "slice kernel supports the geometry",
                     ),
@@ -96,11 +96,11 @@ fn planner_sends_each_roster_member_to_its_engine() {
                         matches!(p.engine, Engine::Sliced(SliceKernel::Duel { .. })),
                         "slice kernel supports the geometry",
                     ),
-                    "FIFO" | "AWRP" if shards == 1 => (
+                    "AWRP" if shards == 1 => (
                         p.engine == Engine::Mono,
                         "set-local without a kernel, one shard",
                     ),
-                    "FIFO" | "AWRP" => (p.engine == Engine::Sharded, "set-local without a kernel"),
+                    "AWRP" => (p.engine == Engine::Sharded, "set-local without a kernel"),
                     "Random" | "PDP" | "SHiP" | "EHC" | "ARC" => {
                         (p.engine == Engine::Mono, "global affinity")
                     }
