@@ -52,7 +52,9 @@ impl ReplacementPolicy for RandomPolicy {
     }
 
     fn victim(&mut self, _set: usize, _ctx: &AccessContext) -> usize {
-        (self.next() % self.ways as u64) as usize
+        // `CacheGeometry` admits only power-of-two associativities, so the
+        // mask draws exactly what `% ways` would, without a divide.
+        (self.next() & (self.ways as u64 - 1)) as usize
     }
 
     fn on_hit(&mut self, _set: usize, _way: usize, _ctx: &AccessContext) {}
@@ -110,6 +112,19 @@ mod tests {
                 a.victim(0, &AccessContext::blank()),
                 b.victim(0, &AccessContext::blank())
             );
+        }
+    }
+
+    #[test]
+    fn masked_draw_equals_the_modulo_draw() {
+        for ways in [1usize, 2, 4, 8, 16, 32] {
+            let g = CacheGeometry::from_sets(4, ways, 64).unwrap();
+            let mut p = RandomPolicy::with_seed(&g, 7);
+            let mut twin = p.clone();
+            for _ in 0..1000 {
+                let want = (twin.next() % ways as u64) as usize;
+                assert_eq!(p.victim(0, &AccessContext::blank()), want, "ways={ways}");
+            }
         }
     }
 

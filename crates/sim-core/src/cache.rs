@@ -20,17 +20,15 @@ pub(crate) const LINE_DIRTY: u64 = 1 << 63;
 pub(crate) const LINE_TAG_MASK: u64 = LINE_VALID - 1;
 
 /// One branchless pass over a set's packed line words, the tag scan of
-/// both engines ([`SetAssocCache`] and the bit-sliced
-/// [`SlicedCache`](crate::SlicedCache)): `(match_mask, valid_mask)` with
-/// bit `way` set iff that way holds `tag` (whatever its dirty bit) / holds
-/// a valid line.
+/// [`SetAssocCache`]: `(match_mask, valid_mask)` with bit `way` set iff
+/// that way holds `tag` (whatever its dirty bit) / holds a valid line.
+/// (The bit-sliced [`SlicedCache`](crate::SlicedCache) builds the match
+/// mask alone: its valid lines form a prefix of each set, so one load
+/// answers whether a set is full.)
 ///
 /// A plain OR-reduction with no early exit: with `-C target-cpu=native`
-/// LLVM lowers it to wide loads, packed compares and a movemask, and
-/// under the sliced engine's literal way count the loop unrolls
-/// completely. A hand-chunked 4-lane form measured within noise of this
-/// loop in the sliced step (PLRU, LRU, GIPPR, DGIPPR) and 15–25 % slower
-/// in the mono engine, so there is only this one.
+/// LLVM lowers it to wide loads, packed compares and a movemask. A
+/// hand-chunked 4-lane form measured 15–25 % slower in the mono engine.
 #[inline(always)]
 pub(crate) fn scan_set(words: impl Iterator<Item = u64>, tag: u64) -> (u64, u64) {
     let want = tag | LINE_VALID;
@@ -201,20 +199,15 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
     /// replayed LLC miss nobody consumes the displaced block's address,
     /// and reconstructing it costs a shift/or per miss in the hottest
     /// loop of the simulator.
+    ///
+    /// Its lookup, fill and callback order is the protocol the bit-sliced
+    /// engine's full mode reproduces.
     #[inline]
     pub fn access_fast(&mut self, access: &crate::access::Access) -> bool {
         let block_addr = self.geom.block_of(access.addr);
-        let ctx = access.context();
+        let ctx = &access.context();
         let set = self.geom.set_of_block(block_addr);
         let tag = self.geom.tag_of_block(block_addr);
-        self.access_tagged(set, tag, &ctx)
-    }
-
-    /// [`SetAssocCache::access_fast`] with the set/tag arithmetic already
-    /// done: the lookup, fill and callback protocol that every replay
-    /// engine reproduces.
-    #[inline]
-    pub fn access_tagged(&mut self, set: usize, tag: u64, ctx: &AccessContext) -> bool {
         let ways = self.geom.ways();
         let base = set * ways;
         self.stats.accesses += 1;

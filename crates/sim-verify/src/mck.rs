@@ -149,7 +149,7 @@ pub struct StepOutcome {
 
 /// A [`sim_lint::PolicyState`] adapter wrapping one real
 /// [`ReplacementPolicy`] behind a miniature cache model that mirrors the
-/// exact `SetAssocCache::access_tagged` callback protocol: hit scan, then
+/// exact `SetAssocCache::access_fast` callback protocol: hit scan, then
 /// `on_hit`; or `on_miss`, bypass check, fill-the-first-invalid-way,
 /// otherwise `victim` (checked for totality) plus `on_evict`, then
 /// `on_fill`. The input alphabet is a fixed roster of block addresses
