@@ -20,32 +20,46 @@ use sim_core::{AccessContext, CacheGeometry, ReplacementPolicy};
 /// Fixed-point scale for the adaptation target `p` (per-set T1 ways).
 const P_SCALE: u64 = 16;
 
-/// Per-set ARC bookkeeping: list membership and the recency clock.
-///
-/// Bit `w` of `t1`/`t2` puts way `w` on that resident list; bit `i` of
-/// `b1`/`b2` marks ghost slot `i` of that list valid.
+/// A set's four lists, by index: the resident lists T1 and T2 (way
+/// indices), then the ghost lists B1 and B2 (ghost slots).
+const T1: usize = 0;
+const T2: usize = 1;
+const B1: usize = 2;
+const B2: usize = 3;
+
+/// The widest associativity whose lists fit one nibble per entry in a
+/// `u64`.
+const NIBBLE_WAYS: usize = 16;
+/// `0x1` in every nibble of a `u64`.
+const NIBBLE_ONES: u64 = u64::MAX / 0xf;
+
+/// One set's lists, one cache line: each list's membership mask (bit `w`
+/// of T1/T2 puts way `w` on it, bit `i` of B1/B2 marks ghost slot `i`
+/// valid; the population is the list's length) and, up to
+/// [`NIBBLE_WAYS`] ways, its order, MRU first, one nibble per entry from
+/// the low end. Nibbles past a list's length are stale.
 #[derive(Debug, Clone, Copy, Default)]
-struct SetState {
-    t1: u64,
-    t2: u64,
-    b1: u64,
-    b2: u64,
-    /// Every touch and every ghost insert takes the next value, so the
-    /// stamps of one list order its members MRU → LRU.
-    clock: u64,
+#[repr(align(64))]
+struct SetLists {
+    order: [u64; 4],
+    members: [u64; 4],
 }
 
 /// ARC with per-set lists and one global adaptation target.
 ///
-/// Each list is a membership mask over fixed slots, ordered by recency
-/// stamps from a per-set clock instead of by position: T1 and T2 are masks
-/// over the set's ways, and B1 and B2 each own `ways` ghost slots holding
-/// a block address and a stamp. The victim is the stamp-min of the chosen
-/// list, a ghost lookup is one compare mask, and a ghost insert takes a
-/// free slot or, when the list is full, its oldest — so nothing is ever
-/// shifted. Stamps are packed above the way index in the victim key; the
-/// clock rises by at most two per access to the set, so the key cannot
-/// overflow before 2^57 accesses to one set, which no replay reaches.
+/// Each set keeps its four lists in order, MRU first: T1 and T2 list way
+/// indices, B1 and B2 list ghost slots (each ghost list owns `ways`
+/// slots holding a block address). So the victim is the chosen list's
+/// last entry and a list's oldest ghost is its last slot; a touch is a
+/// remove plus a push-front, and a ghost insert takes a free slot or,
+/// when the list is full, its tail. A ghost lookup is one compare mask
+/// per ghost list, masked with its valid slots.
+///
+/// Up to 16 ways a list is one `u64` of nibbles, and all four lists of a
+/// set share one cache line with their masks: a push-front is a 4-bit
+/// shift, a remove a masked shift of the nibbles above the entry, and
+/// finding an entry a SWAR zero-nibble test. Wider sets keep their
+/// orders as byte lists, shifted with `copy_within`.
 ///
 /// The policy keeps its own copy of each line's block address (written
 /// in `on_fill` from the access context) because the eviction callback
@@ -54,21 +68,33 @@ struct SetState {
 pub struct ArcPolicy {
     geom: CacheGeometry,
     ways: usize,
-    /// log2(ways): the victim key keeps the slot index below this bit.
-    way_bits: u32,
-    sets: Vec<SetState>,
-    /// Per line: the stamp of its last touch and its block address.
-    stamp: Vec<u64>,
+    sets: Vec<SetLists>,
+    /// Past [`NIBBLE_WAYS`] ways, each set's four orders as `ways` bytes
+    /// each, MRU first; empty otherwise.
+    wide: Vec<u8>,
+    /// Per line: its block address.
     blocks: Vec<u64>,
     /// Per set, `2 * ways` ghost slots: B1's first, then B2's.
     ghost_block: Vec<u64>,
-    ghost_stamp: Vec<u64>,
     /// T1 target in [`P_SCALE`]-ths of a way, in `0..=ways * P_SCALE`.
     p: u64,
     /// Set in `on_miss` on a ghost hit; routes the following fill to T2.
     fill_to_t2: bool,
     /// Seeded-defect switch: skip the upper clamp when growing `p`.
     poison_p_clamp: bool,
+}
+
+/// `$p.$method::<WIDE>(..)` with `WIDE` iff `$p` keeps byte lists: one
+/// branch per callback, and every list operation below it monomorphized
+/// for its layout.
+macro_rules! by_layout {
+    ($p:ident . $method:ident ( $($arg:expr),* )) => {
+        if $p.wide.is_empty() {
+            $p.$method::<false>($($arg),*)
+        } else {
+            $p.$method::<true>($($arg),*)
+        }
+    };
 }
 
 /// Mask of the slots in `slots` that hold `block`.
@@ -80,45 +106,35 @@ fn match_mask(slots: &[u64], block: u64) -> u64 {
         .fold(0, |m, (i, &b)| m | (u64::from(b == block) << i))
 }
 
-/// The member of `mask` with the smallest stamp: the list's LRU end.
-#[inline]
-fn oldest(stamps: &[u64], mask: u64, way_bits: u32) -> usize {
-    let key = stamps
-        .iter()
-        .enumerate()
-        .map(|(i, &st)| {
-            // All ones unless slot `i` is a member: no branch per slot.
-            let absent = (mask >> i & 1).wrapping_sub(1);
-            (st << way_bits) | i as u64 | absent
-        })
-        .fold(u64::MAX, u64::min);
-    (key & ((1 << way_bits) - 1)) as usize
-}
-
-/// The members of `mask` ordered MRU first (descending stamp).
-fn by_recency(stamps: &[u64], mask: u64) -> Vec<usize> {
-    let mut members: Vec<usize> = (0..stamps.len()).filter(|&i| mask >> i & 1 != 0).collect();
-    members.sort_unstable_by_key(|&i| std::cmp::Reverse(stamps[i]));
-    members
-}
-
 impl ArcPolicy {
     /// Creates ARC for `geom`.
     pub fn new(geom: &CacheGeometry) -> Self {
         let lines = geom.sets() * geom.ways();
+        let wide = if geom.ways() > NIBBLE_WAYS {
+            4 * lines
+        } else {
+            0
+        };
         ArcPolicy {
             geom: *geom,
             ways: geom.ways(),
-            way_bits: geom.ways().trailing_zeros(),
-            sets: vec![SetState::default(); geom.sets()],
-            stamp: vec![0; lines],
+            sets: vec![SetLists::default(); geom.sets()],
+            wide: vec![0; wide],
             blocks: vec![0; lines],
             ghost_block: vec![0; 2 * lines],
-            ghost_stamp: vec![0; 2 * lines],
             p: 0,
             fill_to_t2: false,
             poison_p_clamp: false,
         }
+    }
+
+    /// ARC for `geom` with byte lists whatever the width, so tests can
+    /// hold the nibble lists against them.
+    #[cfg(test)]
+    fn with_byte_lists(geom: &CacheGeometry) -> Self {
+        let mut p = ArcPolicy::new(geom);
+        p.wide = vec![0; 4 * geom.sets() * geom.ways()];
+        p
     }
 
     /// The current T1 target in ways (diagnostic aid; truncating).
@@ -136,25 +152,175 @@ impl ArcPolicy {
         self.poison_p_clamp = true;
     }
 
+    /// Length of list `k` of `set`.
+    #[inline]
+    fn len(&self, set: usize, k: usize) -> usize {
+        self.sets[set].members[k].count_ones() as usize
+    }
+
+    /// Entry `i` of list `k` of `set`; `WIDE` iff the policy keeps byte
+    /// lists.
+    #[inline]
+    fn entry<const WIDE: bool>(&self, set: usize, k: usize, i: usize) -> usize {
+        if WIDE {
+            usize::from(self.wide[(4 * set + k) * self.ways + i])
+        } else {
+            (self.sets[set].order[k] >> (4 * i) & 0xf) as usize
+        }
+    }
+
+    /// Drops member `x` from list `k` of `set`, closing the gap.
+    #[inline]
+    fn unlink<const WIDE: bool>(&mut self, set: usize, k: usize, x: usize) {
+        if WIDE {
+            let n = self.len(set, k);
+            let order = &mut self.wide[(4 * set + k) * self.ways..][..n];
+            let pos = order
+                .iter()
+                .position(|&e| usize::from(e) == x)
+                .expect("a list member is in its order");
+            order.copy_within(pos + 1.., pos);
+        } else {
+            // The lowest flag of the zero-nibble test is always exact, and
+            // the live entry comes before any stale copy of `x`.
+            let w = self.sets[set].order[k];
+            let t = w ^ (NIBBLE_ONES * x as u64);
+            let flags = t.wrapping_sub(NIBBLE_ONES) & !t & (NIBBLE_ONES << 3);
+            let keep = (1u64 << (flags.trailing_zeros() & !3)) - 1;
+            self.sets[set].order[k] = (w & keep) | (w >> 4 & !keep);
+        }
+        self.sets[set].members[k] &= !(1 << x);
+    }
+
+    /// Makes non-member `x` the MRU entry of list `k` of `set`, which must
+    /// have room.
+    #[inline]
+    fn push_front<const WIDE: bool>(&mut self, set: usize, k: usize, x: usize) {
+        if WIDE {
+            let n = self.len(set, k);
+            let order = &mut self.wide[(4 * set + k) * self.ways..][..=n];
+            order.copy_within(..n, 1);
+            order[0] = x as u8;
+        } else {
+            self.sets[set].order[k] = self.sets[set].order[k] << 4 | x as u64;
+        }
+        self.sets[set].members[k] |= 1 << x;
+    }
+
+    /// The resident list way `way` of `set` is on, if any.
+    #[inline]
+    fn resident_on(&self, set: usize, way: usize) -> Option<usize> {
+        let [t1, t2, ..] = self.sets[set].members;
+        ((t1 | t2) >> way & 1 != 0).then_some(if t2 >> way & 1 != 0 { T2 } else { T1 })
+    }
+
+    /// List `k` of `set`, MRU first.
+    fn list(&self, set: usize, k: usize) -> Vec<usize> {
+        (0..self.len(set, k))
+            .map(|i| by_layout!(self.entry(set, k, i)))
+            .collect()
+    }
+
     /// A set's resident list (`t2` false: T1), MRU first.
     fn resident_list(&self, set: usize, t2: bool) -> Vec<usize> {
-        let s = &self.sets[set];
-        let base = set * self.ways;
-        by_recency(
-            &self.stamp[base..base + self.ways],
-            if t2 { s.t2 } else { s.t1 },
-        )
+        self.list(set, if t2 { T2 } else { T1 })
     }
 
     /// A set's ghost list (`b2` false: B1) as block addresses, MRU first.
     fn ghost_list(&self, set: usize, b2: bool) -> Vec<u64> {
-        let s = &self.sets[set];
         let base = (2 * set + usize::from(b2)) * self.ways;
-        let slots = base..base + self.ways;
-        by_recency(&self.ghost_stamp[slots], if b2 { s.b2 } else { s.b1 })
+        self.list(set, if b2 { B2 } else { B1 })
             .into_iter()
             .map(|i| self.ghost_block[base + i])
             .collect()
+    }
+}
+
+/// The callbacks, written once for both list layouts: `WIDE` iff the
+/// policy keeps byte lists.
+impl ArcPolicy {
+    #[inline]
+    fn victim_in<const WIDE: bool>(&mut self, set: usize) -> usize {
+        // REPLACE: shed T1 while it holds more than the target share (or
+        // T2 has nothing to give); otherwise shed T2. Victims come from
+        // each list's LRU end.
+        let (n1, n2) = (self.len(set, T1), self.len(set, T2));
+        let from_t1 = n1 != 0 && (n2 == 0 || n1 as u64 * P_SCALE > self.p);
+        let (k, n) = if from_t1 { (T1, n1) } else { (T2, n2) };
+        assert!(n != 0, "victim asked of a set with no residents");
+        self.entry::<WIDE>(set, k, n - 1)
+    }
+
+    #[inline]
+    fn on_hit_in<const WIDE: bool>(&mut self, set: usize, way: usize) {
+        // Any reuse promotes to T2's MRU position.
+        if let Some(k) = self.resident_on(set, way) {
+            self.unlink::<WIDE>(set, k, way);
+        }
+        self.push_front::<WIDE>(set, T2, way);
+    }
+
+    #[inline]
+    fn on_miss_in<const WIDE: bool>(&mut self, set: usize, ctx: &AccessContext) {
+        let block = self.geom.block_of(ctx.addr);
+        let ways = self.ways;
+        let base = 2 * set * ways;
+        let ghosts = &self.ghost_block[base..base + 2 * ways];
+        let [.., b1, b2] = self.sets[set].members;
+        // A block sits in at most one ghost slot: it is ghosted only on
+        // eviction, and the miss that refills it drops its ghost.
+        let in_b1 = match_mask(&ghosts[..ways], block) & b1;
+        let in_b2 = match_mask(&ghosts[ways..], block) & b2;
+        if in_b1 != 0 {
+            // Recency ghost hit: T1 was too small — grow the target.
+            self.unlink::<WIDE>(set, B1, in_b1.trailing_zeros() as usize);
+            let step = (self.len(set, B2) / self.len(set, B1).max(1)).max(1) as u64;
+            self.p = if self.poison_p_clamp {
+                self.p + step * P_SCALE
+            } else {
+                (self.p + step * P_SCALE).min(ways as u64 * P_SCALE)
+            };
+            self.fill_to_t2 = true;
+        } else if in_b2 != 0 {
+            // Frequency ghost hit: T2 was too small — shrink the target.
+            self.unlink::<WIDE>(set, B2, in_b2.trailing_zeros() as usize);
+            let step = (self.len(set, B1) / self.len(set, B2).max(1)).max(1) as u64;
+            self.p = self.p.saturating_sub(step * P_SCALE);
+            self.fill_to_t2 = true;
+        } else {
+            self.fill_to_t2 = false;
+        }
+    }
+
+    #[inline]
+    fn on_evict_in<const WIDE: bool>(&mut self, set: usize, way: usize) {
+        let ways = self.ways;
+        // T1 members and (defensively) untracked ways ghost into B1.
+        let from = self.resident_on(set, way);
+        if let Some(k) = from {
+            self.unlink::<WIDE>(set, k, way);
+        }
+        let ghost = if from == Some(T2) { B2 } else { B1 };
+        // A free slot if the list has one, else its oldest.
+        let slot = if self.len(set, ghost) < ways {
+            (!self.sets[set].members[ghost]).trailing_zeros() as usize
+        } else {
+            let oldest = self.entry::<WIDE>(set, ghost, ways - 1);
+            self.sets[set].members[ghost] &= !(1 << oldest);
+            oldest
+        };
+        self.push_front::<WIDE>(set, ghost, slot);
+        self.ghost_block[(2 * set + ghost - B1) * ways + slot] = self.blocks[set * ways + way];
+    }
+
+    #[inline]
+    fn on_fill_in<const WIDE: bool>(&mut self, set: usize, way: usize, ctx: &AccessContext) {
+        self.blocks[set * self.ways + way] = self.geom.block_of(ctx.addr);
+        let to_t2 = std::mem::take(&mut self.fill_to_t2);
+        if let Some(k) = self.resident_on(set, way) {
+            self.unlink::<WIDE>(set, k, way);
+        }
+        self.push_front::<WIDE>(set, if to_t2 { T2 } else { T1 }, way);
     }
 }
 
@@ -165,100 +331,27 @@ impl ReplacementPolicy for ArcPolicy {
 
     #[inline]
     fn victim(&mut self, set: usize, _ctx: &AccessContext) -> usize {
-        let s = &self.sets[set];
-        // REPLACE: shed T1 while it holds more than the target share (or
-        // T2 has nothing to give); otherwise shed T2. Victims come from
-        // each list's LRU end.
-        let from_t1 = s.t1 != 0 && (s.t2 == 0 || u64::from(s.t1.count_ones()) * P_SCALE > self.p);
-        let list = if from_t1 { s.t1 } else { s.t2 };
-        assert!(list != 0, "victim asked of a set with no residents");
-        let base = set * self.ways;
-        oldest(&self.stamp[base..base + self.ways], list, self.way_bits)
+        by_layout!(self.victim_in(set))
     }
 
     #[inline]
     fn on_hit(&mut self, set: usize, way: usize, _ctx: &AccessContext) {
-        // Any reuse promotes to T2's MRU position.
-        let s = &mut self.sets[set];
-        s.t1 &= !(1 << way);
-        s.t2 |= 1 << way;
-        s.clock += 1;
-        self.stamp[set * self.ways + way] = s.clock;
+        by_layout!(self.on_hit_in(set, way))
     }
 
     #[inline]
     fn on_miss(&mut self, set: usize, ctx: &AccessContext) {
-        let block = self.geom.block_of(ctx.addr);
-        let base = 2 * set * self.ways;
-        let ghosts = &self.ghost_block[base..base + 2 * self.ways];
-        let s = &mut self.sets[set];
-        // A block sits in at most one ghost slot: it is ghosted only on
-        // eviction, and the miss that refills it drops its ghost.
-        let in_b1 = match_mask(&ghosts[..self.ways], block) & s.b1;
-        let in_b2 = match_mask(&ghosts[self.ways..], block) & s.b2;
-        if in_b1 != 0 {
-            // Recency ghost hit: T1 was too small — grow the target.
-            s.b1 &= !in_b1;
-            let step = u64::from(s.b2.count_ones() / s.b1.count_ones().max(1)).max(1);
-            self.p = if self.poison_p_clamp {
-                self.p + step * P_SCALE
-            } else {
-                (self.p + step * P_SCALE).min(self.ways as u64 * P_SCALE)
-            };
-            self.fill_to_t2 = true;
-        } else if in_b2 != 0 {
-            // Frequency ghost hit: T2 was too small — shrink the target.
-            s.b2 &= !in_b2;
-            let step = u64::from(s.b1.count_ones() / s.b2.count_ones().max(1)).max(1);
-            self.p = self.p.saturating_sub(step * P_SCALE);
-            self.fill_to_t2 = true;
-        } else {
-            self.fill_to_t2 = false;
-        }
+        by_layout!(self.on_miss_in(set, ctx))
     }
 
     #[inline]
     fn on_evict(&mut self, set: usize, way: usize) {
-        let s = &mut self.sets[set];
-        let bit = 1 << way;
-        // T1 members and (defensively) untracked ways ghost into B1.
-        let to_b2 = s.t2 & bit != 0;
-        s.t1 &= !bit;
-        s.t2 &= !bit;
-        let valid = if to_b2 { &mut s.b2 } else { &mut s.b1 };
-        let base = (2 * set + usize::from(to_b2)) * self.ways;
-        // A free slot if the list has one, else its oldest.
-        let slot = if valid.count_ones() < self.ways as u32 {
-            (!*valid).trailing_zeros() as usize
-        } else {
-            oldest(
-                &self.ghost_stamp[base..base + self.ways],
-                *valid,
-                self.way_bits,
-            )
-        };
-        *valid |= 1 << slot;
-        s.clock += 1;
-        self.ghost_block[base + slot] = self.blocks[set * self.ways + way];
-        self.ghost_stamp[base + slot] = s.clock;
+        by_layout!(self.on_evict_in(set, way))
     }
 
     #[inline]
     fn on_fill(&mut self, set: usize, way: usize, ctx: &AccessContext) {
-        let idx = set * self.ways + way;
-        self.blocks[idx] = self.geom.block_of(ctx.addr);
-        let to_t2 = std::mem::take(&mut self.fill_to_t2);
-        let s = &mut self.sets[set];
-        let bit = 1 << way;
-        s.t1 &= !bit;
-        s.t2 &= !bit;
-        if to_t2 {
-            s.t2 |= bit;
-        } else {
-            s.t1 |= bit;
-        }
-        s.clock += 1;
-        self.stamp[idx] = s.clock;
+        by_layout!(self.on_fill_in(set, way, ctx))
     }
 
     fn bits_per_set(&self) -> u64 {
@@ -285,8 +378,8 @@ impl ReplacementPolicy for ArcPolicy {
         // Resident lists with their block addresses (only resident ways'
         // `blocks` entries are behaviourally live — evicted ways keep a
         // stale copy that the next fill overwrites before any read), then
-        // the ghost lists, each MRU first. Free ghost slots and raw stamps
-        // stay out: only the order they induce is behaviour.
+        // the ghost lists, each MRU first. Ghost slot numbers stay out:
+        // only the lists' contents and order are behaviour.
         for t2 in [false, true] {
             for w in self.resident_list(set, t2) {
                 d.push(w as u8);
@@ -322,35 +415,43 @@ impl ReplacementPolicy for ArcPolicy {
         } else {
             u64::MAX << self.ways
         };
-        for (set, s) in self.sets.iter().enumerate() {
-            if (s.b1 | s.b2) & out_of_range != 0 {
+        for (set, lists) in self.sets.iter().enumerate() {
+            let [t1, t2, b1, b2] = lists.members;
+            if (b1 | b2) & out_of_range != 0 {
                 return Err(format!(
-                    "ARC ghost lists in set {set} exceed capacity {}: B1 {:#x}, B2 {:#x}",
-                    self.ways, s.b1, s.b2
+                    "ARC ghost lists in set {set} exceed capacity {}: B1 {b1:#x}, B2 {b2:#x}",
+                    self.ways
                 ));
             }
-            if (s.t1 | s.t2) & out_of_range != 0 {
+            if (t1 | t2) & out_of_range != 0 {
                 return Err(format!(
                     "ARC resident lists in set {set} name ways beyond {}",
                     self.ways
                 ));
             }
-            if s.t1 & s.t2 != 0 {
+            if t1 & t2 != 0 {
                 return Err(format!(
                     "ARC way {} in set {set} appears on T1/T2 more than once",
-                    (s.t1 & s.t2).trailing_zeros()
+                    (t1 & t2).trailing_zeros()
                 ));
             }
-            let base = set * self.ways;
-            let mut stamps: Vec<u64> = (0..self.ways)
-                .filter(|&w| (s.t1 | s.t2) >> w & 1 != 0)
-                .map(|w| self.stamp[base + w])
-                .collect();
-            stamps.sort_unstable();
-            if stamps.windows(2).any(|p| p[0] == p[1]) || stamps.last() > Some(&s.clock) {
-                return Err(format!(
-                    "ARC recency stamps in set {set} are not distinct past clock values"
-                ));
+            // Each list's order names exactly its members, each once.
+            for (k, name) in ["T1", "T2", "B1", "B2"].into_iter().enumerate() {
+                let mut seen = 0u64;
+                for e in self.list(set, k) {
+                    if e >= self.ways || seen >> e & 1 != 0 {
+                        return Err(format!(
+                            "ARC {name} order in set {set} names entry {e} twice or out of range"
+                        ));
+                    }
+                    seen |= 1 << e;
+                }
+                if seen != lists.members[k] {
+                    return Err(format!(
+                        "ARC {name} order in set {set} lists {seen:#x}, members are {:#x}",
+                        lists.members[k]
+                    ));
+                }
             }
         }
         Ok(())
@@ -539,6 +640,44 @@ mod tests {
         p.on_evict(0, 1);
         assert_eq!(p.ghost_list(0, false), vec![3, 2]);
         p.audit_invariants().unwrap();
+    }
+
+    #[test]
+    fn nibble_lists_equal_byte_lists_step_for_step() {
+        for ways in [1usize, 2, 4, 8, 16] {
+            let g = geom(4, ways);
+            let mut nibbles = SetAssocCache::with_policy(g, ArcPolicy::new(&g));
+            let mut bytes = SetAssocCache::with_policy(g, ArcPolicy::with_byte_lists(&g));
+            assert!(nibbles.policy().wide.is_empty() && !bytes.policy().wide.is_empty());
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            for step in 0..4000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // A few hot blocks and a wider cold range: hits, ghost
+                // hits on both lists, and full ghost lists.
+                let blk = if x % 3 == 0 {
+                    x % 12
+                } else {
+                    x % (12 * ways as u64)
+                };
+                let hit = nibbles.access_block(blk, &rd(blk));
+                assert_eq!(
+                    hit,
+                    bytes.access_block(blk, &rd(blk)),
+                    "{ways} ways, step {step}"
+                );
+                let set = g.set_of_block(blk);
+                let (a, b) = (nibbles.policy(), bytes.policy());
+                assert_eq!(
+                    a.audit_set_digest(set),
+                    b.audit_set_digest(set),
+                    "{ways} ways, step {step}"
+                );
+                assert_eq!(a.audit_global_digest(), b.audit_global_digest());
+                a.audit_invariants().unwrap();
+            }
+        }
     }
 
     #[test]

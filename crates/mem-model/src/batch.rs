@@ -4,8 +4,9 @@
 //! [`replay_llc`](crate::replay_llc): every policy is planned for a
 //! whole-stream pass ([`plan`] with one shard) and its [`Replayer`] runs
 //! as one pool task, so the batch never pays for a routing pre-pass.
-//! Results come back in factory order, bit identical to replaying each
-//! policy sequentially.
+//! The pool takes the tasks in [`dispatch_order`] (mono plans first),
+//! and results come back in factory order, bit identical to replaying
+//! each policy sequentially.
 //!
 //! [`replay_many_sharded`] is the pre-routed entry: the caller routes a
 //! stream once by set index ([`ShardedStream`]) and every policy the
@@ -30,17 +31,22 @@
 //! for the engine order.
 
 use crate::cpi::{PerfAccumulator, WindowPerfModel};
-use crate::engine::{plan, Engine, Plan, Replayer};
+use crate::engine::{dispatch_order, plan, Engine, Plan, Replayer};
 use crate::llc::LlcRunResult;
 use sim_core::pool;
 use sim_core::shard::ShardRun;
 use sim_core::{Access, CacheGeometry, PolicyFactory, ReplacementPolicy, ShardedStream};
+use std::sync::Mutex;
 
 /// Replays `stream` under every policy in `factories`, one planned
 /// whole-stream [`Replayer`] per policy fanned across the worker pool,
 /// returning results in factory order. Semantics (warm-up split,
 /// statistics, instructions, cycles) are exactly those of calling
 /// [`replay_llc`] once per factory.
+///
+/// Each factory's instance is planned once and that instance is the one
+/// replayed. The pool takes the plans in [`dispatch_order`]: mono plans
+/// first, the long replays, so the short sliced ones fill in behind them.
 ///
 /// To shard set-local policies without a kernel, route the stream with
 /// [`ShardedStream`] and call [`replay_many_sharded`].
@@ -53,9 +59,24 @@ pub fn replay_many(
     warmup: usize,
     perf: &WindowPerfModel,
 ) -> Vec<LlcRunResult> {
-    pool::global().run(factories.len(), usize::MAX, |i| {
-        Replayer::whole(geom, factories[i](&geom), perf).replay(stream, warmup)
-    })
+    let policies: Vec<Box<dyn ReplacementPolicy>> = factories.iter().map(|f| f(&geom)).collect();
+    let plans: Vec<Plan> = policies.iter().map(|p| plan(&**p, &geom, 1)).collect();
+    let sliced: Vec<bool> = plans
+        .iter()
+        .map(|p| matches!(p.engine, Engine::Sliced(_)))
+        .collect();
+    let order = dispatch_order(&sliced);
+    let policies: Vec<Mutex<Option<Box<dyn ReplacementPolicy>>>> =
+        policies.into_iter().map(|p| Mutex::new(Some(p))).collect();
+    let runs = pool::global().run(order.len(), usize::MAX, |k| {
+        let i = order[k];
+        let policy = policies[i].lock().unwrap().take();
+        let make = || policy.expect("each policy replays once");
+        Replayer::new(&plans[i], geom, make, perf).replay(stream, warmup)
+    });
+    let mut results: Vec<(usize, LlcRunResult)> = order.into_iter().zip(runs).collect();
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, run)| run).collect()
 }
 
 /// [`replay_many`] over a pre-routed stream: each policy takes the
@@ -147,7 +168,7 @@ fn merge_shard_runs(
 mod tests {
     use super::*;
     use crate::llc::{replay_llc, replay_llc_mono};
-    use baselines::{AwrpPolicy, DrripPolicy, ShipPolicy, TrueLru};
+    use baselines::{ArcPolicy, AwrpPolicy, DrripPolicy, ShipPolicy, TrueLru};
     use gippr::{DgipprPolicy, GipprPolicy};
     use sim_core::policy::factory;
 
@@ -195,10 +216,20 @@ mod tests {
             let quad = gippr::vectors::wi_4dgippr().to_vec();
             Box::new(DgipprPolicy::with_config(g, quad, 4, "WI-4-DGIPPR").unwrap())
         });
+        let arc = factory(|g| Box::new(ArcPolicy::new(g)));
         let mixed = [&lru, &gippr, &drrip, &awrp];
         let all_global = [&drrip, &ship, &dgippr];
+        // Mono and sliced members alternate, so the pool's mono-first
+        // order differs from factory order.
+        let interleaved = [&ship, &lru, &awrp, &gippr, &arc, &drrip];
+        let sliced: Vec<bool> = interleaved
+            .iter()
+            .map(|f| matches!(plan(&*f(&g), &g, 1).engine, Engine::Sliced(_)))
+            .collect();
+        assert_eq!(sliced, [false, true, false, true, false, true]);
+        assert_eq!(dispatch_order(&sliced), [0, 2, 4, 1, 3, 5]);
 
-        for roster in [&mixed[..], &all_global[..]] {
+        for roster in [&mixed[..], &all_global[..], &interleaved[..]] {
             // The whole-stream entry …
             let batched = replay_many(&stream, g, roster, warmup, &perf);
             for (f, b) in roster.iter().zip(&batched) {

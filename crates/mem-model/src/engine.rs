@@ -22,6 +22,10 @@
 //! decides speed. Its `reason` says why, so a fallback is a testable
 //! fact rather than a silent slowdown.
 //!
+//! [`dispatch_order`] is the one rule for the order a roster fan-out
+//! hands its replays to the worker pool: mono plans first, the long
+//! ones, then sliced, each group in roster order.
+//!
 //! [`Replayer`] is the streaming side, one non-generic type for every
 //! engine: `feed` any chunking of a stream,
 //! [`reset_stats`](Replayer::reset_stats) at the warm-up boundary, then
@@ -98,6 +102,17 @@ pub fn plan<P: ReplacementPolicy + ?Sized>(
         (None, true) => "set-local without a kernel, one shard",
     };
     Plan { engine, reason }
+}
+
+/// The order a fan-out hands a roster's replays to the worker pool,
+/// given which of them run sliced (`sliced[i]`): every mono replay, then
+/// every sliced one, each group in roster order. A mono step costs
+/// several kernel steps, so starting the long replays first keeps the
+/// pool's last worker from picking one up while the others idle. The
+/// order reads only the planned engines, never a policy or workload name.
+pub fn dispatch_order(sliced: &[bool]) -> Vec<usize> {
+    let group = |want: bool| (0..sliced.len()).filter(move |&i| sliced[i] == want);
+    group(false).chain(group(true)).collect()
 }
 
 enum Core {

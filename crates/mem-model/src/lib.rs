@@ -43,7 +43,7 @@ pub mod optimal;
 
 pub use batch::{replay_llc_sharded, replay_many, replay_many_sharded};
 pub use cpi::{LinearCpiModel, WindowPerfModel};
-pub use engine::{plan, replay_llc_sliced, Engine, Plan, Replayer};
+pub use engine::{dispatch_order, plan, replay_llc_sliced, Engine, Plan, Replayer};
 pub use hierarchy::{
     capture_llc_stream, capture_llc_stream_into, Hierarchy, HierarchyConfig, LineSizeMismatch,
     ServiceLevel,

@@ -20,8 +20,10 @@ pub(crate) const LINE_DIRTY: u64 = 1 << 63;
 pub(crate) const LINE_TAG_MASK: u64 = LINE_VALID - 1;
 
 /// One branchless pass over a set's packed line words, the tag scan of
-/// [`SetAssocCache`]: `(match_mask, valid_mask)` with bit `way` set iff
-/// that way holds `tag` (whatever its dirty bit) / holds a valid line.
+/// [`SetAssocCache`]'s one access body: `(match_mask, valid_mask)` with
+/// bit `way` set iff that way holds `tag` (whatever its dirty bit) /
+/// holds a valid line. The mono engine's chunk loop passes a literal
+/// associativity, so the scan unrolls fully at 2, 4, 8 and 16 ways.
 /// (The bit-sliced [`SlicedCache`](crate::SlicedCache) builds the match
 /// mask alone: its valid lines form a prefix of each set, so one load
 /// answers whether a set is full.)
@@ -39,6 +41,85 @@ pub(crate) fn scan_set(words: impl Iterator<Item = u64>, tag: u64) -> (u64, u64)
         valid_mask |= u64::from(word & LINE_VALID != 0) << way;
     }
     (match_mask, valid_mask)
+}
+
+/// What one pass of [`access_body`] did.
+#[derive(Clone, Copy)]
+enum Step {
+    Hit,
+    /// A miss the policy chose not to fill.
+    Bypassed,
+    /// A miss that filled; the line it displaced (invalid when the fill
+    /// took an empty way).
+    Filled(Line),
+}
+
+/// The per-access protocol of every [`SetAssocCache`] entry point, over
+/// split borrows so a caller can keep `stats` in a local copy (the chunk
+/// loop does; a counter bumped through `&mut self` is reloaded and stored
+/// around every inlined policy callback). `ways` is `geom.ways()`, passed
+/// as a literal where the caller dispatched on it, so the tag scan
+/// unrolls fully.
+///
+/// One branchless pass over the set builds a match mask and a valid mask
+/// (wide compares, no early exit); `trailing_zeros` then yields the hit
+/// way and the first invalid way. Tags are unique within a set, so at
+/// most one bit matches. A miss prefers an invalid way and otherwise asks
+/// the policy for a victim.
+#[inline(always)]
+fn access_body<P: ReplacementPolicy>(
+    ways: usize,
+    geom: &CacheGeometry,
+    lines: &mut [Line],
+    policy: &mut P,
+    stats: &mut CacheStats,
+    block_addr: u64,
+    ctx: &AccessContext,
+) -> Step {
+    let set = geom.set_of_block(block_addr);
+    let tag = geom.tag_of_block(block_addr);
+    let base = set * ways;
+    let lines = &mut lines[base..base + ways];
+    stats.accesses += 1;
+
+    let (match_mask, valid_mask) = scan_set(lines.iter().map(|l| l.0), tag);
+
+    if match_mask != 0 {
+        let way = match_mask.trailing_zeros() as usize;
+        lines[way].set_dirty(ctx.is_write);
+        stats.hits += 1;
+        policy.on_hit(set, way, ctx);
+        return Step::Hit;
+    }
+
+    stats.misses += 1;
+    policy.on_miss(set, ctx);
+    if policy.should_bypass(set, ctx) {
+        stats.bypasses += 1;
+        return Step::Bypassed;
+    }
+
+    let first_invalid = (!valid_mask).trailing_zeros() as usize;
+    let (fill_way, old) = if first_invalid < ways {
+        (first_invalid, Line::default())
+    } else {
+        let w = policy.victim(set, ctx);
+        assert!(
+            w < ways,
+            "policy {} returned way {w} >= {ways}",
+            policy.name()
+        );
+        let old = lines[w];
+        stats.evictions += 1;
+        if old.dirty() {
+            stats.writebacks += 1;
+        }
+        policy.on_evict(set, w);
+        (w, old)
+    };
+    lines[fill_way] = Line::new(tag, ctx.is_write);
+    policy.on_fill(set, fill_way, ctx);
+    Step::Filled(old)
 }
 
 impl Line {
@@ -200,135 +281,53 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
     /// and reconstructing it costs a shift/or per miss in the hottest
     /// loop of the simulator.
     ///
-    /// Its lookup, fill and callback order is the protocol the bit-sliced
+    /// It runs the one access body the mono engine's chunk loop runs, and
+    /// its lookup, fill and callback order is the protocol the bit-sliced
     /// engine's full mode reproduces.
     #[inline]
     pub fn access_fast(&mut self, access: &crate::access::Access) -> bool {
-        let block_addr = self.geom.block_of(access.addr);
-        let ctx = &access.context();
-        let set = self.geom.set_of_block(block_addr);
-        let tag = self.geom.tag_of_block(block_addr);
-        let ways = self.geom.ways();
-        let base = set * ways;
-        self.stats.accesses += 1;
-
-        let (match_mask, valid_mask) =
-            scan_set(self.lines[base..base + ways].iter().map(|l| l.0), tag);
-
-        if match_mask != 0 {
-            let way = match_mask.trailing_zeros() as usize;
-            self.lines[base + way].set_dirty(ctx.is_write);
-            self.stats.hits += 1;
-            self.policy.on_hit(set, way, ctx);
-            return true;
-        }
-
-        self.stats.misses += 1;
-        self.policy.on_miss(set, ctx);
-        if self.policy.should_bypass(set, ctx) {
-            self.stats.bypasses += 1;
-            return false;
-        }
-
-        let first_invalid = (!valid_mask).trailing_zeros() as usize;
-        let fill_way = if first_invalid < ways {
-            first_invalid
-        } else {
-            let w = self.policy.victim(set, ctx);
-            assert!(
-                w < ways,
-                "policy {} returned way {w} >= {ways}",
-                self.policy.name()
-            );
-            self.stats.evictions += 1;
-            if self.lines[base + w].dirty() {
-                self.stats.writebacks += 1;
-            }
-            self.policy.on_evict(set, w);
-            w
-        };
-        self.lines[base + fill_way] = Line::new(tag, ctx.is_write);
-        self.policy.on_fill(set, fill_way, ctx);
-        false
+        let SetAssocCache {
+            geom,
+            lines,
+            policy,
+            stats,
+        } = self;
+        let block = geom.block_of(access.addr);
+        let step = access_body(
+            geom.ways(),
+            geom,
+            lines,
+            policy,
+            stats,
+            block,
+            &access.context(),
+        );
+        matches!(step, Step::Hit)
     }
 
     /// Looks up `block_addr`, filling on miss. `ctx` is forwarded to the
     /// policy callbacks.
     #[inline]
     pub fn access_block(&mut self, block_addr: u64, ctx: &AccessContext) -> AccessOutcome {
-        let set = self.geom.set_of_block(block_addr);
-        let tag = self.geom.tag_of_block(block_addr);
-        let ways = self.geom.ways();
-        let base = set * ways;
-        self.stats.accesses += 1;
-
-        // One branchless pass over the set builds a match mask and a valid
-        // mask (wide compares, no early exit); `trailing_zeros` then yields
-        // the hit way and the first invalid way. Tags are unique within a
-        // set, so at most one bit matches.
-        let (match_mask, valid_mask) =
-            scan_set(self.lines[base..base + ways].iter().map(|l| l.0), tag);
-
-        if match_mask != 0 {
-            let way = match_mask.trailing_zeros() as usize;
-            self.lines[base + way].set_dirty(ctx.is_write);
-            self.stats.hits += 1;
-            self.policy.on_hit(set, way, ctx);
-            return AccessOutcome {
-                hit: true,
-                evicted: None,
-                bypassed: false,
-            };
-        }
-        let invalid = match (!valid_mask).trailing_zeros() as usize {
-            w if w < ways => w,
-            _ => usize::MAX,
+        let SetAssocCache {
+            geom,
+            lines,
+            policy,
+            stats,
+        } = self;
+        let step = access_body(geom.ways(), geom, lines, policy, stats, block_addr, ctx);
+        let set = geom.set_of_block(block_addr);
+        let evicted = |old: Line| Evicted {
+            block_addr: geom.block_from_parts(set, old.tag()),
+            dirty: old.dirty(),
         };
-
-        // Miss path.
-        self.stats.misses += 1;
-        self.policy.on_miss(set, ctx);
-        if self.policy.should_bypass(set, ctx) {
-            self.stats.bypasses += 1;
-            return AccessOutcome {
-                hit: false,
-                evicted: None,
-                bypassed: true,
-            };
-        }
-
-        // Prefer an invalid way; otherwise ask the policy for a victim.
-        let (fill_way, evicted) = match (invalid != usize::MAX).then_some(invalid) {
-            Some(w) => (w, None),
-            None => {
-                let w = self.policy.victim(set, ctx);
-                assert!(
-                    w < ways,
-                    "policy {} returned way {w} >= {ways}",
-                    self.policy.name()
-                );
-                let old = self.lines[base + w];
-                self.stats.evictions += 1;
-                if old.dirty() {
-                    self.stats.writebacks += 1;
-                }
-                self.policy.on_evict(set, w);
-                (
-                    w,
-                    Some(Evicted {
-                        block_addr: self.geom.block_from_parts(set, old.tag()),
-                        dirty: old.dirty(),
-                    }),
-                )
-            }
-        };
-
-        self.lines[base + fill_way] = Line::new(tag, ctx.is_write);
-        self.policy.on_fill(set, fill_way, ctx);
         AccessOutcome {
-            hit: false,
-            evicted,
-            bypassed: false,
+            hit: matches!(step, Step::Hit),
+            evicted: match step {
+                Step::Filled(old) => old.valid().then(|| evicted(old)),
+                Step::Hit | Step::Bypassed => None,
+            },
+            bypassed: matches!(step, Step::Bypassed),
         }
     }
 
@@ -392,8 +391,10 @@ pub const MONO_CHUNK: usize = 64;
 /// [`IntoMonoEngine::into_mono_engine`](crate::IntoMonoEngine::into_mono_engine)
 /// builds one for the policy's
 /// concrete type, so a factory-built `Box<dyn ReplacementPolicy>` still
-/// replays with every callback inlined into
-/// [`access_fast`](SetAssocCache::access_fast)'s loop.
+/// replays with every callback inlined into the chunk loop. That loop
+/// runs the access body [`access_fast`](SetAssocCache::access_fast) runs,
+/// with the statistics in a local copy written back once per chunk and
+/// the associativity a literal at 2, 4, 8 and 16 ways.
 pub trait MonoEngine: Send {
     /// Runs `accesses` (at most [`MONO_CHUNK`] of them) through the
     /// cache, in order. Bit `i` of the result is set iff `accesses[i]`
@@ -407,14 +408,49 @@ pub trait MonoEngine: Send {
     fn reset_stats(&mut self);
 }
 
+/// [`access_body`] over one chunk; bit `i` of the result is set iff
+/// `accesses[i]` hit.
+#[inline(always)]
+fn chunk_loop<P: ReplacementPolicy>(
+    ways: usize,
+    geom: &CacheGeometry,
+    lines: &mut [Line],
+    policy: &mut P,
+    stats: &mut CacheStats,
+    accesses: &[crate::access::Access],
+) -> u64 {
+    let mut hits = 0u64;
+    for (i, a) in accesses.iter().enumerate() {
+        let block = geom.block_of(a.addr);
+        let step = access_body(ways, geom, lines, policy, stats, block, &a.context());
+        hits |= u64::from(matches!(step, Step::Hit)) << i;
+    }
+    hits
+}
+
 impl<P: ReplacementPolicy> MonoEngine for SetAssocCache<P> {
     #[inline]
     fn feed_chunk(&mut self, accesses: &[crate::access::Access]) -> u64 {
         debug_assert!(accesses.len() <= MONO_CHUNK, "chunk of {}", accesses.len());
-        let mut hits = 0u64;
-        for (i, a) in accesses.iter().enumerate() {
-            hits |= u64::from(self.access_fast(a)) << i;
-        }
+        let SetAssocCache {
+            geom,
+            lines,
+            policy,
+            stats,
+        } = self;
+        // A local copy keeps the counters in registers across the inlined
+        // policy callbacks; it is written back once per chunk. Literal
+        // associativities monomorphize the body with a constant `ways`, so
+        // the tag scan unrolls; other widths take the runtime arm.
+        let mut local = *stats;
+        let hits = match geom.ways() {
+            2 => chunk_loop(2, geom, lines, policy, &mut local, accesses),
+            4 => chunk_loop(4, geom, lines, policy, &mut local, accesses),
+            8 => chunk_loop(8, geom, lines, policy, &mut local, accesses),
+            16 => chunk_loop(16, geom, lines, policy, &mut local, accesses),
+            w => chunk_loop(w, geom, lines, policy, &mut local, accesses),
+        };
+        *stats = local;
         hits
     }
 

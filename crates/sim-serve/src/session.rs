@@ -201,6 +201,9 @@ pub struct SessionConfig {
 pub struct Session {
     config: SessionConfig,
     engines: Vec<Mutex<Replayer>>,
+    /// The order the pooled fan-out hands `engines` to the pool
+    /// ([`mem_model::dispatch_order`]: mono engines first).
+    order: Vec<usize>,
     /// Every access ever ingested, in order — the snapshot payload.
     journal: Vec<Access>,
     instructions: u64,
@@ -281,10 +284,13 @@ impl Session {
             requested.to_vec()
         };
         let perf = WindowPerfModel::default();
-        let engines = build_policies(&roster, registry, &geom)?
+        let engines: Vec<Replayer> = build_policies(&roster, registry, &geom)?
             .into_iter()
-            .map(|policy| Mutex::new(Replayer::whole(geom, policy, &perf)))
+            .map(|policy| Replayer::whole(geom, policy, &perf))
             .collect();
+        let sliced: Vec<bool> = engines.iter().map(Replayer::is_sliced).collect();
+        let order = mem_model::dispatch_order(&sliced);
+        let engines = engines.into_iter().map(Mutex::new).collect();
         Ok(Session {
             config: SessionConfig {
                 tenant: tenant.to_string(),
@@ -294,6 +300,7 @@ impl Session {
                 roster,
             },
             engines,
+            order,
             journal: Vec::new(),
             instructions: 0,
             delta_seq: 0,
@@ -343,7 +350,7 @@ impl Session {
     /// Runs `batch` through every engine and appends it to the journal,
     /// on at most `width` threads. At width 1 (or on a one-slot pool) the
     /// engines run in a plain loop on this thread; otherwise they fan
-    /// across the worker pool as one labeled batch.
+    /// across the worker pool as one labeled batch, mono engines first.
     fn apply(&mut self, batch: &[Access], width: usize) {
         if batch.is_empty() {
             return;
@@ -360,9 +367,9 @@ impl Session {
             }
             return;
         }
-        let engines = &self.engines;
-        pool.run_labeled(engines.len(), width, "serve", |i| {
-            engines[i]
+        let (engines, order) = (&self.engines, &self.order);
+        pool.run_labeled(order.len(), width, "serve", |k| {
+            engines[order[k]]
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .feed(batch);
@@ -820,6 +827,57 @@ mod tests {
                 "kv {kv_mode}: the fan-out must equal the sequential reference"
             );
         }
+    }
+
+    #[test]
+    fn mixed_roster_fans_out_mono_first_and_matches_reference() {
+        // A registry that interleaves mono baselines with kernel members,
+        // so the pooled order differs from roster order.
+        use sim_core::policy::factory;
+        let mut reg = default_roster();
+        reg.insert(
+            0,
+            (
+                "SHiP".into(),
+                factory(|g| Box::new(baselines::ShipPolicy::new(g))),
+            ),
+        );
+        reg.insert(
+            2,
+            (
+                "AWRP".into(),
+                factory(|g| Box::new(baselines::AwrpPolicy::new(g))),
+            ),
+        );
+        reg.insert(
+            4,
+            (
+                "ARC".into(),
+                factory(|g| Box::new(baselines::ArcPolicy::new(g))),
+            ),
+        );
+        let accesses = stream(250, 11);
+        let run = |width: usize| {
+            let mut s = Session::new("t", spec(), false, 100, &[], &reg).unwrap();
+            assert_eq!(s.order, [0, 2, 4, 1, 3, 5, 6, 7], "mono engines first");
+            let mut deltas: Vec<Delta> = accesses
+                .chunks(50)
+                .filter_map(|chunk| s.ingest_at(chunk, width))
+                .collect();
+            deltas.push(s.cut_delta());
+            deltas
+        };
+        let pooled = run(usize::MAX);
+        assert_eq!(
+            pooled,
+            run(1),
+            "width 1 and full width must cut identical deltas"
+        );
+        let reference = reference_delta(&accesses, &[], &reg, spec()).unwrap();
+        assert_eq!(
+            canonical_stats(pooled.last().unwrap()),
+            canonical_stats(&reference)
+        );
     }
 
     #[test]

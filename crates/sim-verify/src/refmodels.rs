@@ -16,7 +16,7 @@
 //!   the published policy descriptions.
 //! * [`RefArc`] keeps ARC's four lists as MRU-first `Vec`s and [`RefEhc`]
 //!   keeps EHC's signatures and hit counts in separate arrays, where the
-//!   optimized policies pack both into masks, stamps and words; each emits
+//!   optimized policies pack them into masks, nibble lists and words; each emits
 //!   its twin's audit digest bytes, so the two compare state for state.
 //! * [`RefPlruPolicy`], [`RefGippr`], and [`RefGiplr`] drive the naive
 //!   structures through the [`ReplacementPolicy`] interface.
@@ -768,9 +768,10 @@ impl ArcSetLists {
 /// Reference ARC: per-set T1/T2/B1/B2 as MRU-first `Vec`s, shifted with
 /// `insert(0)` and `remove`, and one cache-global adaptation target.
 ///
-/// [`baselines::ArcPolicy`] keeps the same lists as membership masks and
-/// recency stamps. The audit digests use the same bytes, so the two can
-/// be compared state for state.
+/// [`baselines::ArcPolicy`] keeps the same lists as membership masks
+/// beside packed nibble (or, past 16 ways, byte) orders. The audit
+/// digests use the same bytes, so the two can be compared state for
+/// state.
 #[derive(Debug, Clone)]
 pub struct RefArc {
     geom: CacheGeometry,

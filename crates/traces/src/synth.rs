@@ -399,6 +399,11 @@ impl Iterator for WorkloadGen {
             icount_delta: gap.max(1),
         })
     }
+
+    /// Endless: `take(n).collect()` then sizes its buffer once, for `n`.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (usize::MAX, None)
+    }
 }
 
 #[cfg(test)]
@@ -551,6 +556,16 @@ mod tests {
         assert_eq!(a, b);
         let c: Vec<Access> = spec.generator(6).take(200).collect();
         assert_ne!(a, c, "different variants differ");
+    }
+
+    #[test]
+    fn taken_prefix_collects_in_one_allocation() {
+        // (Below 4 elements `Vec` rounds any first allocation up to 4.)
+        for n in [4usize, 1000, 100_003, 300_000] {
+            let v: Vec<Access> = stream_spec().generator(0).take(n).collect();
+            assert_eq!(v.len(), n);
+            assert!(v.capacity() <= n + 1, "n {n}: capacity {}", v.capacity());
+        }
     }
 
     #[test]
