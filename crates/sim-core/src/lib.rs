@@ -75,7 +75,7 @@ pub use dueling::{DuelController, LeaderMap, Psel, Selector, SetRole};
 pub use geometry::{CacheGeometry, GeometryError};
 pub use mattson::StackDistanceProfile;
 pub use overhead::OverheadReport;
-pub use persist::{atomic_write, atomic_write_with};
+pub use persist::{atomic_write, atomic_write_parts, atomic_write_with};
 pub use policy::{IntoMonoEngine, PolicyFactory, ReplacementPolicy, ShardAffinity};
 pub use sample::SampledStream;
 pub use shard::{ShardRun, ShardedStream};

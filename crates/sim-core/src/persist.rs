@@ -1,8 +1,10 @@
 //! Crash-safe artifact persistence.
 //!
 //! Every artifact the pipeline writes — experiment CSVs, the replay
-//! benchmark JSON, workload-cache spills, GA checkpoints, the run
-//! manifest — goes through [`atomic_write`] / [`atomic_write_with`]:
+//! benchmark JSON, workload-cache spills, GA checkpoints, session
+//! snapshots, the run manifest — goes through one commit path,
+//! [`atomic_write_parts`] (or its one-slice and producer front ends,
+//! [`atomic_write`] and [`atomic_write_with`]):
 //! the payload is staged in a sibling temporary file (`<name>.tmp`),
 //! flushed and fsynced, then renamed over the destination. A crash at any
 //! instant leaves either the old artifact or the new one, never a torn
@@ -36,13 +38,26 @@ pub fn tmp_path(path: &Path) -> PathBuf {
 /// into place. On any error the staging file is removed, so failures
 /// leave the previous artifact intact and no orphan behind.
 ///
-/// The caller's slice is written as it is, without a copy; only an
-/// injected `corrupt` fault, which must alter the bytes, stages a copy.
+/// The caller's slice is written as it is, without a copy. This is
+/// [`atomic_write_parts`] with one part.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors (including injected ones).
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    atomic_write_parts(path, &[bytes])
+}
+
+/// [`atomic_write`] for a payload held in pieces: commits the
+/// concatenation of `parts`, in order, without ever building it. Injected
+/// faults act on that concatenated payload exactly as they act on a
+/// single slice: a torn write keeps a prefix of it and a `corrupt` fault
+/// flips a bit of its middle byte, wherever the part boundaries fall.
+///
+/// # Errors
+///
+/// Propagates filesystem errors (including injected ones).
+pub fn atomic_write_parts(path: &Path, parts: &[&[u8]]) -> io::Result<()> {
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             fs::create_dir_all(dir)?;
@@ -58,7 +73,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     }
 
     let tmp = tmp_path(path);
-    let result = commit(&tmp, path, bytes, fault);
+    let result = commit(&tmp, path, parts, fault);
     if result.is_err() {
         // Failures must not leave staging orphans; the previous artifact
         // at `path` is untouched either way.
@@ -69,9 +84,8 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 
 /// [`atomic_write`] with a streaming producer: `fill` writes the payload
 /// into an in-memory buffer, which is then committed atomically. The
-/// buffer indirection is what makes injected torn/corrupt faults exact
-/// (the fault sees the complete payload), and it keeps `fill` free of
-/// partial-write hazards.
+/// buffer keeps `fill` free of partial-write hazards: a producer error
+/// leaves nothing staged.
 ///
 /// # Errors
 ///
@@ -85,38 +99,32 @@ where
     atomic_write(path, &payload)
 }
 
-/// Stages `payload` at `tmp`, applies any injected fault, and renames it
-/// over `path`.
-fn commit(tmp: &Path, path: &Path, payload: &[u8], fault: sim_fault::WriteFault) -> io::Result<()> {
+/// Stages the concatenated `parts` at `tmp`, applies any injected fault,
+/// and renames the staging file over `path`.
+fn commit(
+    tmp: &Path,
+    path: &Path,
+    parts: &[&[u8]],
+    fault: sim_fault::WriteFault,
+) -> io::Result<()> {
     use sim_fault::WriteFault;
 
-    let mut copy;
-    let (staged, torn) = match fault {
-        WriteFault::Torn(keep) => {
-            let keep = keep.unwrap_or(payload.len() / 2).min(payload.len());
-            (&payload[..keep], true)
-        }
-        WriteFault::Corrupt => {
-            // Flip one mid-payload bit of a copy but commit successfully:
-            // the deterministic stand-in for post-commit corruption, which
-            // only a reader-side CRC can catch.
-            copy = payload.to_vec();
-            let mid = copy.len() / 2;
-            match copy.get_mut(mid) {
-                Some(byte) => *byte ^= 0x40,
-                None => copy.push(0x40),
-            }
-            (copy.as_slice(), false)
-        }
-        _ => (payload, false),
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    let (keep, flip) = match fault {
+        WriteFault::Torn(keep) => (keep.unwrap_or(len / 2).min(len), None),
+        // Flip one mid-payload bit but commit successfully: the
+        // deterministic stand-in for post-commit corruption, which only a
+        // reader-side CRC can catch.
+        WriteFault::Corrupt => (len, Some(len / 2)),
+        _ => (len, None),
     };
 
     {
         let mut file = fs::File::create(tmp)?;
-        file.write_all(staged)?;
+        stage(&mut file, parts, keep, flip)?;
         file.sync_all()?;
     }
-    if torn {
+    if matches!(fault, WriteFault::Torn(_)) {
         // The simulated crash happened mid-write: the staging file holds a
         // truncated payload and the commit never happens. The caller's
         // error path removes the staging file (a real crash would leave it
@@ -136,6 +144,29 @@ fn commit(tmp: &Path, path: &Path, payload: &[u8], fault: sim_fault::WriteFault)
     }
     fs::rename(tmp, path)?;
     sync_dir(path);
+    Ok(())
+}
+
+/// Writes the first `keep` bytes of the concatenated `parts` to `out`,
+/// with bit `0x40` of byte `flip` flipped. A `flip` just past an empty
+/// payload writes the single byte `0x40`: the corruption of nothing.
+fn stage(out: &mut dyn Write, parts: &[&[u8]], keep: usize, flip: Option<usize>) -> io::Result<()> {
+    let mut at = 0;
+    for part in parts {
+        let part = &part[..part.len().min(keep - at)];
+        match flip.and_then(|f| f.checked_sub(at)).filter(|&i| i < part.len()) {
+            Some(i) => {
+                out.write_all(&part[..i])?;
+                out.write_all(&[part[i] ^ 0x40])?;
+                out.write_all(&part[i + 1..])?;
+            }
+            None => out.write_all(part)?,
+        }
+        at += part.len();
+    }
+    if keep == 0 && flip == Some(0) {
+        out.write_all(&[0x40])?;
+    }
     Ok(())
 }
 
@@ -288,9 +319,87 @@ mod tests {
                 (sim_fault::WriteFault::Torn(None), &payload[..5]),
                 (sim_fault::WriteFault::Torn(Some(99)), &payload[..]),
             ] {
-                assert!(commit(&tmp, &path, payload, fault).is_err());
+                assert!(commit(&tmp, &path, &[payload], fault).is_err());
                 assert_eq!(fs::read(&tmp).unwrap(), kept, "{fault:?}");
                 assert_eq!(fs::read(&path).unwrap(), b"old");
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
+
+        /// Every way to cut `payload` into parts: a cut at each chosen
+        /// offset, with an empty part at every cut, so parts begin and end
+        /// on every byte and empty parts sit at both ends and in between.
+        fn splits(payload: &[u8]) -> Vec<Vec<&[u8]>> {
+            (0u32..1 << (payload.len() + 1))
+                .map(|mask| {
+                    let mut parts = Vec::new();
+                    let mut prev = 0;
+                    for at in (0..=payload.len()).filter(|at| mask & (1 << at) != 0) {
+                        parts.push(&payload[prev..at]);
+                        parts.push(&[][..]);
+                        prev = at;
+                    }
+                    parts.push(&payload[prev..]);
+                    parts
+                })
+                .collect()
+        }
+
+        #[test]
+        fn parts_stage_as_their_concatenation_under_every_fault() {
+            for payload in [&b""[..], b"x", b"012345678", b"0123456789"] {
+                let mid = payload.len() / 2;
+                let mut corrupt = payload.to_vec();
+                match corrupt.get_mut(mid) {
+                    Some(byte) => *byte ^= 0x40,
+                    None => corrupt.push(0x40),
+                }
+                for parts in splits(payload) {
+                    let staged = |keep, flip| {
+                        let mut out = Vec::new();
+                        stage(&mut out, &parts, keep, flip).unwrap();
+                        out
+                    };
+                    assert_eq!(staged(payload.len(), None), payload, "{parts:?}");
+                    for keep in 0..=payload.len() {
+                        assert_eq!(staged(keep, None), &payload[..keep], "{parts:?}");
+                    }
+                    assert_eq!(staged(payload.len(), Some(mid)), corrupt, "{parts:?}");
+                }
+            }
+        }
+
+        #[test]
+        fn torn_and_corrupt_parts_commit_as_one_slice_would() {
+            if !sim_fault::COMPILED_IN {
+                return;
+            }
+            let dir = scratch("parts");
+            let path = dir.join("parts.bin");
+            let payload = b"0123456789";
+            let whole: &[&[u8]] = &[payload];
+            // The mid byte (5) opens, closes and sits inside a part; empty
+            // parts border it.
+            let split: [&[&[u8]]; 3] = [
+                &[b"01234", b"", b"56789"],
+                &[b"", b"012345", b"6789", b""],
+                &[b"0123", b"", b"456", b"789"],
+            ];
+            for parts in std::iter::once(whole).chain(split) {
+                atomic_write(&path, b"old").unwrap();
+                for keep in [0, 4, 5, 6, 10] {
+                    sim_fault::with_plan(&format!("torn@parts.bin:keep={keep}"), || {
+                        assert!(atomic_write_parts(&path, parts).is_err());
+                    });
+                    assert_eq!(fs::read(&path).unwrap(), b"old", "{parts:?} keep {keep}");
+                    assert!(!tmp_path(&path).exists());
+                }
+                sim_fault::with_plan("corrupt@parts.bin", || {
+                    atomic_write_parts(&path, parts).unwrap();
+                });
+                assert_eq!(fs::read(&path).unwrap(), b"01234u6789", "{parts:?}");
+                atomic_write_parts(&path, parts).unwrap();
+                assert_eq!(fs::read(&path).unwrap(), payload, "{parts:?}");
             }
             let _ = fs::remove_dir_all(&dir);
         }

@@ -32,20 +32,26 @@ pub fn hash_key(key: &[u8]) -> u64 {
 
 /// Maps a key to its line-aligned address for a cache with `line_bytes`
 /// lines (a power of two, as `CacheGeometry` requires).
-pub fn key_to_addr(key: &str, line_bytes: u64) -> u64 {
-    hash_key(key.as_bytes()) & !(line_bytes - 1)
+pub fn key_to_addr(key: &[u8], line_bytes: u64) -> u64 {
+    hash_key(key) & !(line_bytes - 1)
 }
 
-/// Lowers one KV operation to the access every policy replays: a read for
-/// a get, a write for a put, one instruction per operation.
-pub fn op_to_access(op: &KvOp, line_bytes: u64) -> Access {
-    let addr = key_to_addr(&op.key, line_bytes);
-    let a = if op.write {
+/// Lowers one KV operation, given as its put flag and key bytes, to the
+/// access every policy replays: a read for a get, a write for a put, one
+/// instruction per operation.
+pub fn lower(write: bool, key: &[u8], line_bytes: u64) -> Access {
+    let addr = key_to_addr(key, line_bytes);
+    let a = if write {
         Access::write(addr, 0)
     } else {
         Access::read(addr, 0)
     };
     a.with_icount_delta(1)
+}
+
+/// [`lower`] for a decoded [`KvOp`].
+pub fn op_to_access(op: &KvOp, line_bytes: u64) -> Access {
+    lower(op.write, op.key.as_bytes(), line_bytes)
 }
 
 #[cfg(test)]
@@ -65,11 +71,11 @@ mod tests {
     #[test]
     fn addresses_are_line_aligned_and_stable() {
         for key in ["user:1", "user:2", "session:abc", ""] {
-            let addr = key_to_addr(key, 64);
+            let addr = key_to_addr(key.as_bytes(), 64);
             assert_eq!(addr % 64, 0, "{key}");
-            assert_eq!(addr, key_to_addr(key, 64), "hash must be pure");
+            assert_eq!(addr, key_to_addr(key.as_bytes(), 64), "hash must be pure");
         }
-        assert_ne!(key_to_addr("user:1", 64), key_to_addr("user:2", 64));
+        assert_ne!(key_to_addr(b"user:1", 64), key_to_addr(b"user:2", 64));
     }
 
     #[test]

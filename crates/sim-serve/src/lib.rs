@@ -18,9 +18,9 @@
 //! * **Timeouts** — idle and half-open connections are expired by a
 //!   deterministic deadline wheel ([`wheel`]).
 //! * **Crash safety** — sessions snapshot through
-//!   `persist::atomic_write` with retry-and-backoff; a killed daemon
-//!   resumes every session bit-identically by journal replay
-//!   ([`session`]).
+//!   `persist::atomic_write_parts` with retry-and-backoff, streaming from
+//!   the journal's recycled blocks; a killed daemon resumes every session
+//!   bit-identically by journal replay ([`session`]).
 //! * **Graceful degradation** — persistent snapshot failure downgrades a
 //!   session to ephemeral with a warning frame instead of killing the
 //!   tenant.

@@ -527,6 +527,67 @@ pub fn read_frame(r: &mut dyn Read) -> Result<(u8, Vec<u8>), ProtoError> {
     Ok((kind, payload))
 }
 
+/// Parses a `KvBatch` payload: a `u32` operation count, then per operation
+/// a put flag byte and a `u16`-length key. Hands each operation's flag and
+/// key to `op`, without copying the key, and collects what `op` returns.
+/// This is the one KV record parser: [`ClientFrame::decode`] builds
+/// [`KvOp`]s with it, and the server lowers keys straight to accesses.
+///
+/// # Errors
+///
+/// Typed [`ProtoError`], never a panic: `BadKind` for a flag byte other
+/// than 0 or 1, `BadPayload` for a short payload, a key that is not UTF-8
+/// or trailing bytes.
+pub fn parse_kv_batch<T>(
+    payload: &[u8],
+    mut op: impl FnMut(bool, &str) -> T,
+) -> Result<Vec<T>, ProtoError> {
+    let mut c = Cursor::new(payload);
+    let n = c.u32()? as usize;
+    let mut out = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        let write = match c.u8()? {
+            0 => false,
+            1 => true,
+            other => return Err(ProtoError::BadKind(other)),
+        };
+        let len = c.u16()? as usize;
+        let key = std::str::from_utf8(c.take(len)?)
+            .map_err(|_| ProtoError::BadPayload("invalid utf-8"))?;
+        out.push(op(write, key));
+    }
+    c.finish()?;
+    Ok(out)
+}
+
+/// A client frame as the server's read loop takes it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Inbound {
+    /// Any frame but a `KvBatch`, decoded.
+    Frame(ClientFrame),
+    /// A `KvBatch`, its keys lowered straight to accesses.
+    Kv(Vec<Access>),
+}
+
+/// Reads one client frame, lowering a `KvBatch` to accesses for
+/// `line_bytes` lines ([`kv::lower`](crate::kv::lower)) with no `String`
+/// per key. Every other frame decodes as [`recv_client`] decodes it.
+///
+/// # Errors
+///
+/// Exactly [`recv_client`]'s typed errors for the same bytes.
+pub fn recv_client_lowered(r: &mut dyn Read, line_bytes: u64) -> Result<Inbound, ProtoError> {
+    let (kind, payload) = read_frame(r)?;
+    if kind == K_KV_BATCH {
+        parse_kv_batch(&payload, |write, key| {
+            crate::kv::lower(write, key.as_bytes(), line_bytes)
+        })
+        .map(Inbound::Kv)
+    } else {
+        ClientFrame::decode(kind, &payload).map(Inbound::Frame)
+    }
+}
+
 impl ClientFrame {
     /// Encodes into (kind, payload).
     pub fn encode(&self) -> (u8, Vec<u8>) {
@@ -618,20 +679,11 @@ impl ClientFrame {
                 ClientFrame::Accesses(batch)
             }
             K_KV_BATCH => {
-                let n = c.u32()? as usize;
-                let mut ops = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    let write = match c.u8()? {
-                        0 => false,
-                        1 => true,
-                        other => return Err(ProtoError::BadKind(other)),
-                    };
-                    ops.push(KvOp {
-                        write,
-                        key: c.string()?,
-                    });
-                }
-                ClientFrame::KvBatch(ops)
+                return parse_kv_batch(payload, |write, key| KvOp {
+                    write,
+                    key: key.to_owned(),
+                })
+                .map(ClientFrame::KvBatch);
             }
             K_FINISH => ClientFrame::Finish,
             K_BYE => ClientFrame::Bye,

@@ -41,10 +41,10 @@
 
 use crate::backpressure::SharedOutbox;
 use crate::protocol::{
-    error_code_for, recv_client, send_server, warning, ClientFrame, ErrorCode, Hello,
-    LeaderboardRow, ProtoError, ServerFrame, PROTOCOL_VERSION,
+    error_code_for, recv_client, recv_client_lowered, send_server, warning, ClientFrame,
+    ErrorCode, Hello, Inbound, LeaderboardRow, ProtoError, ServerFrame, PROTOCOL_VERSION,
 };
-use crate::session::{write_snapshot, Roster, Session, SnapshotError};
+use crate::session::{Roster, Session, SnapshotError};
 use sim_core::Access;
 use sim_fault::{ConnFault, ConnOp};
 use std::collections::HashMap;
@@ -318,9 +318,10 @@ impl Shared {
 
     /// Writes `session`'s snapshot with retry; on exhaustion degrades the
     /// session to ephemeral and reports the degradation through `outbox`
-    /// (when a connection is attached to hear it). A state already on
-    /// disk is not written again, so the detach after a `Finish` costs
-    /// nothing.
+    /// (when a connection is attached to hear it). The snapshot streams
+    /// from the session's journal blocks; no copy of the journal is built.
+    /// A state already on disk is not written again, so the detach after
+    /// a `Finish` costs nothing.
     fn snapshot_session(&self, session: &mut Session, outbox: Option<&SharedOutbox>) {
         if session.is_ephemeral() || session.is_persisted() {
             return;
@@ -328,13 +329,7 @@ impl Shared {
         let Some(path) = self.snapshot_path(session.config().tenant.as_str()) else {
             return;
         };
-        let bytes = session.snapshot_bytes();
-        match write_snapshot(
-            &path,
-            &bytes,
-            self.config.backoff,
-            self.config.snapshot_attempts,
-        ) {
+        match session.save_snapshot(&path, self.config.backoff, self.config.snapshot_attempts) {
             Ok(()) => session.mark_persisted(),
             Err(e) => {
                 // Graceful degradation: the tenant keeps streaming, only
@@ -495,9 +490,9 @@ fn restore_sessions(dir: &Path, registry: &Roster, sessions: &mut HashMap<String
         if path.extension().and_then(|e| e.to_str()) != Some("ssn") {
             continue;
         }
-        let restore = std::fs::read(&path)
+        let restore = std::fs::File::open(&path)
             .map_err(|e| SnapshotError::Journal(traces::TraceError::Io(e)))
-            .and_then(|bytes| Session::restore(&bytes, registry));
+            .and_then(|file| Session::restore_from(io::BufReader::new(file), registry));
         match restore {
             Ok(mut session) => {
                 // The file it came from already holds this state.
@@ -617,7 +612,8 @@ fn sweep_loop(shared: Arc<Shared>) {
 /// What the reader hands the replayer through the bounded ingest channel.
 enum Ingest {
     Batch(Vec<Access>),
-    Kv(Vec<crate::protocol::KvOp>),
+    /// A `KvBatch`, lowered by the reader.
+    Kv(Vec<Access>),
     /// Client asked for a flush: final delta + leaderboard + snapshot.
     Finish,
 }
@@ -717,6 +713,7 @@ fn serve_connection(
     });
 
     // --- Replayer --------------------------------------------------------
+    let line_bytes = u64::from(session.config().geometry.line_bytes);
     let (tx, rx): (SyncSender<Ingest>, Receiver<Ingest>) =
         sync_channel(shared.config.ingest_bound.max(1));
     let replayer = {
@@ -728,30 +725,33 @@ fn serve_connection(
     // --- Read loop -------------------------------------------------------
     let mut result = Ok(());
     loop {
-        match recv_client(&mut reader) {
-            Ok(ClientFrame::Accesses(batch)) => {
+        match recv_client_lowered(&mut reader, line_bytes) {
+            Ok(Inbound::Frame(ClientFrame::Accesses(batch))) => {
                 shared.touch(conn_id);
                 if tx.send(Ingest::Batch(batch)).is_err() {
                     break; // replayer gone (panic); connection is over
                 }
             }
-            Ok(ClientFrame::KvBatch(ops)) => {
+            Ok(Inbound::Kv(batch)) => {
                 shared.touch(conn_id);
-                if tx.send(Ingest::Kv(ops)).is_err() {
+                if tx.send(Ingest::Kv(batch)).is_err() {
                     break;
                 }
             }
-            Ok(ClientFrame::Finish) => {
+            Ok(Inbound::Frame(ClientFrame::Finish)) => {
                 shared.touch(conn_id);
                 if tx.send(Ingest::Finish).is_err() {
                     break;
                 }
             }
-            Ok(ClientFrame::Bye) => {
+            Ok(Inbound::Frame(ClientFrame::Bye)) => {
                 outbox.push_control(ServerFrame::Bye);
                 break;
             }
-            Ok(ClientFrame::Hello(_)) => {
+            Ok(Inbound::Frame(ClientFrame::KvBatch(_))) => {
+                unreachable!("recv_client_lowered lowers every KvBatch")
+            }
+            Ok(Inbound::Frame(ClientFrame::Hello(_))) => {
                 outbox.push_control(ServerFrame::Error {
                     code: ErrorCode::Protocol,
                     message: "session already open".into(),
@@ -877,7 +877,7 @@ fn batch_ingest(
     loop {
         let len = match &merged {
             Ingest::Batch(batch) => batch.len(),
-            Ingest::Kv(ops) if kv_session => ops.len(),
+            Ingest::Kv(batch) if kv_session => batch.len(),
             _ => return (merged, None),
         };
         if len as u64 >= room {
@@ -887,8 +887,9 @@ fn batch_ingest(
             return (merged, None);
         };
         match (&mut merged, next) {
-            (Ingest::Batch(batch), Ingest::Batch(more)) => batch.extend_from_slice(&more),
-            (Ingest::Kv(ops), Ingest::Kv(more)) => ops.extend(more),
+            (Ingest::Batch(batch), Ingest::Batch(more)) | (Ingest::Kv(batch), Ingest::Kv(more)) => {
+                batch.extend_from_slice(&more)
+            }
             (_, other) => return (merged, Some(other)),
         }
     }
@@ -963,7 +964,7 @@ fn replay_step(
 ) {
     let delta = match msg {
         Ingest::Batch(batch) => session.ingest_at(&batch, width),
-        Ingest::Kv(ops) => {
+        Ingest::Kv(batch) => {
             if !session.config().kv_mode {
                 outbox.push_control(ServerFrame::Error {
                     code: ErrorCode::Protocol,
@@ -971,7 +972,7 @@ fn replay_step(
                 });
                 return;
             }
-            session.ingest_kv_at(&ops, width)
+            session.ingest_at(&batch, width)
         }
         Ingest::Finish => {
             let delta = session.cut_delta();
@@ -1019,18 +1020,13 @@ fn writer_loop(mut sink: FaultStream, outbox: Arc<SharedOutbox>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::KvOp;
 
     fn batch(n: usize) -> Ingest {
         Ingest::Batch(vec![Access::read(0, 0); n])
     }
 
     fn kv(n: usize) -> Ingest {
-        let op = KvOp {
-            write: false,
-            key: "k".into(),
-        };
-        Ingest::Kv(vec![op; n])
+        Ingest::Kv(vec![Access::read(0, 0).with_icount_delta(1); n])
     }
 
     /// A channel already holding `msgs`, as the reader would have left it.
@@ -1045,7 +1041,7 @@ mod tests {
     fn len(m: &Ingest) -> Option<usize> {
         match m {
             Ingest::Batch(b) => Some(b.len()),
-            Ingest::Kv(ops) => Some(ops.len()),
+            Ingest::Kv(batch) => Some(batch.len()),
             Ingest::Finish => None,
         }
     }

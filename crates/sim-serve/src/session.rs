@@ -26,12 +26,20 @@
 //! one for a what-if analysis daemon: correctness is observable, and the
 //! journal doubles as the tenant's captured trace.
 //!
-//! Snapshots are written through [`sim_core::persist::atomic_write`] with
-//! retry-and-backoff, so a torn write can never destroy the previous good
-//! snapshot and a transient `ENOSPC` is ridden out rather than fatal.
-//! [`Session::snapshot_bytes`] builds one exactly sized buffer and
-//! checksums the journal's record region in one pass; `atomic_write`
-//! commits that buffer without copying it.
+//! The journal is a [`traces::Journal`]: the container's encoded 21-byte
+//! records in fixed 1 MiB blocks, with the record region's CRC kept as
+//! records arrive. Its blocks come from, and return to, one process-wide
+//! free list, so a daemon that opens and drops sessions on a new
+//! connection thread each time reuses the same blocks instead of leaving
+//! freed journals in per-thread allocator arenas. A snapshot file is the meta
+//! block and container header, the journal's blocks as they are, and the
+//! container footer. [`Session::save_snapshot`] hands those parts to
+//! [`sim_core::persist::atomic_write_parts`] with retry-and-backoff, so no
+//! buffer of the whole journal is ever built, a torn write can never
+//! destroy the previous good snapshot and a transient `ENOSPC` is ridden
+//! out rather than fatal. [`Session::snapshot_bytes`] concatenates the
+//! same parts. [`Session::restore_from`] streams a snapshot back in
+//! bounded chunks.
 //!
 //! # Snapshot once per state
 //!
@@ -54,17 +62,17 @@ use crate::kv;
 use crate::protocol::{put_str, put_u16, put_u32, put_u64};
 use crate::protocol::{Cursor, Delta, GeometrySpec, KvOp, PolicyRow, ProtoError};
 use mem_model::{Replayer, WindowPerfModel};
-use sim_core::persist::atomic_write;
+use sim_core::persist::atomic_write_parts;
 use sim_core::{pool, Access, CacheGeometry, PolicyFactory, ReplacementPolicy, SetAssocCache};
 use std::error::Error;
 use std::fmt;
-use std::io;
+use std::io::{self, Read};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::Duration;
-use traces::format::{append_container, container_len, Crc32};
-use traces::TraceReader;
+use traces::format::{container_header, Crc32};
+use traces::{Journal, TraceReader};
 
 /// Snapshot file magic (the `.ssn` sibling of the `PLRUTRC1` container).
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"PLRUSSN1";
@@ -204,8 +212,9 @@ pub struct Session {
     /// The order the pooled fan-out hands `engines` to the pool
     /// ([`mem_model::dispatch_order`]: mono engines first).
     order: Vec<usize>,
-    /// Every access ever ingested, in order — the snapshot payload.
-    journal: Vec<Access>,
+    /// Every access ever ingested, in order and encoded — the snapshot
+    /// payload.
+    journal: Journal,
     instructions: u64,
     delta_seq: u64,
     /// Accesses covered by the last cut delta (`covered_from` of the next).
@@ -301,7 +310,7 @@ impl Session {
             },
             engines,
             order,
-            journal: Vec::new(),
+            journal: Journal::new(),
             instructions: 0,
             delta_seq: 0,
             last_delta_at: 0,
@@ -317,7 +326,7 @@ impl Session {
 
     /// Total accesses ingested (the resume point a client skips to).
     pub fn ingested(&self) -> u64 {
-        self.journal.len() as u64
+        self.journal.len()
     }
 
     /// True once the session has degraded to ephemeral (no snapshots).
@@ -356,7 +365,7 @@ impl Session {
             return;
         }
         self.instructions += batch.iter().map(|a| u64::from(a.icount_delta)).sum::<u64>();
-        self.journal.extend_from_slice(batch);
+        self.journal.append(batch);
         let pool = pool::global();
         if width.min(pool.cap()) <= 1 {
             for engine in &mut self.engines {
@@ -393,16 +402,14 @@ impl Session {
         }
     }
 
-    /// Ingests a KV-mode batch (keys lowered to line addresses).
+    /// Ingests a KV-mode batch (keys lowered to line addresses). The
+    /// server lowers keys as it reads them
+    /// ([`recv_client_lowered`](crate::protocol::recv_client_lowered))
+    /// and ingests the accesses.
     pub fn ingest_kv(&mut self, ops: &[KvOp]) -> Option<Delta> {
-        self.ingest_kv_at(ops, usize::MAX)
-    }
-
-    /// [`Session::ingest_kv`] on at most `width` threads.
-    pub(crate) fn ingest_kv_at(&mut self, ops: &[KvOp], width: usize) -> Option<Delta> {
         let line = u64::from(self.config.geometry.line_bytes);
         let batch: Vec<Access> = ops.iter().map(|op| kv::op_to_access(op, line)).collect();
-        self.ingest_at(&batch, width)
+        self.ingest(&batch)
     }
 
     /// The cumulative stats as they stand, without cutting a delta.
@@ -444,9 +451,9 @@ impl Session {
 
     // -- snapshots ---------------------------------------------------------
 
-    /// Serializes the session (config + journal) into snapshot bytes, in
-    /// one exactly sized buffer.
-    pub fn snapshot_bytes(&self) -> Vec<u8> {
+    /// The snapshot up to the journal's records: magic, the CRC'd meta
+    /// block, and the container header.
+    fn snapshot_head(&self) -> Vec<u8> {
         let mut meta = Vec::new();
         put_u32(&mut meta, SNAPSHOT_VERSION);
         put_str(&mut meta, &self.config.tenant);
@@ -461,17 +468,44 @@ impl Session {
             put_str(&mut meta, name);
         }
 
-        let len = SNAPSHOT_MAGIC.len() + 4 + meta.len() + 4 + container_len(self.journal.len());
-        let mut out = Vec::with_capacity(len);
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        put_u32(&mut out, meta.len() as u32);
-        out.extend_from_slice(&meta);
+        let mut head = Vec::with_capacity(SNAPSHOT_MAGIC.len() + 8 + meta.len() + 12);
+        head.extend_from_slice(SNAPSHOT_MAGIC);
+        put_u32(&mut head, meta.len() as u32);
+        head.extend_from_slice(&meta);
         let mut crc = Crc32::new();
         crc.update(&meta);
-        put_u32(&mut out, crc.finish());
-        append_container(&mut out, &self.journal);
-        debug_assert_eq!(out.len(), len);
-        out
+        put_u32(&mut head, crc.finish());
+        head.extend_from_slice(&container_header());
+        head
+    }
+
+    /// Hands `write` the snapshot as the byte runs it is made of, in file
+    /// order: [`Session::snapshot_head`], the journal's blocks, and the
+    /// container footer.
+    fn with_snapshot_parts<R>(&self, write: impl FnOnce(&[&[u8]]) -> R) -> R {
+        let head = self.snapshot_head();
+        let footer = self.journal.footer();
+        let parts: Vec<&[u8]> = std::iter::once(&head[..])
+            .chain(self.journal.blocks())
+            .chain(std::iter::once(&footer[..]))
+            .collect();
+        write(&parts)
+    }
+
+    /// Serializes the session (config + journal) into snapshot bytes: the
+    /// concatenation of the parts [`Session::save_snapshot`] writes.
+    pub fn snapshot_bytes(&self) -> Vec<u8> {
+        self.with_snapshot_parts(|parts| parts.concat())
+    }
+
+    /// Writes the session's snapshot to `path` as [`write_snapshot`] does,
+    /// streaming it from the journal's blocks.
+    ///
+    /// # Errors
+    ///
+    /// The last write error once every attempt is exhausted.
+    pub fn save_snapshot(&self, path: &Path, backoff: BackoffFn, attempts: u32) -> io::Result<()> {
+        self.with_snapshot_parts(|parts| write_snapshot_parts(path, parts, backoff, attempts))
     }
 
     /// Rebuilds a session from snapshot bytes by replaying the journal
@@ -483,23 +517,45 @@ impl Session {
     /// Typed [`SnapshotError`] for any damage; never panics on malformed
     /// input.
     pub fn restore(bytes: &[u8], registry: &Roster) -> Result<Session, SnapshotError> {
-        if bytes.len() < 12 {
-            return Err(SnapshotError::Truncated);
-        }
-        if &bytes[0..8] != SNAPSHOT_MAGIC {
+        Session::restore_from(bytes, registry)
+    }
+
+    /// [`Session::restore`] from any reader. The journal is fed to the
+    /// engines 4,096 accesses at a time as it is read, which replays
+    /// exactly as the whole stream would; nothing the size of the journal
+    /// is built besides the session's own journal.
+    ///
+    /// # Errors
+    ///
+    /// Typed [`SnapshotError`] for any damage (a read failure is a
+    /// [`SnapshotError::Journal`] I/O error, or `Truncated` inside the
+    /// meta block); never panics on malformed input.
+    pub fn restore_from(
+        mut source: impl Read,
+        registry: &Roster,
+    ) -> Result<Session, SnapshotError> {
+        let mut head = [0u8; 12];
+        source
+            .read_exact(&mut head)
+            .map_err(|_| SnapshotError::Truncated)?;
+        if &head[0..8] != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        let meta_len = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
-        let meta_end = 12usize
-            .checked_add(meta_len)
-            .filter(|&e| e + 4 <= bytes.len())
-            .ok_or(SnapshotError::Truncated)?;
-        let meta = &bytes[12..meta_end];
-        let stored_crc =
-            u32::from_le_bytes(bytes[meta_end..meta_end + 4].try_into().expect("4 bytes"));
+        let meta_len = u32::from_le_bytes(head[8..12].try_into().expect("4 bytes"));
+        // Read through `take`, so a damaged length allocates no more than
+        // the bytes actually there.
+        let mut meta = Vec::new();
+        (&mut source)
+            .take(u64::from(meta_len))
+            .read_to_end(&mut meta)
+            .map_err(|_| SnapshotError::Truncated)?;
+        let mut stored_crc = [0u8; 4];
+        if meta.len() != meta_len as usize || source.read_exact(&mut stored_crc).is_err() {
+            return Err(SnapshotError::Truncated);
+        }
         let mut crc = Crc32::new();
-        crc.update(meta);
-        if crc.finish() != stored_crc {
+        crc.update(&meta);
+        if crc.finish() != u32::from_le_bytes(stored_crc) {
             return Err(SnapshotError::MetaCrc);
         }
 
@@ -507,7 +563,7 @@ impl Session {
             ProtoError::BadPayload(what) => SnapshotError::BadMeta(what),
             _ => SnapshotError::BadMeta("undecodable field"),
         };
-        let mut c = Cursor::new(meta);
+        let mut c = Cursor::new(&meta);
         let version = c.u32().map_err(bad)?;
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::BadVersion(version));
@@ -535,14 +591,18 @@ impl Session {
             return Err(SnapshotError::BadMeta("empty roster"));
         }
 
-        let journal: Vec<Access> = TraceReader::new(&bytes[meta_end + 4..])
-            .map_err(SnapshotError::Journal)?
-            .collect::<Result<_, _>>()
-            .map_err(SnapshotError::Journal)?;
-
+        let records = TraceReader::new(source).map_err(SnapshotError::Journal)?;
         let mut session = Session::new(&tenant, spec, kv_mode, delta_every, &roster, registry)
             .map_err(SnapshotError::Session)?;
-        session.apply(&journal, usize::MAX);
+        let mut chunk = Vec::with_capacity(RESTORE_CHUNK);
+        for access in records {
+            chunk.push(access.map_err(SnapshotError::Journal)?);
+            if chunk.len() == RESTORE_CHUNK {
+                session.apply(&chunk, usize::MAX);
+                chunk.clear();
+            }
+        }
+        session.apply(&chunk, usize::MAX);
         // The resumed session owes no delta for the replayed prefix; the
         // next delta covers post-resume traffic and continues the stored
         // sequence numbering.
@@ -551,6 +611,10 @@ impl Session {
         Ok(session)
     }
 }
+
+/// Accesses [`Session::restore_from`] decodes before feeding them to the
+/// engines: 96 KiB of accesses, the server's default delta cadence.
+const RESTORE_CHUNK: usize = 4096;
 
 /// Writes snapshot bytes to `path` atomically, retrying transient
 /// failures (the `ENOSPC` case) up to `attempts` times with `backoff`
@@ -566,9 +630,20 @@ pub fn write_snapshot(
     backoff: BackoffFn,
     attempts: u32,
 ) -> io::Result<()> {
+    write_snapshot_parts(path, &[bytes], backoff, attempts)
+}
+
+/// [`write_snapshot`] for a snapshot held in parts, committed through
+/// [`atomic_write_parts`].
+fn write_snapshot_parts(
+    path: &Path,
+    parts: &[&[u8]],
+    backoff: BackoffFn,
+    attempts: u32,
+) -> io::Result<()> {
     let mut last = None;
     for attempt in 0..attempts.max(1) {
-        match atomic_write(path, bytes) {
+        match atomic_write_parts(path, parts) {
             Ok(()) => return Ok(()),
             Err(e) => {
                 last = Some(e);
@@ -776,15 +851,19 @@ mod tests {
     }
 
     /// Feeds `accesses` in 50-access frames at fan-out `width`, on an
-    /// address or a KV session; returns every delta, the final cut last.
+    /// address or a KV session (its frames lowered as the server lowers
+    /// them); returns every delta, the final cut last.
     fn deltas_at(width: usize, kv_mode: bool, accesses: &[Access]) -> Vec<Delta> {
         let reg = default_roster();
         let mut s = Session::new("t", spec(), kv_mode, 100, &[], &reg).unwrap();
+        let line = u64::from(spec().line_bytes);
         let ops = kv_ops(accesses);
         let mut deltas = Vec::new();
         for (chunk, ops) in accesses.chunks(50).zip(ops.chunks(50)) {
             deltas.extend(if kv_mode {
-                s.ingest_kv_at(ops, width)
+                let lowered: Vec<Access> =
+                    ops.iter().map(|op| kv::op_to_access(op, line)).collect();
+                s.ingest_at(&lowered, width)
             } else {
                 s.ingest_at(chunk, width)
             });

@@ -2,12 +2,16 @@
 //! truncation, every single-bit flip and random garbage prefixes of an
 //! encoded `ClientFrame` stream. Each must decode to a typed `ProtoError`
 //! or to the original frames, never panic, and never size a payload
-//! buffer past `MAX_FRAME_LEN`.
+//! buffer past `MAX_FRAME_LEN`. The server's KV read, which lowers keys
+//! to accesses without decoding `KvOp`s, must agree with decoding
+//! followed by `op_to_access`, errors included.
 
 use proptest::prelude::*;
 use sim_core::{Access, AccessKind};
+use sim_serve::kv::op_to_access;
 use sim_serve::protocol::{
-    recv_client, send_client, ClientFrame, GeometrySpec, Hello, KvOp, MAX_FRAME_LEN,
+    recv_client, recv_client_lowered, send_client, write_frame, ClientFrame, GeometrySpec, Hello,
+    Inbound, KvOp, MAX_FRAME_LEN,
 };
 use sim_serve::ProtoError;
 use std::io::{self, Read};
@@ -168,5 +172,76 @@ proptest! {
         bad.extend_from_slice(&wire);
         let (got, _err) = decode_all(&bad);
         prop_assert!(got.is_empty(), "garbage decoded as {:?}", got);
+    }
+}
+
+/// Keys with and without multi-byte UTF-8, so damage can break an
+/// encoding as well as a length or a flag.
+fn arb_kv_key() -> impl Strategy<Value = String> {
+    (0u32..1000, any::<bool>()).prop_map(|(k, wide)| {
+        if wide {
+            format!("ключ:{k}")
+        } else {
+            format!("key:{k}")
+        }
+    })
+}
+
+/// Reads a `KvBatch` frame carrying `payload` (with a valid CRC) both
+/// ways: the server's lowering read, and decode followed by
+/// `op_to_access`. Errors compare by their debug form.
+fn both_reads(payload: &[u8]) -> [Result<Vec<Access>, String>; 2] {
+    let (kind, _) = ClientFrame::KvBatch(Vec::new()).encode();
+    let mut wire = Vec::new();
+    write_frame(&mut wire, kind, payload).unwrap();
+    let lowered = match recv_client_lowered(&mut &wire[..], 64) {
+        Ok(Inbound::Kv(accesses)) => Ok(accesses),
+        Ok(other) => panic!("a KvBatch frame read as {other:?}"),
+        Err(e) => Err(format!("{e:?}")),
+    };
+    let decoded = match recv_client(&mut &wire[..]) {
+        Ok(ClientFrame::KvBatch(ops)) => Ok(ops.iter().map(|op| op_to_access(op, 64)).collect()),
+        Ok(other) => panic!("a KvBatch frame decoded as {other:?}"),
+        Err(e) => Err(format!("{e:?}")),
+    };
+    [lowered, decoded]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The intact payload, every truncation of it, every single-bit flip
+    /// in it and trailing garbage after it read the same both ways.
+    #[test]
+    fn kv_lowering_equals_decode_then_op_to_access(
+        ops in proptest::collection::vec((any::<bool>(), arb_kv_key()), 0..8),
+        garbage in proptest::collection::vec(any::<u32>().prop_map(|x| x as u8), 1..24),
+    ) {
+        let ops: Vec<KvOp> = ops.into_iter().map(|(write, key)| KvOp { write, key }).collect();
+        let (_, payload) = ClientFrame::KvBatch(ops.clone()).encode();
+        let [lowered, decoded] = both_reads(&payload);
+        let expected: Vec<Access> = ops.iter().map(|op| op_to_access(op, 64)).collect();
+        prop_assert_eq!(&lowered, &Ok(expected));
+        prop_assert_eq!(lowered, decoded);
+        for cut in 0..payload.len() {
+            let [lowered, decoded] = both_reads(&payload[..cut]);
+            prop_assert!(lowered.is_err(), "cut at {}", cut);
+            prop_assert_eq!(lowered, decoded, "cut at {}", cut);
+        }
+        for i in 0..payload.len() {
+            for bit in 0..8 {
+                let mut bad = payload.clone();
+                bad[i] ^= 1 << bit;
+                let [lowered, decoded] = both_reads(&bad);
+                prop_assert_eq!(lowered, decoded, "flip {}.{}", i, bit);
+            }
+        }
+        let mut trailing = payload.clone();
+        trailing.extend_from_slice(&garbage);
+        let [lowered, decoded] = both_reads(&trailing);
+        prop_assert!(lowered.is_err());
+        prop_assert_eq!(lowered, decoded);
+        let [lowered, decoded] = both_reads(&garbage);
+        prop_assert_eq!(lowered, decoded);
     }
 }

@@ -26,9 +26,10 @@ pub const VERSION: u32 = 1;
 const FOOTER_SENTINEL: u8 = 0xFF;
 /// Bytes per record: kind `u8`, addr `u64`, pc `u64`, icount_delta `u32`.
 pub const RECORD_BYTES: usize = 21;
-/// Header bytes (magic, version) and footer bytes (sentinel, count, crc).
-const HEADER_BYTES: usize = 12;
-const FOOTER_BYTES: usize = 13;
+/// Header bytes: magic, version.
+pub const HEADER_BYTES: usize = 12;
+/// Footer bytes: sentinel, record count, CRC.
+pub const FOOTER_BYTES: usize = 13;
 
 /// Error reading or writing a trace container.
 #[derive(Debug)]
@@ -227,28 +228,22 @@ pub fn decode_record(rec: &[u8; RECORD_BYTES]) -> Result<Access, TraceError> {
     })
 }
 
-/// Bytes in a container holding `records` accesses, header and footer
-/// included.
-pub const fn container_len(records: usize) -> usize {
-    HEADER_BYTES + records * RECORD_BYTES + FOOTER_BYTES
+/// The container header: magic, then version.
+pub fn container_header() -> [u8; HEADER_BYTES] {
+    let mut out = [0u8; HEADER_BYTES];
+    out[..8].copy_from_slice(MAGIC);
+    out[8..].copy_from_slice(&VERSION.to_le_bytes());
+    out
 }
 
-/// Appends a complete container holding `accesses` to `out`: byte for
-/// byte what a [`TraceWriter`] emits, but the record region is
-/// checksummed in one pass instead of record by record.
-pub fn append_container(out: &mut Vec<u8>, accesses: &[Access]) {
-    out.reserve(container_len(accesses.len()));
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    let records = out.len();
-    for a in accesses {
-        out.extend_from_slice(&encode_record(a));
-    }
-    let mut crc = Crc32::new();
-    crc.update(&out[records..]);
-    out.push(FOOTER_SENTINEL);
-    out.extend_from_slice(&(accesses.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc.finish().to_le_bytes());
+/// The container footer closing `records` records whose bytes checksum
+/// to `crc`: sentinel, record count, CRC.
+pub fn container_footer(records: u64, crc: u32) -> [u8; FOOTER_BYTES] {
+    let mut out = [0u8; FOOTER_BYTES];
+    out[0] = FOOTER_SENTINEL;
+    out[1..9].copy_from_slice(&records.to_le_bytes());
+    out[9..].copy_from_slice(&crc.to_le_bytes());
+    out
 }
 
 /// Writes a trace container to any [`Write`] sink.
@@ -289,8 +284,7 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// Propagates I/O failures from the sink.
     pub fn new(mut sink: W) -> Result<Self, TraceError> {
-        sink.write_all(MAGIC)?;
-        sink.write_all(&VERSION.to_le_bytes())?;
+        sink.write_all(&container_header())?;
         Ok(TraceWriter {
             sink,
             crc: Crc32::new(),
@@ -325,9 +319,8 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// Propagates I/O failures from the sink.
     pub fn finish(mut self) -> Result<W, TraceError> {
-        self.sink.write_all(&[FOOTER_SENTINEL])?;
-        self.sink.write_all(&self.count.to_le_bytes())?;
-        self.sink.write_all(&self.crc.finish().to_le_bytes())?;
+        self.sink
+            .write_all(&container_footer(self.count, self.crc.finish()))?;
         self.sink.flush()?;
         self.finished = true;
         Ok(self.sink)

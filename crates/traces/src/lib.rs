@@ -16,6 +16,8 @@
 //!
 //! * [`format`](mod@format) — a self-describing binary trace container (magic, version,
 //!   CRC-protected) with streaming [`TraceWriter`]/[`TraceReader`].
+//! * [`journal`] — the container's record region built in memory, in
+//!   recycled fixed-size blocks ([`Journal`]).
 //! * [`synth`] — composable access-pattern generators ([`Pattern`],
 //!   [`WorkloadSpec`], [`WorkloadGen`]).
 //! * [`spec2006`] — the 29 benchmark models ([`Spec2006`]) with
@@ -33,10 +35,12 @@
 
 pub mod dsl;
 pub mod format;
+pub mod journal;
 pub mod spec2006;
 pub mod synth;
 
 pub use dsl::{parse_spec, ParseSpecError};
 pub use format::{TraceError, TraceReader, TraceWriter};
+pub use journal::Journal;
 pub use spec2006::{Simpoint, Spec2006};
 pub use synth::{Pattern, Phase, WorkloadGen, WorkloadSpec};

@@ -1,11 +1,13 @@
 //! Property-based tests for the trace container: round-trip fidelity,
-//! corruption detection under arbitrary byte damage, and the table-driven
-//! CRC-32 against the plain bitwise definition.
+//! corruption detection under arbitrary byte damage, the table-driven
+//! CRC-32 against the plain bitwise definition, and the block journal's
+//! container against the streaming writer.
 
 use proptest::prelude::*;
 use sim_core::{Access, AccessKind};
-use traces::format::{append_container, container_len, Crc32};
-use traces::{TraceReader, TraceWriter};
+use traces::format::{container_header, Crc32, FOOTER_BYTES, HEADER_BYTES, RECORD_BYTES};
+use traces::journal::BLOCK_RECORDS;
+use traces::{Journal, TraceReader, TraceWriter};
 
 /// The bit-at-a-time CRC-32 (reflected 0xEDB88320), the definition the
 /// slicing-by-8 tables are derived from.
@@ -123,18 +125,51 @@ proptest! {
         }
         prop_assert_eq!(crc.finish(), bitwise_crc32(&bytes));
     }
+}
 
-    /// The one-pass container encoder emits exactly the streaming
-    /// writer's bytes, at exactly the advertised length.
+/// A record index for a journal append split: anywhere in three blocks,
+/// or within two records of a block boundary.
+fn arb_cut() -> impl Strategy<Value = usize> {
+    (any::<bool>(), 0..3 * BLOCK_RECORDS, 1..3usize, 0..5usize).prop_map(
+        |(near, anywhere, k, d)| {
+            if near {
+                k * BLOCK_RECORDS + d - 2
+            } else {
+                anywhere
+            }
+        },
+    )
+}
+
+proptest! {
+    // Each case journals up to three blocks' worth of records.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The journal's container (header, blocks, footer) is exactly the
+    /// streaming writer's bytes, however the stream is split into
+    /// appends, splits across block boundaries included.
     #[test]
-    fn append_container_equals_streaming_writer(
-        accesses in proptest::collection::vec(arb_access(), 0..200),
-        prefix in proptest::collection::vec(any::<u32>().prop_map(|x| x as u8), 0..16),
+    fn journal_container_equals_streaming_writer(
+        base in proptest::collection::vec(arb_access(), 1..32),
+        n in 0..3 * BLOCK_RECORDS,
+        cuts in proptest::collection::vec(arb_cut(), 0..8),
     ) {
-        let mut out = prefix.clone();
-        append_container(&mut out, &accesses);
-        prop_assert_eq!(out.len(), prefix.len() + container_len(accesses.len()));
-        prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
-        prop_assert_eq!(&out[prefix.len()..], &encode(&accesses)[..]);
+        let stream: Vec<Access> = (0..n)
+            .map(|i| Access { addr: base[i % base.len()].addr ^ i as u64, ..base[i % base.len()] })
+            .collect();
+        let mut at: Vec<usize> = cuts.iter().map(|&c| c.min(n)).collect();
+        at.push(0);
+        at.push(n);
+        at.sort_unstable();
+        let mut journal = Journal::new();
+        for w in at.windows(2) {
+            journal.append(&stream[w[0]..w[1]]);
+        }
+        let mut out = container_header().to_vec();
+        journal.blocks().for_each(|b| out.extend_from_slice(b));
+        out.extend_from_slice(&journal.footer());
+        prop_assert_eq!(journal.len(), n as u64);
+        prop_assert_eq!(out.len(), HEADER_BYTES + n * RECORD_BYTES + FOOTER_BYTES);
+        prop_assert!(out == encode(&stream), "journal container differs from TraceWriter's");
     }
 }

@@ -465,15 +465,17 @@ fn lint_island_atomicity(root: &Path) -> usize {
             &["atomic_write"],
         ),
         ("crates/harness/src/manifest.rs", &["atomic_write"]),
-        // Serving daemon: session snapshots retry through atomic_write...
+        // Serving daemon: session snapshots stream from the journal's
+        // blocks through atomic_write_parts, with retry...
         (
             "crates/sim-serve/src/session.rs",
-            &["persist::atomic_write", "write_snapshot"],
+            &["persist::atomic_write_parts", "write_snapshot_parts"],
         ),
-        // ...and the server parks sessions only via that snapshot path.
+        // ...and the server parks sessions only via the session's
+        // streaming snapshot writer.
         (
             "crates/sim-serve/src/server.rs",
-            &["write_snapshot", "snapshot_session"],
+            &["save_snapshot", "snapshot_session"],
         ),
         // Port file and client stats files are poll-read by other
         // processes, so a torn write is an immediate race.
@@ -488,7 +490,7 @@ fn lint_island_atomicity(root: &Path) -> usize {
             continue;
         };
         for needle in *needles {
-            if !source.contains(needle) {
+            if !mentions(&source, needle) {
                 eprintln!(
                     "lint(island-atomicity): {rel} no longer references `{needle}`; \
                      GA checkpoint/mailbox/manifest writes must stay on the \
@@ -502,6 +504,16 @@ fn lint_island_atomicity(root: &Path) -> usize {
         println!("lint: island-atomicity audit ok ({} sources)", checks.len());
     }
     failures
+}
+
+/// True when `source` names `needle` as a whole identifier (path): an
+/// occurrence that is the prefix of a longer name, as `atomic_write` is
+/// of `atomic_write_parts`, does not count.
+fn mentions(source: &str, needle: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    source.match_indices(needle).any(|(at, _)| {
+        !source[..at].ends_with(ident) && !source[at + needle.len()..].starts_with(ident)
+    })
 }
 
 /// Audit 6: clippy with warnings denied, over every target.
@@ -1165,4 +1177,19 @@ fn rules_for(ways: usize) -> Vec<(&'static str, String, sim_lint::PromotionRule)
         }
     }
     rules
+}
+
+#[cfg(test)]
+mod tests {
+    use super::mentions;
+
+    #[test]
+    fn needles_match_whole_identifiers_only() {
+        let src = "use sim_core::persist::atomic_write_parts;\nsave_snapshot(&p)";
+        assert!(mentions(src, "persist::atomic_write_parts"));
+        assert!(mentions(src, "save_snapshot"));
+        assert!(!mentions(src, "persist::atomic_write"), "a prefix of a longer name");
+        assert!(!mentions(src, "snapshot"), "a suffix of a longer name");
+        assert!(mentions("atomic_write(p, b)", "atomic_write"));
+    }
 }
