@@ -9,14 +9,12 @@
 
 use gippr::{DgipprPolicy, GiplrPolicy, GipprPolicy, Ipv};
 use mem_model::cpi::LinearCpiModel;
-use mem_model::{
-    capture_llc_stream_into, plan, replay_llc_sharded, Engine, HierarchyConfig, Replayer,
-    WindowPerfModel,
-};
+use mem_model::{capture_llc_stream_into, plan, HierarchyConfig, Replayer, WindowPerfModel};
 use sim_core::{
     Access, CacheGeometry, ReplacementPolicy, SampledStream, ShardedStream, StackDistanceProfile,
 };
-use std::sync::{Arc, Mutex};
+use std::ops::Deref;
+use std::sync::{Arc, Mutex, OnceLock};
 use traces::spec2006::Spec2006;
 use traces::WorkloadSpec;
 
@@ -92,6 +90,52 @@ impl SampledWorkload {
     }
 }
 
+/// A workload's stream routed by set index, built on first use.
+///
+/// Fitness never reads it: every tier plans a whole-stream pass. It
+/// serves callers that time the shard-and-merge engine on a context's
+/// streams. The first dereference routes the stream into the worker
+/// pool's parallelism ([`ShardedStream::for_parallelism`]); later reads
+/// share that routing.
+#[derive(Debug)]
+pub struct ShardedView {
+    stream: Arc<Vec<Access>>,
+    geom: CacheGeometry,
+    warmup: usize,
+    routed: OnceLock<ShardedStream>,
+}
+
+impl ShardedView {
+    fn new(stream: Arc<Vec<Access>>, geom: CacheGeometry, warmup: usize) -> Self {
+        ShardedView {
+            stream,
+            geom,
+            warmup,
+            routed: OnceLock::new(),
+        }
+    }
+
+    /// Whether the stream has been routed yet.
+    pub fn is_routed(&self) -> bool {
+        self.routed.get().is_some()
+    }
+}
+
+impl Deref for ShardedView {
+    type Target = ShardedStream;
+
+    fn deref(&self) -> &ShardedStream {
+        self.routed.get_or_init(|| {
+            ShardedStream::for_parallelism(
+                &self.stream,
+                &self.geom,
+                self.warmup,
+                sim_core::pool::global().cap(),
+            )
+        })
+    }
+}
+
 /// One workload's captured LLC stream and its LRU baseline.
 #[derive(Debug, Clone)]
 pub struct WorkloadStream {
@@ -99,10 +143,9 @@ pub struct WorkloadStream {
     pub name: String,
     /// The captured LLC access stream (shared, replayed by every candidate).
     pub stream: Arc<Vec<Access>>,
-    /// The same stream pre-routed by set index, built once at context
-    /// construction; candidates the planner shards (set-local, no usable
-    /// slice kernel) replay it shard by shard.
-    pub sharded: Arc<ShardedStream>,
+    /// The same stream routed by set index on first use. Fitness never
+    /// routes it; see [`ShardedView`].
+    pub sharded: Arc<ShardedView>,
     /// Accesses used to warm the cache before measuring.
     pub warmup: usize,
     /// Instructions represented by the measured portion.
@@ -152,17 +195,12 @@ impl WorkloadStream {
         // ([`FitnessContext::lru_speedup_at`]).
         let profile =
             StackDistanceProfile::capture(&stream, &config.llc, warmup, config.llc.ways());
-        let sharded = ShardedStream::for_parallelism(
-            &stream,
-            &config.llc,
-            warmup,
-            sim_core::pool::global().cap(),
-        );
         let sampled = SampledWorkload::build(&stream, &config.llc, warmup, DEFAULT_SAMPLE_EVERY, 0);
+        let stream = Arc::new(stream);
         WorkloadStream {
             name: scaled.name,
-            stream: Arc::new(stream),
-            sharded: Arc::new(sharded),
+            sharded: Arc::new(ShardedView::new(Arc::clone(&stream), config.llc, warmup)),
+            stream,
             warmup,
             instructions: profile.instructions().max(1),
             lru_misses: profile.misses(config.llc.ways()),
@@ -186,8 +224,8 @@ impl FitnessContext {
     /// Builds a context from explicit workload specs. `accesses_per_stream`
     /// is the reference-trace length fed to L1 (the LLC stream is shorter).
     ///
-    /// Each spec's set-up (generate, capture, Mattson profile, shard
-    /// routing, sampled build) is independent of the others, so the specs
+    /// Each spec's set-up (generate, capture, Mattson profile, sampled
+    /// build) is independent of the others, so the specs
     /// fan out over [`sim_core::pool::global`], at most `scale.threads`
     /// at a time, and come back in spec order: the context is the same at
     /// any thread count and when built from inside a pool task. The
@@ -296,19 +334,6 @@ impl FitnessContext {
         }
     }
 
-    /// Re-routes every captured stream into exactly `shards` shards
-    /// (power of two, at most the geometry's set count). The default
-    /// routing follows the worker pool's budget; tests and benchmarks use
-    /// this to pin a specific routing regardless of host parallelism.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        for ws in &mut self.streams {
-            ws.sharded = Arc::new(ShardedStream::build(
-                &ws.stream, &self.geom, ws.warmup, shards,
-            ));
-        }
-        self
-    }
-
     /// Returns a context restricted to streams whose names pass `keep`
     /// (the WN1 holdout mechanism).
     pub fn filtered<F: Fn(&str) -> bool>(&self, keep: F) -> FitnessContext {
@@ -326,54 +351,16 @@ impl FitnessContext {
     }
 
     /// The GA inner loop: the workload-weighted mean speedup of a fresh
-    /// policy from `make` over every stream, on the full streams or (with
-    /// `sampled`) the set-sampled sub-streams against their own LRU
-    /// baselines. Generic over the concrete policy type so the sharded
-    /// engine monomorphizes per substrate; the mono engine reaches the
-    /// same concrete type through the boxed policy's
-    /// [`into_mono_engine`](sim_core::IntoMonoEngine::into_mono_engine).
-    /// The engine is [`plan`]'s. The linear
-    /// CPI model reads only misses, so every replay but the sharded one
-    /// runs [`Replayer::misses`] (the sliced kernel's miss-count mode).
-    ///
-    /// The full tier plans with the stream's routed shard count, so
-    /// set-local policies without a usable kernel replay the pre-routed
-    /// stream shard by shard. The sampled tier plans for one shard: for
-    /// set-local policies its per-set results are exact (set
-    /// independence, proven by the shard-affinity model check) — only the
-    /// *aggregation* over a subset of sets makes it an estimate of the
-    /// full-stream fitness — and it is bit-identical across shard counts.
-    fn weighted_speedup<P: ReplacementPolicy + 'static, F: Fn() -> P>(
+    /// policy from `make` over every stream (see [`Self::speedups`]),
+    /// summed in stream order.
+    fn weighted_speedup(
         &self,
-        make: F,
+        make: &dyn Fn() -> Box<dyn ReplacementPolicy>,
         sampled: bool,
     ) -> f64 {
-        let perf = WindowPerfModel::default();
-        let probe = make();
         let mut total_weight = 0.0;
         let mut total = 0.0;
-        for ws in &self.streams {
-            let sw = &ws.sampled;
-            let (stream, warmup, instructions, lru_misses, shards) = if sampled {
-                let s = sw.stream.stream();
-                (s, sw.stream.warmup(), sw.instructions, sw.lru_misses, 1)
-            } else {
-                let s = &ws.stream[..];
-                (
-                    s,
-                    ws.warmup,
-                    ws.instructions,
-                    ws.lru_misses,
-                    ws.sharded.shards(),
-                )
-            };
-            let plan = plan(&probe, &self.geom, shards);
-            let misses = match plan.engine {
-                Engine::Sharded => replay_llc_sharded(&ws.sharded, &make, &perf).stats.misses,
-                _ => Replayer::new(&plan, self.geom, || Box::new(make()), &perf)
-                    .misses(stream, warmup),
-            };
-            let speedup = self.model.speedup(instructions, lru_misses, misses);
+        for (ws, speedup) in self.speedups(make, sampled) {
             total += speedup * ws.weight;
             total_weight += ws.weight;
         }
@@ -382,6 +369,40 @@ impl FitnessContext {
         } else {
             total / total_weight
         }
+    }
+
+    /// Each stream's linear-CPI speedup over LRU of a fresh policy from
+    /// `make`, in stream order: on the full streams or (with `sampled`)
+    /// the set-sampled sub-streams against their own LRU baselines.
+    ///
+    /// One [`plan`] for a whole-stream pass serves every stream: the
+    /// sliced kernel where it supports the geometry, else the mono engine,
+    /// which reaches the policy's concrete type through
+    /// [`into_mono_engine`](sim_core::IntoMonoEngine::into_mono_engine).
+    /// The linear CPI model reads only misses, so every replay runs
+    /// [`Replayer::misses`] (the sliced kernel's miss-count mode). Both
+    /// tiers plan alike; the sampled tier's per-set results are exact for
+    /// set-local policies (set independence, proven by the shard-affinity
+    /// model check) — only the *aggregation* over a subset of sets makes
+    /// it an estimate of the full-stream fitness.
+    fn speedups<'a>(
+        &'a self,
+        make: &'a dyn Fn() -> Box<dyn ReplacementPolicy>,
+        sampled: bool,
+    ) -> impl Iterator<Item = (&'a WorkloadStream, f64)> + 'a {
+        let perf = WindowPerfModel::default();
+        let plan = plan(&*make(), &self.geom, 1);
+        self.streams.iter().map(move |ws| {
+            let sw = &ws.sampled;
+            let (stream, warmup, instructions, lru_misses) = if sampled {
+                let s = sw.stream.stream();
+                (s, sw.stream.warmup(), sw.instructions, sw.lru_misses)
+            } else {
+                (&ws.stream[..], ws.warmup, ws.instructions, ws.lru_misses)
+            };
+            let misses = Replayer::new(&plan, self.geom, make, &perf).misses(stream, warmup);
+            (ws, self.model.speedup(instructions, lru_misses, misses))
+        })
     }
 
     /// Set-sampled mean speedup of a single vector (ladder fidelity 2):
@@ -437,16 +458,25 @@ impl FitnessContext {
     }
 
     fn single_vector(&self, ipv: &Ipv, substrate: Substrate, sampled: bool) -> f64 {
+        self.weighted_speedup(&self.single_policy(ipv, substrate), sampled)
+    }
+
+    /// Builds a fresh single-vector policy on `substrate` per call.
+    fn single_policy<'a>(
+        &self,
+        ipv: &'a Ipv,
+        substrate: Substrate,
+    ) -> impl Fn() -> Box<dyn ReplacementPolicy> + 'a {
         let geom = self.geom;
-        match substrate {
-            Substrate::Plru => self.weighted_speedup(
-                || GipprPolicy::new(&geom, ipv.clone()).expect("assoc matches"),
-                sampled,
-            ),
-            Substrate::Lru => self.weighted_speedup(
-                || GiplrPolicy::new(&geom, ipv.clone()).expect("assoc matches"),
-                sampled,
-            ),
+        move || -> Box<dyn ReplacementPolicy> {
+            match substrate {
+                Substrate::Plru => {
+                    Box::new(GipprPolicy::new(&geom, ipv.clone()).expect("assoc matches"))
+                }
+                Substrate::Lru => {
+                    Box::new(GiplrPolicy::new(&geom, ipv.clone()).expect("assoc matches"))
+                }
+            }
         }
     }
 
@@ -470,34 +500,22 @@ impl FitnessContext {
         // fit while keeping the paper's 32 for full-size runs.
         let leaders = (geom.sets() / 64).clamp(4, 32);
         self.weighted_speedup(
-            || {
-                DgipprPolicy::with_config(&geom, vectors.to_vec(), leaders, "DGIPPR")
-                    .expect("valid duel config")
+            &|| -> Box<dyn ReplacementPolicy> {
+                Box::new(
+                    DgipprPolicy::with_config(&geom, vectors.to_vec(), leaders, "DGIPPR")
+                        .expect("valid duel config"),
+                )
             },
             sampled,
         )
     }
 
-    /// Per-workload speedups (not aggregated), for reporting.
+    /// Per-workload speedups (not aggregated), for reporting, in stream
+    /// order: [`fitness_single`](Self::fitness_single) is their
+    /// weight-normalised sum.
     pub fn per_workload_single(&self, ipv: &Ipv, substrate: Substrate) -> Vec<(String, f64)> {
-        let perf = WindowPerfModel::default();
-        let geom = self.geom;
-        self.streams
-            .iter()
-            .map(|ws| {
-                let misses = match substrate {
-                    Substrate::Plru => {
-                        let p = GipprPolicy::new(&geom, ipv.clone()).expect("assoc matches");
-                        Replayer::whole(geom, Box::new(p), &perf).misses(&ws.stream, ws.warmup)
-                    }
-                    Substrate::Lru => {
-                        let p = GiplrPolicy::new(&geom, ipv.clone()).expect("assoc matches");
-                        Replayer::whole(geom, Box::new(p), &perf).misses(&ws.stream, ws.warmup)
-                    }
-                };
-                let speedup = self.model.speedup(ws.instructions, ws.lru_misses, misses);
-                (ws.name.clone(), speedup)
-            })
+        self.speedups(&self.single_policy(ipv, substrate), false)
+            .map(|(ws, speedup)| (ws.name.clone(), speedup))
             .collect()
     }
 
@@ -516,7 +534,8 @@ impl FitnessContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mem_model::replay_llc_mono;
+    use baselines::AwrpPolicy;
+    use mem_model::{replay_llc_mono, Engine};
 
     fn tiny_ctx() -> FitnessContext {
         FitnessContext::for_benchmarks(
@@ -530,7 +549,12 @@ mod tests {
         )
     }
 
-    fn assert_same_stream(got: &WorkloadStream, want: &WorkloadStream, how: &str) {
+    fn assert_same_stream(
+        got: &WorkloadStream,
+        want: &WorkloadStream,
+        geom: &CacheGeometry,
+        how: &str,
+    ) {
         let what = format!("{} ({how})", want.name);
         assert_eq!(got.name, want.name, "{what}");
         assert!(got.stream == want.stream, "{what}: stream");
@@ -552,7 +576,19 @@ mod tests {
             (t.stream.warmup(), t.instructions, t.lru_misses),
             "{what}: sampled"
         );
-        let (r, u) = (&got.sharded, &want.sharded);
+        // The build routes nothing; forcing the view routes the way
+        // `ShardedStream::for_parallelism` does on the same stream.
+        assert!(!got.sharded.is_routed(), "{what}: routed at build");
+        let (r, u) = (
+            &**got.sharded,
+            &ShardedStream::for_parallelism(
+                &want.stream,
+                geom,
+                want.warmup,
+                sim_core::pool::global().cap(),
+            ),
+        );
+        assert!(got.sharded.is_routed(), "{what}");
         assert_eq!(
             (r.shards(), r.len(), r.warmup()),
             (u.shards(), u.len(), u.warmup()),
@@ -594,7 +630,7 @@ mod tests {
         for (how, ctx) in &builds {
             assert_eq!(ctx.streams().len(), serial.len());
             for (got, want) in ctx.streams().iter().zip(&serial) {
-                assert_same_stream(got, want, how);
+                assert_same_stream(got, want, &config.llc, how);
             }
         }
     }
@@ -647,36 +683,74 @@ mod tests {
         assert_eq!(parallel, sequential);
     }
 
-    #[test]
-    fn sharded_fitness_matches_sequential_replay() {
-        // fitness_single plans GIPPR/GIPLR against a pinned multi-shard
-        // routing; whichever engine the plan picks, recomputing the same
-        // mean with sequential whole-stream mono replays must agree to
-        // the bit.
-        let ctx = tiny_ctx().with_shards(4);
-        let ipv = Ipv::lru_insertion(16);
-        for substrate in [Substrate::Plru, Substrate::Lru] {
-            let sharded = ctx.fitness_single(&ipv, substrate);
-            let perf = WindowPerfModel::default();
-            let mut total = 0.0;
-            let mut total_weight = 0.0;
-            for ws in ctx.streams() {
-                let misses = match substrate {
-                    Substrate::Plru => {
-                        let p = GipprPolicy::new(&ctx.geometry(), ipv.clone()).unwrap();
-                        replay_llc_mono(&ws.stream, ctx.geometry(), p, ws.warmup, &perf)
-                    }
-                    Substrate::Lru => {
-                        let p = GiplrPolicy::new(&ctx.geometry(), ipv.clone()).unwrap();
-                        replay_llc_mono(&ws.stream, ctx.geometry(), p, ws.warmup, &perf)
-                    }
-                }
+    /// The weighted mean of sequential whole-stream mono replays of a
+    /// fresh policy from `make`, computed independently of fitness.
+    fn sequential_mean<P: ReplacementPolicy + 'static>(
+        ctx: &FitnessContext,
+        make: impl Fn() -> P,
+    ) -> f64 {
+        let perf = WindowPerfModel::default();
+        let mut total = 0.0;
+        let mut total_weight = 0.0;
+        for ws in ctx.streams() {
+            let misses = replay_llc_mono(&ws.stream, ctx.geometry(), make(), ws.warmup, &perf)
                 .stats
                 .misses;
-                total += ctx.model.speedup(ws.instructions, ws.lru_misses, misses) * ws.weight;
-                total_weight += ws.weight;
+            total += ctx.model.speedup(ws.instructions, ws.lru_misses, misses) * ws.weight;
+            total_weight += ws.weight;
+        }
+        total / total_weight
+    }
+
+    #[test]
+    fn fitness_matches_sequential_replay() {
+        // Whichever engine the whole-stream plan picks, recomputing the
+        // same mean with sequential mono replays must agree to the bit:
+        // GIPPR and GIPLR run sliced, and AWRP (set-local, no kernel) runs
+        // mono, where a routed context used to shard it.
+        let ctx = tiny_ctx();
+        let geom = ctx.geometry();
+        let ipv = Ipv::lru_insertion(16);
+        let gippr = || GipprPolicy::new(&geom, ipv.clone()).unwrap();
+        let giplr = || GiplrPolicy::new(&geom, ipv.clone()).unwrap();
+        assert!(matches!(plan(&gippr(), &geom, 1).engine, Engine::Sliced(_)));
+        assert!(matches!(plan(&giplr(), &geom, 1).engine, Engine::Sliced(_)));
+        assert_eq!(
+            ctx.fitness_single(&ipv, Substrate::Plru),
+            sequential_mean(&ctx, gippr)
+        );
+        assert_eq!(
+            ctx.fitness_single(&ipv, Substrate::Lru),
+            sequential_mean(&ctx, giplr)
+        );
+        let awrp = || AwrpPolicy::new(&geom);
+        assert_eq!(plan(&awrp(), &geom, 1).engine, Engine::Mono);
+        assert_eq!(
+            ctx.weighted_speedup(&|| Box::new(awrp()), false),
+            sequential_mean(&ctx, awrp)
+        );
+        assert!(ctx.streams().iter().all(|ws| !ws.sharded.is_routed()));
+    }
+
+    #[test]
+    fn fitness_is_the_weighted_sum_of_per_workload_speedups() {
+        let ctx = tiny_ctx();
+        for ipv in [Ipv::lru_insertion(16), gippr::vectors::wi_gippr()] {
+            for substrate in [Substrate::Plru, Substrate::Lru] {
+                let rows = ctx.per_workload_single(&ipv, substrate);
+                let mut total = 0.0;
+                let mut total_weight = 0.0;
+                for ((name, speedup), ws) in rows.iter().zip(ctx.streams()) {
+                    assert_eq!(name, &ws.name);
+                    total += speedup * ws.weight;
+                    total_weight += ws.weight;
+                }
+                assert_eq!(
+                    ctx.fitness_single(&ipv, substrate).to_bits(),
+                    (total / total_weight).to_bits(),
+                    "{ipv} on {substrate:?}"
+                );
             }
-            assert_eq!(sharded, total / total_weight, "{substrate:?}");
         }
     }
 

@@ -319,7 +319,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fitness::FitnessScale;
+    use crate::fitness::{FitnessScale, Substrate};
     use gippr::Ipv;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -512,5 +512,52 @@ mod tests {
         assert_eq!(*out.scores.last().unwrap(), f64::NEG_INFINITY);
         assert_eq!(*out.tiers.last().unwrap(), Fidelity::Pruned);
         assert_eq!(stats.pruned, 1);
+    }
+
+    #[test]
+    fn a_generation_routes_no_stream() {
+        // Every tier, the full one included, plans whole-stream passes:
+        // scoring IPVs and 4-vector sets through the real tier evaluators
+        // leaves every workload's routed view unbuilt.
+        use crate::ga::VectorSet;
+        let ctx = ctx();
+        let cfg = LadderConfig {
+            sampled_frac: 0.5,
+            full_frac: 0.25,
+            min_full: 2,
+        };
+        let mut memo = HashMap::new();
+        let mut stats = LadderStats::default();
+        evaluate(
+            &ctx,
+            &cfg,
+            &batch(6, 5),
+            &mut memo,
+            &mut stats,
+            |c, g: &Ipv| c.profile_score_single(g),
+            |c, g| c.fitness_single_sampled(g, Substrate::Plru),
+            |c, g| c.fitness_single(g, Substrate::Plru),
+        );
+        let mut rng = StdRng::seed_from_u64(8);
+        let sets: Vec<VectorSet> = (0..4)
+            .map(|_| VectorSet::sample_n(4, 16, &mut rng))
+            .collect();
+        evaluate(
+            &ctx,
+            &cfg,
+            &sets,
+            &mut memo,
+            &mut stats,
+            |c, g: &VectorSet| c.profile_score_set(g.vectors()),
+            |c, g| c.fitness_set_sampled(g.vectors()),
+            |c, g| c.fitness_set(g.vectors()),
+        );
+        assert!(
+            stats.sampled_evals >= 4 && stats.full_evals >= 4,
+            "{stats:?}"
+        );
+        for ws in ctx.streams() {
+            assert!(!ws.sharded.is_routed(), "{} was routed", ws.name);
+        }
     }
 }

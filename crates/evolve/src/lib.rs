@@ -50,7 +50,8 @@ pub mod search;
 pub use checkpoint::Checkpointing;
 pub use crossval::{wn1_evaluation, Wn1Outcome};
 pub use fitness::{
-    FitnessContext, FitnessScale, SampledWorkload, Substrate, WorkloadStream, DEFAULT_SAMPLE_EVERY,
+    FitnessContext, FitnessScale, SampledWorkload, ShardedView, Substrate, WorkloadStream,
+    DEFAULT_SAMPLE_EVERY,
 };
 pub use ga::{Ga, GaConfig, GaResult, Genome, VectorSet};
 pub use island::{run_ipv_island, run_island, IslandConfig, IslandOutcome};

@@ -71,7 +71,7 @@ fn sampled_fitness_rank_correlates_with_full_replay() {
 
 #[test]
 fn sampled_fitness_is_bit_stable_across_threads_and_rebuilds() {
-    // Different worker-pool widths (the sharded replay driver) and a
+    // Different worker-pool widths (the context build's fan-out) and a
     // from-scratch context rebuild (what a resumed island does) must
     // produce bit-identical sampled fitness — the sampled subset and its
     // replay never depend on parallelism or process history.
