@@ -133,6 +133,66 @@ fn crashed_run_all_resumes_byte_identical() {
     }
 }
 
+/// Resume works after a kill at every persisted step: for k = 1, 2, …
+/// the run is killed at its k-th atomic write (a clause with no target
+/// matches every write label: CSVs, the manifest, spills), resumed, and
+/// compared with the reference, until a run finishes without reaching a
+/// k-th write.
+#[test]
+fn resume_after_a_kill_at_every_persisted_write() {
+    let started = std::time::Instant::now();
+    let cache = temp("cache-k");
+    let ref_out = temp("ref-k");
+    let reference = run_all(&ref_out, &cache, None, false);
+    assert!(reference.status.success(), "reference run must pass");
+    let want = csvs(&ref_out);
+    assert_eq!(want.len(), 3, "reference produced the whole subset");
+
+    let mut k = 1;
+    loop {
+        let out = temp(&format!("kill-{k}"));
+        let crashed = run_all(&out, &cache, Some(&format!("exit:n={k}")), false);
+        if crashed.status.success() {
+            // Fewer than k writes: every persisted step has been killed.
+            let _ = std::fs::remove_dir_all(&out);
+            break;
+        }
+        assert_eq!(
+            crashed.status.code(),
+            Some(FAULT_EXIT),
+            "a kill at write {k} must be the injected exit; stderr: {}",
+            String::from_utf8_lossy(&crashed.stderr)
+        );
+        let resumed = run_all(&out, &cache, None, true);
+        assert!(
+            resumed.status.success(),
+            "resume after a kill at write {k} must succeed; stderr: {}",
+            String::from_utf8_lossy(&resumed.stderr)
+        );
+        assert_eq!(
+            csvs(&out),
+            want,
+            "resume after a kill at write {k} must be byte-identical"
+        );
+        let _ = std::fs::remove_dir_all(&out);
+        k += 1;
+        assert!(k < 1000, "the subset run never finished without a kill");
+    }
+    let writes = k - 1;
+    assert!(
+        writes >= 4,
+        "the subset persists its 3 CSVs and a manifest, yet only {writes} writes were seen"
+    );
+    println!(
+        "killed and resumed at each of {writes} persisted writes in {:.1} s",
+        started.elapsed().as_secs_f64()
+    );
+
+    for dir in [&cache, &ref_out] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
 #[test]
 fn exhausted_retries_fail_soft_then_resume_recovers() {
     let cache = temp("cache-b");

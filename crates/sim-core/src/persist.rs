@@ -154,7 +154,10 @@ fn stage(out: &mut dyn Write, parts: &[&[u8]], keep: usize, flip: Option<usize>)
     let mut at = 0;
     for part in parts {
         let part = &part[..part.len().min(keep - at)];
-        match flip.and_then(|f| f.checked_sub(at)).filter(|&i| i < part.len()) {
+        match flip
+            .and_then(|f| f.checked_sub(at))
+            .filter(|&i| i < part.len())
+        {
             Some(i) => {
                 out.write_all(&part[..i])?;
                 out.write_all(&[part[i] ^ 0x40])?;

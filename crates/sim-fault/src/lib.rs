@@ -17,8 +17,8 @@
 //! `#[inline(always)]` constant (`WriteFault::None`, `TaskFault::None`,
 //! `false`): release builds of the simulator carry no fault-injection
 //! branches at all. Test builds enable the feature through dev-dependency
-//! feature unification, and standalone process runs (the CI kill-and-resume
-//! smoke) opt in with `--features sim-fault/injection`.
+//! feature unification. The CI kill-and-resume smoke deliberately runs the
+//! un-instrumented release binary and kills it from outside.
 //!
 //! # Fault-plan grammar
 //!

@@ -41,8 +41,8 @@
 
 use crate::backpressure::SharedOutbox;
 use crate::protocol::{
-    error_code_for, recv_client, recv_client_lowered, send_server, warning, ClientFrame,
-    ErrorCode, Hello, Inbound, LeaderboardRow, ProtoError, ServerFrame, PROTOCOL_VERSION,
+    error_code_for, recv_client, recv_client_lowered, send_server, warning, ClientFrame, ErrorCode,
+    Hello, Inbound, LeaderboardRow, ProtoError, ServerFrame, PROTOCOL_VERSION,
 };
 use crate::session::{Roster, Session, SnapshotError};
 use sim_core::Access;

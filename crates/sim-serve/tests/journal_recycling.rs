@@ -14,7 +14,15 @@ fn open() -> Session {
         ways: 16,
         line_bytes: 64,
     };
-    Session::new("t", spec, false, 4096, &["LRU".to_string()], &default_roster()).unwrap()
+    Session::new(
+        "t",
+        spec,
+        false,
+        4096,
+        &["LRU".to_string()],
+        &default_roster(),
+    )
+    .unwrap()
 }
 
 #[test]

@@ -2,13 +2,25 @@
 
 //! Workspace automation (`cargo xtask <command>`).
 //!
+//! * `ci [JOB...]` — the CI gate, defined once. One table ([`STEPS`])
+//!   lists the steps of each job of `.github/workflows/ci.yml`: `test`,
+//!   `lint`, `verify`, `serve` and `faults` (the advisory Miri job
+//!   aside). Each workflow job is checkout, toolchain, cache and one
+//!   `cargo xtask ci <job>`, so a local run is the CI run. With no JOB,
+//!   all five run in that order. A failed step does not stop the run:
+//!   every step runs, and the run ends with one
+//!   `PASS|FAIL <job>/<step> <secs>s` line per step and a nonzero exit if
+//!   any failed. The multi-process drills (the serve restart, the island
+//!   smoke, the SIGKILL kill-and-resume smoke, the traced ga-generation
+//!   run) each work in a directory under `target/xtask-ci/` that is
+//!   cleared first, and kill and reap every process they start, even when
+//!   they fail.
 //! * `lint` — the source-hygiene and roster-coverage gate: audits the
 //!   `unsafe` whitelist, checks every policy in the harness roster has a
 //!   `sim-verify` differential twin, statically analyzes every published
-//!   paper vector, checks that artifact writes go through the crash-safe
-//!   `sim_core::persist` path instead of raw `fs::write`/`File::create`,
-//!   and (unless `--skip-clippy`) shells out to
-//!   `cargo clippy --workspace --all-targets -- -D warnings`.
+//!   paper vector, and checks that artifact writes go through the
+//!   crash-safe `sim_core::persist` path instead of raw
+//!   `fs::write`/`File::create`. Clippy is a step of `ci test`.
 //! * `model-check` — the roster-wide verification gate, five passes:
 //!   1. the PLRU tree sweep: every tree state of the production
 //!      `gippr::PlruTree` under plain PLRU, classic vectors, and every
@@ -41,8 +53,9 @@
 //!   to stay under a minute). Nonzero exit on any counterexample.
 
 use std::collections::BTreeSet;
+use std::ffi::OsStr;
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+use std::process::{Child, Command, ExitCode, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 fn main() -> ExitCode {
@@ -50,15 +63,20 @@ fn main() -> ExitCode {
     let (cmd, rest) = match args.split_first() {
         Some((c, r)) => (c.as_str(), r),
         None => {
-            eprintln!("usage: cargo xtask <lint|model-check> [options]");
+            eprintln!("usage: cargo xtask <ci|lint|model-check> [options]");
             return ExitCode::FAILURE;
         }
     };
     let failures = match cmd {
-        "lint" => lint(rest),
+        "ci" => ci(rest),
+        "lint" if rest.is_empty() => lint(),
+        "lint" => {
+            eprintln!("`lint` takes no options, got {rest:?}");
+            return ExitCode::FAILURE;
+        }
         "model-check" => model_check(rest),
         other => {
-            eprintln!("unknown command {other:?}; expected `lint` or `model-check`");
+            eprintln!("unknown command {other:?}; expected `ci`, `lint` or `model-check`");
             return ExitCode::FAILURE;
         }
     };
@@ -82,11 +100,650 @@ fn workspace_root() -> PathBuf {
 }
 
 // ---------------------------------------------------------------------------
+// ci
+// ---------------------------------------------------------------------------
+
+/// What a CI step runs. Every command runs from the workspace root with
+/// the step's environment added to the caller's.
+enum Action {
+    /// `cargo` with these arguments.
+    Cargo(&'static [&'static str]),
+    /// This xtask with these arguments, as `cargo xtask …` runs it.
+    Xtask(&'static [&'static str]),
+    /// A workspace binary from `target/release/`, built by an earlier step
+    /// of the same job.
+    Release(&'static str, &'static [&'static str]),
+    /// A scripted check, run in a cleared directory of its own.
+    Drill(fn(&Ctx) -> Result<(), String>),
+}
+
+/// One step of one CI job.
+struct Step {
+    job: &'static str,
+    name: &'static str,
+    env: &'static [(&'static str, &'static str)],
+    action: Action,
+}
+
+const fn step(job: &'static str, name: &'static str, action: Action) -> Step {
+    Step {
+        job,
+        name,
+        env: &[],
+        action,
+    }
+}
+
+/// Every CI job's steps, in run order. `ci.yml` runs each job as the one
+/// step `cargo xtask ci <job>`, and a unit test keeps the two files' jobs
+/// equal. The `serve` and `faults` jobs' `cargo test` steps stay in the
+/// debug profile, so their suites run with overflow checks on.
+const STEPS: &[Step] = &[
+    step("test", "fmt", Action::Cargo(&["fmt", "--all", "--check"])),
+    // The workspace's one clippy run.
+    step(
+        "test",
+        "clippy",
+        Action::Cargo(&[
+            "clippy",
+            "--workspace",
+            "--all-targets",
+            "--",
+            "-D",
+            "warnings",
+        ]),
+    ),
+    // Broken or ambiguous intra-doc links fail.
+    Step {
+        env: &[("RUSTDOCFLAGS", "-D warnings")],
+        ..step(
+            "test",
+            "rustdoc",
+            Action::Cargo(&["doc", "--workspace", "--no-deps"]),
+        )
+    },
+    step(
+        "test",
+        "build",
+        Action::Cargo(&["build", "--release", "--workspace"]),
+    ),
+    step(
+        "test",
+        "test",
+        Action::Cargo(&["test", "--workspace", "--release"]),
+    ),
+    // Belady MIN vs its naive reference (3 workloads, 4 geometries): the
+    // set-bucketed, pool-parallel MIN must reproduce the two-pass
+    // reference's CacheStats at the oracle geometry and at 1-, 4- and
+    // 16-way shapes.
+    step(
+        "test",
+        "min",
+        Action::Release("sim-verify", &["--min", "--accesses", "200k"]),
+    ),
+    // L1/L2 capture vs its reference loop (3 workloads, 4 hierarchies):
+    // the packed-kernel capture must emit the reference loop's LLC stream
+    // record for record at paper_scaled(3), paper_scaled(4) and tiny 2-
+    // and 4-way shapes, with and without writebacks.
+    step(
+        "test",
+        "capture",
+        Action::Release("sim-verify", &["--capture", "--accesses", "200k"]),
+    ),
+    // Miss-count mode vs the reference models (every kernel policy, 3
+    // workloads): GA fitness counts misses with the sliced kernel's
+    // miss-count mode, which must count the naive reference cache's
+    // misses exactly.
+    step(
+        "test",
+        "misses",
+        Action::Release("sim-verify", &["--misses", "--accesses", "200k"]),
+    ),
+    // The same check on a longer stream from another seed: the count
+    // mode's match-only scan and one-load fill check must still count
+    // every reference miss.
+    step(
+        "test",
+        "misses-1m",
+        Action::Release(
+            "sim-verify",
+            &["--misses", "--accesses", "1M", "--seed", "20131207"],
+        ),
+    ),
+    // perfbench compiles against the crates' public items; a refactor that
+    // removes or renames one fails here, not in a benchmark run.
+    step(
+        "test",
+        "perfbench",
+        Action::Cargo(&[
+            "test",
+            "--release",
+            "--offline",
+            "--manifest-path",
+            "perfbench/Cargo.toml",
+        ]),
+    ),
+    step("test", "ga-traced", Action::Drill(traced_ga_generation)),
+    // Source hygiene, roster coverage and paper vectors.
+    step("lint", "lint", Action::Xtask(&["lint"])),
+    // The five model-check passes; the budget caps the bounded roster
+    // sweeps, the only passes whose cost grows with the state budget.
+    step(
+        "lint",
+        "model-check",
+        Action::Xtask(&["model-check", "--budget-secs", "45"]),
+    ),
+    step(
+        "verify",
+        "build",
+        Action::Cargo(&["build", "--release", "-p", "sim-verify"]),
+    ),
+    // Differential replay: all policies, 3 workloads, 500k accesses.
+    step(
+        "verify",
+        "differential",
+        Action::Cargo(&[
+            "run",
+            "--release",
+            "-p",
+            "sim-verify",
+            "--",
+            "--policy",
+            "all",
+            "--accesses",
+            "500k",
+            "--seed",
+            "20130604",
+        ]),
+    ),
+    step("verify", "packed-2m", Action::Drill(packed_baselines_2m)),
+    // Mattson single-pass profile vs per-config replay (ways 2-16): one
+    // stack-distance capture per workload must reproduce the replay
+    // engine's true-LRU hit/miss/MPKI numbers at every associativity.
+    step(
+        "verify",
+        "mattson",
+        Action::Cargo(&[
+            "run",
+            "--release",
+            "-p",
+            "sim-verify",
+            "--",
+            "--mattson",
+            "--accesses",
+            "500k",
+            "--seed",
+            "20130604",
+        ]),
+    ),
+    // Invariants and minimization tests.
+    step(
+        "verify",
+        "tests",
+        Action::Cargo(&["test", "--release", "-p", "sim-verify"]),
+    ),
+    // Protocol fuzz and round trips, outbox proptests, the deadline
+    // wheel, snapshot bit-identity, and the socket-level e2e battery with
+    // injected disconnects, stalls, accept failures and disk faults.
+    step(
+        "serve",
+        "sim-serve",
+        Action::Cargo(&["test", "-p", "sim-serve"]),
+    ),
+    // The trace container's malformed-input corpus.
+    step(
+        "serve",
+        "malformed",
+        Action::Cargo(&["test", "-p", "traces", "--test", "malformed"]),
+    ),
+    step("serve", "restart-drill", Action::Drill(serve_restart_drill)),
+    // Dev builds compile the sim-fault injection points in through
+    // dev-dependency feature unification; every `injected_*` test
+    // exercises one named fault and its recovery path.
+    step(
+        "faults",
+        "injected",
+        Action::Cargo(&["test", "-p", "sim-core", "-p", "harness", "injected"]),
+    ),
+    // Drives the real run-all / evolve-vectors / evolve-islands binaries,
+    // crashes them at injected write faults (SIM_FAULT=exit@...),
+    // including an island worker killed mid-migration, resumes, and
+    // requires byte-identical artifacts.
+    step(
+        "faults",
+        "resume",
+        Action::Cargo(&[
+            "test", "-p", "harness", "--test", "resume", "--test", "faults", "--test", "islands",
+        ]),
+    ),
+    step("faults", "islands-smoke", Action::Drill(island_smoke)),
+    // Real processes over real sockets: three concurrent tenants, one
+    // client SIGKILLed mid-stream, one pathologically slow; then the
+    // daemon itself is SIGKILLed, restarted over its snapshot dir, and the
+    // dead tenant resumes. Every surviving stats file must be
+    // byte-identical to the single-process reference.
+    step(
+        "faults",
+        "chaos",
+        Action::Cargo(&["test", "-p", "harness", "--test", "serve"]),
+    ),
+    Step {
+        env: &[("SIM_RETRY_BASE_MS", "0")],
+        ..step("faults", "kill-resume", Action::Drill(kill_resume_smoke))
+    },
+];
+
+/// The CI jobs in the order a bare `cargo xtask ci` runs them: each job
+/// of [`STEPS`], in order of first appearance.
+fn ci_jobs() -> Vec<&'static str> {
+    let mut jobs: Vec<&str> = Vec::new();
+    for s in STEPS {
+        if !jobs.contains(&s.job) {
+            jobs.push(s.job);
+        }
+    }
+    jobs
+}
+
+/// `cargo xtask ci [JOB...]`: runs every step of each named job (all
+/// jobs when none is named), then prints one summary line per step.
+/// Returns the number of failed steps.
+fn ci(args: &[String]) -> usize {
+    let known = ci_jobs();
+    let jobs: Vec<&str> = if args.is_empty() {
+        known.clone()
+    } else {
+        args.iter().map(String::as_str).collect()
+    };
+    if let Some(bad) = jobs.iter().find(|j| !known.contains(j)) {
+        eprintln!("ci: unknown job {bad:?}; expected one or more of {known:?}");
+        return 1;
+    }
+    let root = workspace_root();
+    let mut summary = Vec::new();
+    let mut failures = 0;
+    for job in jobs {
+        for step in STEPS.iter().filter(|s| s.job == job) {
+            println!("\n==> ci {job}/{}: {}", step.name, describe(step));
+            let started = Instant::now();
+            let result = run_step(&root, step);
+            let verdict = match result {
+                Ok(()) => "PASS",
+                Err(e) => {
+                    eprintln!("ci {job}/{}: {e}", step.name);
+                    failures += 1;
+                    "FAIL"
+                }
+            };
+            summary.push(format!(
+                "{verdict} {job}/{} {:.1}s",
+                step.name,
+                started.elapsed().as_secs_f64()
+            ));
+        }
+    }
+    println!("\nxtask ci summary:");
+    for line in summary {
+        println!("{line}");
+    }
+    failures
+}
+
+/// The command line a step runs, for its header line.
+fn describe(step: &Step) -> String {
+    let env: String = step
+        .env
+        .iter()
+        .map(|(k, v)| format!("{k}={v:?} "))
+        .collect();
+    let command = match &step.action {
+        Action::Cargo(args) => format!("cargo {}", args.join(" ")),
+        Action::Xtask(args) => format!("cargo xtask {}", args.join(" ")),
+        Action::Release(bin, args) => format!("target/release/{bin} {}", args.join(" ")),
+        Action::Drill(_) => format!("drill in target/xtask-ci/{}-{}", step.job, step.name),
+    };
+    format!("{env}{command}")
+}
+
+/// Runs one step. A panicking drill fails its step, not the whole run;
+/// its processes are reaped as the panic unwinds.
+fn run_step(root: &Path, step: &Step) -> Result<(), String> {
+    let cx = Ctx {
+        root,
+        dir: root
+            .join("target/xtask-ci")
+            .join(format!("{}-{}", step.job, step.name)),
+        env: step.env,
+    };
+    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &step.action {
+        Action::Cargo(args) => run(cx.cmd("cargo").args(*args)),
+        Action::Xtask(args) => {
+            let me = std::env::current_exe().map_err(|e| format!("locating xtask: {e}"))?;
+            run(cx.cmd(me).args(*args))
+        }
+        Action::Release(bin, args) => run(cx.cmd(cx.release(bin)).args(*args)),
+        Action::Drill(drill) => {
+            // A stale directory from an earlier run could turn a drill's
+            // first run into a resume that passes without testing anything.
+            match std::fs::remove_dir_all(&cx.dir) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    return Err(format!("clearing {}: {e}", cx.dir.display()));
+                }
+                _ => {}
+            }
+            std::fs::create_dir_all(&cx.dir)
+                .map_err(|e| format!("creating {}: {e}", cx.dir.display()))?;
+            drill(&cx)
+        }
+    }));
+    attempt.unwrap_or_else(|_| Err("panicked".to_string()))
+}
+
+/// What a step's commands run with.
+struct Ctx<'a> {
+    root: &'a Path,
+    /// The drill's own directory, cleared before the drill starts.
+    dir: PathBuf,
+    env: &'static [(&'static str, &'static str)],
+}
+
+impl Ctx<'_> {
+    /// `program`, run from the workspace root with the step's environment.
+    fn cmd(&self, program: impl AsRef<OsStr>) -> Command {
+        let mut cmd = Command::new(program);
+        cmd.current_dir(self.root).envs(self.env.iter().copied());
+        cmd
+    }
+
+    /// The release build of workspace binary `bin`.
+    fn release(&self, bin: &str) -> PathBuf {
+        self.root.join("target/release").join(bin)
+    }
+
+    /// `name` inside the drill's directory.
+    fn path(&self, name: &str) -> PathBuf {
+        self.dir.join(name)
+    }
+}
+
+/// The program and arguments of `cmd`, for error messages.
+fn shown(cmd: &Command) -> String {
+    std::iter::once(cmd.get_program())
+        .chain(cmd.get_args())
+        .map(|a| a.to_string_lossy().into_owned())
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// Runs `cmd` to completion; an error unless it exits 0.
+fn run(cmd: &mut Command) -> Result<(), String> {
+    let status = cmd
+        .status()
+        .map_err(|e| format!("launching `{}`: {e}", shown(cmd)))?;
+    exited_ok(cmd, status)
+}
+
+fn exited_ok(cmd: &Command, status: ExitStatus) -> Result<(), String> {
+    if status.success() {
+        Ok(())
+    } else {
+        Err(format!("`{}` exited with {status}", shown(cmd)))
+    }
+}
+
+/// A spawned process that is SIGKILLed and reaped when dropped, so a drill
+/// that fails or panics partway leaves nothing running.
+struct Reaped(Child);
+
+impl Reaped {
+    fn spawn(cmd: &mut Command) -> Result<Reaped, String> {
+        cmd.spawn()
+            .map(Reaped)
+            .map_err(|e| format!("launching `{}`: {e}", shown(cmd)))
+    }
+
+    /// SIGKILLs the process (`kill -9`) and reaps it. True if it had
+    /// already exited on its own.
+    fn kill(mut self) -> bool {
+        let exited = matches!(self.0.try_wait(), Ok(Some(_)));
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+        exited
+    }
+}
+
+impl Drop for Reaped {
+    fn drop(&mut self) {
+        // Both are no-ops on a process already reaped.
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Polls for `path` to exist with content, every 100 ms for up to 10 s,
+/// and returns its trimmed content.
+fn await_port_file(path: &Path) -> Result<String, String> {
+    for _ in 0..100 {
+        if let Ok(text) = std::fs::read_to_string(path) {
+            if !text.is_empty() {
+                return Ok(text.trim().to_string());
+            }
+        }
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    Err(format!("{} did not appear within 10 s", path.display()))
+}
+
+/// `cmp a b`: an error naming the first differing byte unless the two
+/// files are byte-identical.
+fn cmp(a: &Path, b: &Path) -> Result<(), String> {
+    let read = |p: &Path| std::fs::read(p).map_err(|e| format!("cmp: {}: {e}", p.display()));
+    let (x, y) = (read(a)?, read(b)?);
+    if x == y {
+        return Ok(());
+    }
+    let at = x.iter().zip(&y).take_while(|(p, q)| p == q).count();
+    Err(format!(
+        "{} {} differ: byte {}{}",
+        a.display(),
+        b.display(),
+        at + 1,
+        if at == x.len().min(y.len()) {
+            " (one file is a prefix of the other)"
+        } else {
+            ""
+        }
+    ))
+}
+
+/// Builds one release binary of the harness package.
+fn build_harness_bin(cx: &Ctx, bin: &str) -> Result<(), String> {
+    run(cx
+        .cmd("cargo")
+        .args(["build", "--release", "-p", "harness", "--bin", bin]))
+}
+
+/// The check applied to the traced benchmark run's result line (its last
+/// stdout line). It stays in Python because `harness::manifest`'s JSON
+/// subset reads neither floats nor booleans.
+const GA_RESULT_CHECK: &str = "import json, sys; \
+    r = json.loads(sys.stdin.read().splitlines()[-1]); \
+    print(r[\"correct\"], r[\"failed\"]); \
+    sys.exit(0 if r[\"correct\"] is True and r[\"failed\"] == 0 else 1)";
+
+/// Traced ga-generation benchmark run (1 s). perfbench's unit tests never
+/// reach the traced probes; the ga probe re-times the context build's
+/// layers and is the one reader of a fitness context's routed view. Fails
+/// unless both processes of `run.py | check` exit 0: the run itself, and
+/// the check that its result line reports correct and 0 failed operations.
+fn traced_ga_generation(cx: &Ctx) -> Result<(), String> {
+    let mut bench_cmd = cx.cmd("python3");
+    bench_cmd
+        .args(["perfbench/run.py", "--workload", "ga-generation"])
+        .args(["--seconds", "1", "--trace", "1"])
+        .stdout(Stdio::piped());
+    let mut bench = Reaped::spawn(&mut bench_cmd)?;
+    let stdout = bench.0.stdout.take().expect("stdout is piped");
+    let checked = run(cx
+        .cmd("python3")
+        .args(["-c", GA_RESULT_CHECK])
+        .stdin(stdout));
+    let status = bench
+        .0
+        .wait()
+        .map_err(|e| format!("waiting for `{}`: {e}", shown(&bench_cmd)))?;
+    exited_ok(&bench_cmd, status)?;
+    checked
+}
+
+/// Packed baselines vs reference twins (2M accesses, ~15 PD
+/// recomputations). PDP recomputes its protecting distance every 128K
+/// accesses, so the 500k differential reaches only a few recomputations.
+/// FIFO's stack kernel stands in for the round-robin pointer only after
+/// long runs of fills, so its policy gets the long run too. SHiP and
+/// Random run the mono engine's shared access body, which every mono
+/// baseline takes, so they get the long run as well.
+fn packed_baselines_2m(cx: &Ctx) -> Result<(), String> {
+    for policy in ["arc", "awrp", "pdp", "ehc", "fifo", "ship", "random"] {
+        run(cx.cmd(cx.release("sim-verify")).args([
+            "--policy",
+            policy,
+            "--accesses",
+            "2M",
+            "--seed",
+            "20131207",
+        ]))?;
+    }
+    Ok(())
+}
+
+/// The release daemon's restart drill, with no injection features
+/// compiled in: stream a tenant partway, SIGKILL the client and then the
+/// daemon, restart the daemon over the same snapshot dir, resume, and
+/// compare with the in-process reference byte for byte.
+fn serve_restart_drill(cx: &Ctx) -> Result<(), String> {
+    build_harness_bin(cx, "serve")?;
+    let serve = cx.release("serve");
+    let snaps = cx.path("snaps");
+    let stats = cx.path("t.txt");
+    let daemon = Reaped::spawn(
+        cx.cmd(&serve)
+            .args(["--listen", "127.0.0.1:0", "--snapshot-dir"])
+            .arg(&snaps)
+            .args(["--snapshot-every", "64", "--port-file"])
+            .arg(cx.path("port1.txt")),
+    )?;
+    let addr = await_port_file(&cx.path("port1.txt"))?;
+    let client = Reaped::spawn(
+        cx.cmd(&serve)
+            .args(["--client", "--connect", &addr, "--tenant", "t"])
+            .args(["--accesses", "12000", "--seed", "9", "--batch", "16"])
+            .args(["--slow-ms", "5", "--out"])
+            .arg(&stats),
+    )?;
+    std::thread::sleep(Duration::from_secs(2));
+    if client.kill() {
+        println!("client finished early");
+    }
+    std::thread::sleep(Duration::from_secs(1));
+    daemon.kill();
+    let daemon = Reaped::spawn(
+        cx.cmd(&serve)
+            .args(["--listen", "127.0.0.1:0", "--snapshot-dir"])
+            .arg(&snaps)
+            .arg("--port-file")
+            .arg(cx.path("port2.txt")),
+    )?;
+    let addr = await_port_file(&cx.path("port2.txt"))?;
+    run(cx
+        .cmd(&serve)
+        .args(["--client", "--connect", &addr, "--tenant", "t"])
+        .args(["--accesses", "12000", "--seed", "9", "--batch", "64"])
+        .args(["--resume", "--out"])
+        .arg(&stats))?;
+    daemon.kill();
+    let reference = cx.path("t.ref.txt");
+    run(cx
+        .cmd(&serve)
+        .args(["--reference", "--accesses", "12000", "--seed", "9", "--out"])
+        .arg(&reference))?;
+    cmp(&stats, &reference)?;
+    println!("restarted daemon reproduced reference stats byte-for-byte");
+    Ok(())
+}
+
+/// Island fleet smoke (2 islands x tiny GA, resumable): the real
+/// parent/worker process fleet at micro scale, then a `--resume` that
+/// must short-circuit on the verified manifest.
+fn island_smoke(cx: &Ctx) -> Result<(), String> {
+    build_harness_bin(cx, "evolve-islands")?;
+    let islands = cx.release("evolve-islands");
+    let out = cx.path("islands-smoke");
+    run(cx.cmd(&islands).arg("--smoke").arg("--out").arg(&out))?;
+    let artifact = out.join("evolved-islands.txt");
+    if std::fs::metadata(&artifact).map_or(true, |m| m.len() == 0) {
+        return Err(format!("{} is missing or empty", artifact.display()));
+    }
+    let mut resume = cx.cmd(&islands);
+    resume
+        .arg("--smoke")
+        .arg("--out")
+        .arg(&out)
+        .arg("--resume")
+        .stderr(Stdio::inherit());
+    let output = resume
+        .output()
+        .map_err(|e| format!("launching `{}`: {e}", shown(&resume)))?;
+    let log = String::from_utf8_lossy(&output.stdout);
+    print!("{log}");
+    exited_ok(&resume, output.status)?;
+    if !log.contains("already done, skipping") {
+        return Err("the --resume run did not print \"already done, skipping\"".to_string());
+    }
+    Ok(())
+}
+
+/// SIGKILL kill-and-resume smoke: the un-instrumented release `run-all`,
+/// killed from outside 3 s in. `--resume` must complete the run, and every
+/// CSV must match an uninterrupted reference run byte for byte.
+fn kill_resume_smoke(cx: &Ctx) -> Result<(), String> {
+    build_harness_bin(cx, "run-all")?;
+    let run_all = |cache: &str, out: &str| {
+        let mut cmd = cx.cmd(cx.release("run-all"));
+        cmd.env("SIM_CACHE_DIR", cx.path(cache))
+            .args(["--scale", "micro", "--out"])
+            .arg(cx.path(out));
+        cmd
+    };
+    run(&mut run_all("smoke-cache-ref", "smoke-ref"))?;
+    let victim = Reaped::spawn(&mut run_all("smoke-cache", "smoke-out"))?;
+    std::thread::sleep(Duration::from_secs(3));
+    if victim.kill() {
+        println!("run finished before the kill");
+    }
+    run(run_all("smoke-cache", "smoke-out").arg("--resume"))?;
+    let mut compared = 0;
+    let listing = std::fs::read_dir(cx.path("smoke-ref")).map_err(|e| e.to_string())?;
+    for entry in listing {
+        let path = entry.map_err(|e| e.to_string())?.path();
+        if path.extension().is_some_and(|e| e == "csv") {
+            let name = path.file_name().expect("a listed file has a name");
+            cmp(&path, &cx.path("smoke-out").join(name))?;
+            compared += 1;
+        }
+    }
+    if compared == 0 {
+        return Err("the reference run wrote no CSV to compare".to_string());
+    }
+    println!("resumed artifacts byte-identical ({compared} CSVs)");
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
 // lint
 // ---------------------------------------------------------------------------
 
-fn lint(args: &[String]) -> usize {
-    let skip_clippy = args.iter().any(|a| a == "--skip-clippy");
+fn lint() -> usize {
     let root = workspace_root();
     let mut failures = 0;
     failures += lint_unsafe_hygiene(&root);
@@ -94,11 +751,6 @@ fn lint(args: &[String]) -> usize {
     failures += lint_paper_vectors();
     failures += lint_direct_writes(&root);
     failures += lint_island_atomicity(&root);
-    if skip_clippy {
-        println!("lint: clippy skipped (--skip-clippy)");
-    } else {
-        failures += lint_clippy(&root);
-    }
     failures
 }
 
@@ -514,33 +1166,6 @@ fn mentions(source: &str, needle: &str) -> bool {
     source.match_indices(needle).any(|(at, _)| {
         !source[..at].ends_with(ident) && !source[at + needle.len()..].starts_with(ident)
     })
-}
-
-/// Audit 6: clippy with warnings denied, over every target.
-fn lint_clippy(root: &Path) -> usize {
-    println!("lint: running cargo clippy --workspace --all-targets -- -D warnings");
-    let status = Command::new("cargo")
-        .args([
-            "clippy",
-            "--workspace",
-            "--all-targets",
-            "--",
-            "-D",
-            "warnings",
-        ])
-        .current_dir(root)
-        .status();
-    match status {
-        Ok(s) if s.success() => 0,
-        Ok(s) => {
-            eprintln!("lint(clippy): exited with {s}");
-            1
-        }
-        Err(e) => {
-            eprintln!("lint(clippy): failed to launch cargo: {e}");
-            1
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1181,14 +1806,155 @@ fn rules_for(ways: usize) -> Vec<(&'static str, String, sim_lint::PromotionRule)
 
 #[cfg(test)]
 mod tests {
-    use super::mentions;
+    use super::{ci, ci_jobs, mentions, workspace_root, Reaped, STEPS};
+    use std::collections::BTreeSet;
+
+    /// Each job of a workflow file with the `run:` command of each of its
+    /// check steps: every step but checkout, cache and the toolchain
+    /// install. A check step with no `run:` reads as `<no run>`.
+    fn workflow_checks(yml: &str) -> Vec<(String, Vec<String>)> {
+        let mut jobs: Vec<(String, Vec<String>)> = Vec::new();
+        // The step being read: whether it is set-up, and its `run:`.
+        let mut step: Option<(bool, Option<String>)> = None;
+        let mut in_jobs = false;
+        let flush = |jobs: &mut Vec<(String, Vec<String>)>,
+                     step: &mut Option<(bool, Option<String>)>| {
+            if let Some((false, run)) = step.take() {
+                let job = jobs.last_mut().expect("a step belongs to a job");
+                job.1.push(run.unwrap_or_else(|| "<no run>".to_string()));
+            }
+        };
+        for line in yml.lines() {
+            let text = line.trim_start();
+            let indent = line.len() - text.len();
+            if line == "jobs:" {
+                in_jobs = true;
+            } else if in_jobs && indent == 2 && text.ends_with(':') {
+                flush(&mut jobs, &mut step);
+                jobs.push((text.trim_end_matches(':').to_string(), Vec::new()));
+            } else if in_jobs && (indent == 6 || indent == 8) {
+                let field = match text.strip_prefix("- ") {
+                    Some(first) if indent == 6 => {
+                        flush(&mut jobs, &mut step);
+                        step = Some((false, None));
+                        first
+                    }
+                    _ => text,
+                };
+                let Some((setup, run)) = step.as_mut() else {
+                    continue;
+                };
+                if let Some(uses) = field.strip_prefix("uses: ") {
+                    *setup |=
+                        uses.starts_with("actions/checkout@") || uses.starts_with("actions/cache@");
+                } else if let Some(cmd) = field.strip_prefix("run: ") {
+                    *setup |= cmd.starts_with("rustup toolchain install ");
+                    *run = Some(cmd.to_string());
+                }
+            }
+        }
+        flush(&mut jobs, &mut step);
+        jobs
+    }
+
+    #[test]
+    fn ci_yml_runs_each_job_as_one_xtask_ci_step() {
+        let path = workspace_root().join(".github/workflows/ci.yml");
+        let yml = std::fs::read_to_string(&path).expect("ci.yml is readable");
+        let mut workflow = BTreeSet::new();
+        for (job, checks) in workflow_checks(&yml) {
+            // Miri needs nightly, which the step table's toolchain lacks.
+            if job == "miri" {
+                continue;
+            }
+            assert_eq!(
+                checks,
+                [format!("cargo xtask ci {job}")],
+                "ci.yml job `{job}`: its only check step must be `cargo xtask ci {job}`"
+            );
+            workflow.insert(job);
+        }
+        let table: BTreeSet<String> = ci_jobs().into_iter().map(String::from).collect();
+        assert_eq!(
+            workflow, table,
+            "ci.yml's jobs and xtask's STEPS table must name the same jobs"
+        );
+    }
+
+    #[test]
+    fn workflow_reader_sees_every_check_step() {
+        let yml = "\
+on: push
+jobs:
+  a:
+    runs-on: ubuntu-latest
+    steps:
+      - uses: actions/checkout@v4
+      - name: Rust toolchain
+        run: rustup toolchain install stable --profile minimal
+      - uses: actions/cache@v4
+        with:
+          path: |
+            target
+      - name: Check
+        run: cargo xtask ci a
+  b:
+    steps:
+      - run: |
+          cargo test
+      - uses: some/action@v1
+      - name: Gate
+        run: cargo xtask ci b
+        env:
+          X: \"1\"
+";
+        let jobs = workflow_checks(yml);
+        let want: Vec<(String, Vec<String>)> = vec![
+            ("a".into(), vec!["cargo xtask ci a".into()]),
+            (
+                "b".into(),
+                vec!["|".into(), "<no run>".into(), "cargo xtask ci b".into()],
+            ),
+        ];
+        assert_eq!(jobs, want);
+    }
+
+    #[test]
+    fn step_names_are_unique_within_a_job() {
+        let mut seen = BTreeSet::new();
+        for s in STEPS {
+            assert!(seen.insert((s.job, s.name)), "{}/{} twice", s.job, s.name);
+        }
+        assert_eq!(ci_jobs(), ["test", "lint", "verify", "serve", "faults"]);
+    }
+
+    #[test]
+    fn an_unknown_job_runs_nothing() {
+        assert_eq!(ci(&["test".to_string(), "nope".to_string()]), 1);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_dropped_guard_kills_and_reaps_its_process() {
+        let guard = Reaped::spawn(std::process::Command::new("sleep").arg("60")).unwrap();
+        let proc_dir = std::path::PathBuf::from(format!("/proc/{}", guard.0.id()));
+        assert!(proc_dir.exists());
+        drop(guard);
+        assert!(
+            !proc_dir.exists(),
+            "killed, and reaped rather than a zombie"
+        );
+    }
 
     #[test]
     fn needles_match_whole_identifiers_only() {
         let src = "use sim_core::persist::atomic_write_parts;\nsave_snapshot(&p)";
         assert!(mentions(src, "persist::atomic_write_parts"));
         assert!(mentions(src, "save_snapshot"));
-        assert!(!mentions(src, "persist::atomic_write"), "a prefix of a longer name");
+        assert!(
+            !mentions(src, "persist::atomic_write"),
+            "a prefix of a longer name"
+        );
         assert!(!mentions(src, "snapshot"), "a suffix of a longer name");
         assert!(mentions("atomic_write(p, b)", "atomic_write"));
     }
